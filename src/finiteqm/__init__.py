@@ -29,6 +29,7 @@ from .galois import GaloisField, GFElement, gf_build, gf_trace
 from .mub import BasisSet, extract_mubs_from_orbit, mub_complete_set, verify_mub
 from .qgroups import (
     ClosureCapError,
+    CoefficientOverflowError,
     GroupTable,
     UMatrix,
     center_of,

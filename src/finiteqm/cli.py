@@ -21,6 +21,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from .cyclotomic import canonical_dumps, conductor_for, zeta
 from .decomposition import (
     clifford_product_check,
@@ -48,6 +49,9 @@ _EXPECTED_STEPS = {
     (2, 2): {"orbit_sizes": [24] * 16, "new_states": 384},
     (3, 1): {"kept": 153, "new_states": 153, "orbit_sizes": [9, 36, 108]},
 }
+
+# bump when the layout of a cached group table changes
+_CACHE_SCHEMA = "table1"
 
 
 def _cache_dir() -> Path:
@@ -87,13 +91,66 @@ def _print_summary(result: dict, indent: str = ""):
 # -- group ------------------------------------------------------------------
 
 
+def _group_cache_file(args) -> Path:
+    """Cache path keyed on the package version, schema, request and field."""
+    key = (
+        f"group-{__version__}-{_CACHE_SCHEMA}-dim{args.dim}"
+        f"-m{conductor_for(args.dim)}-{args.which}"
+        f"-cap{args.max_closure}-el{int(args.elements)}"
+    )
+    return _cache_dir() / f"{key}.json"
+
+
+def _sl2_order(n: int) -> int:
+    """|SL(2, Z_n)| = n^3 * prod over primes p | n of (1 - 1/p^2)."""
+    order = n**3
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            order = order // (p * p) * (p * p - 1)
+    return order
+
+
+def _order_fits(which: str, n: int, order) -> bool:
+    """Whether a group order agrees with the closed forms for dimension n.
+
+    |WH(n)| is n^3 for odd n and 2 n^3 for even n.  |PCL(n)| is
+    n^2 |SL(2, Z_n)| (Appleby, J. Math. Phys. 46, 052107, 2005).  |CL(n)|
+    is |PCL(n)| times the order of its scalar subgroup, a group of roots of
+    unity of the working field, so the quotient divides the conductor.
+    """
+    if type(order) is not int or order < 1:
+        return False
+    pcl = n * n * _sl2_order(n)
+    if which == "wh":
+        return order == (n**3 if n % 2 else 2 * n**3)
+    if which == "projective":
+        return order == pcl
+    return order % pcl == 0 and conductor_for(n) % (order // pcl) == 0
+
+
+def _load_cached_group(cache_file: Path, args) -> dict | None:
+    """The cached result, or None when it is missing, unreadable or stale."""
+    try:
+        result = json.loads(cache_file.read_text())
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(result, dict)
+        or result.get("dim") != args.dim
+        or result.get("conductor") != conductor_for(args.dim)
+        or not _order_fits(args.which, args.dim, result.get("order"))
+    ):
+        print(f"cache miss: stale {cache_file}", file=sys.stderr)
+        return None
+    return result
+
+
 def cmd_group(args) -> int:
     which = args.which
-    key = f"group-dim{args.dim}-{which}-cap{args.max_closure}-el{int(args.elements)}"
-    cache_file = _cache_dir() / f"{key}.json"
-    if args.cache and cache_file.exists():
+    cache_file = _group_cache_file(args)
+    result = _load_cached_group(cache_file, args) if args.cache else None
+    if result is not None:
         print(f"cache hit: {cache_file}", file=sys.stderr)
-        result = json.loads(cache_file.read_text())
         return _emit(result, args)
     t0 = time.time()
     if which == "wh":
@@ -132,9 +189,7 @@ def cmd_cqs(args) -> int:
     if args.resume:
         initial = StateSet.from_json(json.loads(Path(args.resume).read_text()))
         print(f"resuming from {len(initial)} states", file=sys.stderr)
-    ss = generate_states(
-        args.dim, args.steps, initial=initial, threads=args.threads
-    )
+    ss = generate_states(args.dim, args.steps, initial=initial)
     print(f"generation in {time.time() - t0:.2f}s", file=sys.stderr)
     failures = []
     for rep in ss.reports:
@@ -414,13 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--dim", type=_dimension, required=True, help="dimension N >= 2"
             )
-        p.add_argument("--threads", type=_positive, default=1)
-        p.add_argument("--max-closure", type=_positive, default=1_000_000)
         p.add_argument("--out", type=str, default=None, help="write JSON here")
         p.add_argument("--format", choices=["json", "summary"], default="json")
 
+    def closure_flags(p):
+        p.add_argument("--threads", type=_positive, default=1)
+        p.add_argument("--max-closure", type=_positive, default=1_000_000)
+
     p = sub.add_parser("group", help="close a matrix group and report its order")
     common(p)
+    closure_flags(p)
     p.add_argument("--which", choices=["wh", "clifford", "projective"], required=True)
     p.add_argument("--elements", action="store_true", help="include element bodies")
     p.add_argument("--cache", action="store_true", help="use the table cache")
@@ -443,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crt", help="coprime decomposition checks")
     common(p)
+    closure_flags(p)
     p.add_argument("--mode", choices=["full", "projective"], default="projective")
     p.set_defaults(func=cmd_crt)
 

@@ -2,11 +2,17 @@
 
 Matrices live over a fixed cyclotomic field: an integer coefficient array
 of shape (N, N, phi(m)) plus one positive denominator, kept in canonical
-(content-reduced) form so byte equality is field equality.  Products are
-contractions with a per-conductor multiplication tensor; large closures
-run these contractions as float64 matrix products, which is exact as long
-as every intermediate integer stays below 2**53 (checked, with an exact
-fallback).
+(content-reduced) form so byte equality is field equality.
+
+All coefficient arithmetic is one exact kernel, ``_exact_matmul``: an
+integer matrix product that runs in float64 BLAS when one bound shows that
+every partial sum stays below 2**53, and on Python integers otherwise.
+Field multiplication enters through ``_multiplier``, which turns a
+coefficient vector into its phi(m) x phi(m) multiplication matrix, so a
+matrix product, a scalar multiple, a conjugate or a tensor product is a
+single kernel call.  Results are content-reduced by one batch
+canonicalizer, the only place where coefficients are narrowed to int64; a
+coefficient that does not fit raises CoefficientOverflowError.
 
 Breadth-first closure deduplicates canonical forms by digest, optionally
 after projective (scalar) canonicalization: dividing a matrix by its first
@@ -34,6 +40,7 @@ from .galois import GaloisField, GFElement, gf_trace_int
 
 __all__ = [
     "ClosureCapError",
+    "CoefficientOverflowError",
     "GroupTable",
     "UMatrix",
     "WeylReport",
@@ -55,7 +62,6 @@ __all__ = [
 ]
 
 _FLOAT_EXACT = 2**53
-_INT64_SAFE = 2**62
 _DEFAULT_MAX_SIZE = 1_000_000
 _AUTO_STORE_LIMIT = 50_000
 _AUTO_STORE_BYTES = 200_000_000
@@ -70,6 +76,10 @@ class ClosureCapError(RuntimeError):
         self.partial_size = partial_size
 
 
+class CoefficientOverflowError(OverflowError):
+    """A content-reduced coefficient or denominator does not fit in int64."""
+
+
 def _element_key(num: np.ndarray, den: int) -> bytes:
     h = hashlib.blake2b(digest_size=16)
     h.update(np.ascontiguousarray(num, dtype=np.int64).tobytes())
@@ -77,38 +87,90 @@ def _element_key(num: np.ndarray, den: int) -> bytes:
     return h.digest()
 
 
-def _reduce_inplace(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    if den < 0:
-        num = -num
-        den = -den
-    g = int(np.gcd.reduce(np.abs(num), axis=None))
-    g = math.gcd(g, den)
-    if g > 1:
-        num //= g
-        den //= g
-    return num, den
+# -- exact coefficient kernel ------------------------------------------------------
 
 
-def _canonicalize_array(num, den: int) -> tuple[np.ndarray, int]:
-    """Content-reduce a coefficient array; big-int arrays shrink first."""
-    arr = np.asarray(num)
-    if arr.dtype == object:
-        den = int(den)
-        if den < 0:
-            arr = -arr
-            den = -den
-        g = den
-        for v in arr.flat:
-            if v:
-                g = math.gcd(g, abs(int(v)))
-                if g == 1:
-                    break
-        if g > 1:
-            arr = arr // g
-            den //= g
-        return np.ascontiguousarray(arr.astype(np.int64)), den
-    arr = np.ascontiguousarray(arr, dtype=np.int64).copy()
-    return _reduce_inplace(arr, int(den))
+def _int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or an object array when one is too big."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact product of integer arrays (..., r, K) @ (..., K, c).
+
+    With B = max|x| * max|y| * K (each max at least 1), every input
+    entry, every term x[i, k] * y[k, j] and every partial sum of those
+    terms is an integer of absolute value at most B, whatever order BLAS
+    adds the terms in and whether or not it fuses multiply-adds.  Below
+    2**53 all of them are exactly representable in float64, so the float64
+    product never rounds and rint only fixes its dtype.  Otherwise the same
+    product runs on Python integers.  The result is int64 on the float path
+    and an object array otherwise.
+    """
+    bound = max(_max_abs(x), 1) * max(_max_abs(y), 1) * x.shape[-1]
+    if bound < _FLOAT_EXACT:
+        prod = np.matmul(x.astype(np.float64), y.astype(np.float64))
+        return np.rint(prod, out=prod).astype(np.int64)
+    return np.matmul(x.astype(object), y.astype(object))
+
+
+def _multiplier(w: np.ndarray, ctx) -> np.ndarray:
+    """Multiplication matrices of coefficient vectors, (..., d) -> (..., d, d).
+
+    M[a, c] = sum_b w[b] * mult[a, b, c], so for a coefficient row vector x
+    the product x * w in the field is x @ M.
+    """
+    d = ctx.degree
+    # mult[a, b, c] == mult[b, a, c], so row b of this view is mult[:, b, :]
+    table = ctx.mult_np.reshape(d, d * d)
+    out = _exact_matmul(w.reshape(-1, d), table)
+    return out.reshape(w.shape[:-1] + (d, d))
+
+
+def _right_operator(num: np.ndarray, ctx) -> np.ndarray:
+    """R with (a @ b).reshape(n, n*d) == a.reshape(n, n*d) @ R for b = num.
+
+    R[(k, a), (j, c)] is entry [a, c] of the multiplier of b[k, j].
+    """
+    n, d = num.shape[0], ctx.degree
+    return _multiplier(num, ctx).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def _canonical_batch(nums: np.ndarray, dens: np.ndarray):
+    """Content-reduce a batch of coefficient arrays (b, ...) over dens (b,).
+
+    Works on int64 or object input: each denominator is made positive and
+    the common content of a numerator array and its denominator divided
+    out.  Only then is the batch narrowed to int64, the single point where
+    a coefficient that is too big is detected.
+    """
+    if nums.dtype == object or dens.dtype == object:
+        nums = nums.astype(object)
+        dens = dens.astype(object)
+    else:
+        nums = nums.astype(np.int64, copy=False)
+        dens = dens.astype(np.int64, copy=False)
+    b = nums.shape[0]
+    g = np.gcd(np.gcd.reduce(np.abs(nums.reshape(b, -1)), axis=1), dens)
+    g = np.where(dens < 0, -g, g)
+    nums = nums // g.reshape((b,) + (1,) * (nums.ndim - 1))
+    dens = dens // g
+    try:
+        return nums.astype(np.int64, copy=False), dens.astype(np.int64, copy=False)
+    except OverflowError:
+        sizes = np.abs(nums.reshape(b, -1)).max(axis=1)
+        t = max(range(b), key=lambda i: max(int(sizes[i]), int(dens[i])))
+        raise CoefficientOverflowError(
+            f"exact coefficients exceed int64: the largest coefficient has "
+            f"{int(sizes[t]).bit_length()} bits over denominator {int(dens[t])}"
+        ) from None
 
 
 class UMatrix:
@@ -122,7 +184,17 @@ class UMatrix:
             raise ValueError(
                 f"expected shape {(dim, dim, d)}, got {np.asarray(num).shape}"
             )
-        num, den = _canonicalize_array(num, den)
+        nums, dens = _canonical_batch(np.asarray(num)[None], _int_array([den]))
+        self._assign(dim, m, np.ascontiguousarray(nums[0]), int(dens[0]))
+
+    @classmethod
+    def _from_canonical(cls, dim: int, m: int, num: np.ndarray, den: int):
+        """Wrap a content-reduced int64 array without reducing it again."""
+        self = cls.__new__(cls)
+        self._assign(dim, m, num, den)
+        return self
+
+    def _assign(self, dim: int, m: int, num: np.ndarray, den: int):
         num.setflags(write=False)
         self.dim = dim
         self.m = m
@@ -146,18 +218,15 @@ class UMatrix:
         dim = len(entries)
         if m is None:
             m = entries[0][0].m
-        d = _context(m).degree
         den = 1
         for row in entries:
             for e in row:
                 if e.m != m:
                     raise FieldMismatchError("mixed conductors in matrix entries")
                 den = den * e.den // math.gcd(den, e.den)
-        num = np.zeros((dim, dim, d), dtype=np.int64)
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                s = den // e.den
-                num[i, j, :] = [v * s for v in e.num]
+        num = _int_array(
+            [[[v * (den // e.den) for v in e.num] for e in row] for row in entries]
+        )
         return cls(dim, m, num, den)
 
     @classmethod
@@ -227,9 +296,11 @@ class UMatrix:
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        ctx = _context(self.m)
-        out = _mul_nums(self.num, other.num, ctx)
-        return UMatrix(self.dim, self.m, out, self.den * other.den)
+        n = self.dim
+        d = self.num.shape[2]
+        right = _right_operator(other.num, _context(self.m))
+        out = _exact_matmul(self.num.reshape(n, n * d), right)
+        return UMatrix(n, self.m, out.reshape(n, n, d), self.den * other.den)
 
     def matpow(self, k: int) -> "UMatrix":
         if k < 0:
@@ -245,16 +316,18 @@ class UMatrix:
         return result
 
     def dagger(self) -> "UMatrix":
-        ctx = _context(self.m)
-        conj = np.tensordot(self.num, ctx.conj_np, axes=([2], [0]))
+        conj = _exact_matmul(self.num, _context(self.m).conj_np)
         return UMatrix(self.dim, self.m, np.transpose(conj, (1, 0, 2)), self.den)
 
     def scale(self, c: Cyclotomic) -> "UMatrix":
         if c.m != self.m:
             raise FieldMismatchError("scalar conductor mismatch")
-        ctx = _context(self.m)
-        out = _scale_nums(self.num, c.num, ctx)
-        return UMatrix(self.dim, self.m, out, self.den * c.den)
+        return self._times(c.num, self.den * c.den)
+
+    def _times(self, coeffs, den: int) -> "UMatrix":
+        """Entrywise product of self.num with the scalar coeffs, over den."""
+        w = _multiplier(_int_array(coeffs), _context(self.m))
+        return UMatrix(self.dim, self.m, _exact_matmul(self.num, w), den)
 
     def is_unitary(self) -> bool:
         return (self @ self.dagger()) == UMatrix.identity(self.dim, self.m)
@@ -280,9 +353,7 @@ class UMatrix:
         """Divide by the first nonzero entry; canonical projective form."""
         i, j = self.first_nonzero_entry()
         inv = Cyclotomic(self.m, self.num[i, j, :].tolist(), 1).inv()
-        ctx = _context(self.m)
-        out = _scale_nums(self.num, inv.num, ctx)
-        return UMatrix(self.dim, self.m, out, inv.den)
+        return self._times(inv.num, inv.den)
 
     def trace(self) -> Cyclotomic:
         acc = Cyclotomic.zero(self.m)
@@ -307,45 +378,6 @@ class UMatrix:
             [Cyclotomic.from_json(e) for e in row] for row in obj["entries"]
         ]
         return cls.from_entries(entries)
-
-
-def _mul_nums(a: np.ndarray, b: np.ndarray, ctx) -> np.ndarray:
-    """Exact coefficient array of the matrix product a @ b."""
-    mult = ctx.mult_np
-    bound = (
-        int(np.abs(a).max(initial=0))
-        * int(np.abs(b).max(initial=0))
-        * a.shape[0]
-        * ctx.degree**2
-        * int(np.abs(mult).max(initial=0))
-    )
-    if bound < _INT64_SAFE:
-        t = np.tensordot(a, b, axes=([1], [0]))  # (i, pa, j, pb)
-        return np.tensordot(t, mult, axes=([1, 3], [0, 1]))
-    ao = a.astype(object)
-    bo = b.astype(object)
-    mo = mult.astype(object)
-    t = np.tensordot(ao, bo, axes=([1], [0]))
-    return np.tensordot(t, mo, axes=([1, 3], [0, 1])).astype(object)
-
-
-def _scale_nums(num: np.ndarray, w_coeffs, ctx) -> np.ndarray:
-    """Coefficient array of (entrywise) scalar multiplication by w."""
-    mult = ctx.mult_np
-    maxw = max((abs(int(v)) for v in w_coeffs), default=0)
-    bound = (
-        int(np.abs(num).max(initial=0))
-        * maxw
-        * ctx.degree**2
-        * int(np.abs(mult).max(initial=0))
-    )
-    if bound < _INT64_SAFE:
-        w = np.array([int(v) for v in w_coeffs], dtype=np.int64)
-        wm = np.tensordot(w, mult, axes=([0], [1]))  # (a, c)
-        return np.tensordot(num, wm, axes=([2], [0]))
-    w = np.array([int(v) for v in w_coeffs], dtype=object)
-    wm = np.tensordot(w, mult.astype(object), axes=([0], [1]))
-    return np.tensordot(num.astype(object), wm, axes=([2], [0]))
 
 
 # -- generator matrices ------------------------------------------------------------
@@ -544,92 +576,23 @@ def center_of(table: GroupTable) -> list[Cyclotomic]:
     return table.scalars()
 
 
-def _generator_tensor(g: UMatrix, ctx):
-    """T[(k,a),(j,c)] = sum_b g[k,j,b] * mult[a,b,c].
-
-    Returns the float64 copy used by the BLAS fast path together with the
-    exact integer tensor for the big-coefficient fallback.
-    """
-    mult = ctx.mult_np
-    d = ctx.degree
-    inner_bound = (
-        int(np.abs(g.num).max(initial=0)) * int(np.abs(mult).max(initial=0)) * d
-    )
-    if inner_bound < _INT64_SAFE:
-        t = np.einsum("kjb,abc->kajc", g.num, mult)
-    else:
-        t = np.einsum(
-            "kjb,abc->kajc", g.num.astype(object), mult.astype(object)
-        )
-    n = g.dim
-    flat = t.reshape(n * d, n * d).astype(np.float64)
-    tmax = max(abs(int(v)) for v in t.flat) if t.size else 0
-    return np.ascontiguousarray(flat), t, tmax
-
-
-def _mul_chunk(
-    chunk: np.ndarray, tfloat: np.ndarray, texact: np.ndarray, tmax: int, n: int, d: int
-):
-    """Batched right-multiplication, exact through bounded float64."""
-    b = chunk.shape[0]
-    cmax = int(np.abs(chunk).max(initial=0))
-    if cmax * tmax * n * d >= _FLOAT_EXACT:
-        out = np.empty((b, n, n, d), dtype=np.int64)
-        tint = texact.astype(object)
-        for t in range(b):
-            prod = np.tensordot(
-                chunk[t].astype(object), tint, axes=([1, 2], [0, 1])
-            )
-            out[t] = prod.astype(np.int64)  # raises OverflowError if huge
-        return out
-    flat = chunk.reshape(b * n, n * d).astype(np.float64)
-    prod = flat @ tfloat
-    return np.rint(prod).astype(np.int64).reshape(b, n, n, d)
-
-
-def _reduce_batch(nums: np.ndarray, dens: np.ndarray):
-    b = nums.shape[0]
-    flat = np.abs(nums.reshape(b, -1))
-    g = np.gcd.reduce(flat, axis=1)
-    g = np.gcd(g, dens)
-    nums //= g[:, None, None, None]
-    dens //= g
-    return nums, dens
-
-
 def _scalar_canonical_batch(nums: np.ndarray, ctx, inv_cache: dict):
     """Divide each matrix by its first nonzero entry (denominators cancel)."""
     b, n, _, d = nums.shape
     flat = nums.reshape(b, n * n, d)
-    nonzero = np.any(flat != 0, axis=2)
-    first = np.argmax(nonzero, axis=1)
+    first = np.argmax(np.any(flat != 0, axis=2), axis=1)
     entries = flat[np.arange(b), first]
-    wmats = np.empty((b, d, d), dtype=np.float64)
-    dens = np.empty(b, dtype=np.int64)
-    wmaxes = np.empty(b, dtype=np.int64)
-    mult = ctx.mult_np
-    for t in range(b):
-        key = entries[t].tobytes()
+    invs = []
+    for entry in entries:
+        key = tuple(entry.tolist()) if entry.dtype == object else entry.tobytes()
         cached = inv_cache.get(key)
         if cached is None:
-            inv = Cyclotomic(ctx.m, entries[t].tolist(), 1).inv()
-            w = np.array(inv.num, dtype=np.int64)
-            wm = np.tensordot(mult, w, axes=([1], [0]))  # (a, c)
-            cached = (wm.astype(np.float64), inv.den, int(np.abs(wm).max(initial=0)))
+            inv = Cyclotomic(ctx.m, entry.tolist(), 1).inv()
+            cached = (_multiplier(_int_array(inv.num), ctx), inv.den)
             inv_cache[key] = cached
-        wmats[t], dens[t], wmaxes[t] = cached
-    cmax = int(np.abs(nums).max(initial=0))
-    if cmax * int(wmaxes.max(initial=0)) * d >= _FLOAT_EXACT:
-        out = np.empty_like(nums)
-        for t in range(b):
-            prod = np.tensordot(
-                nums[t].astype(object), wmats[t].astype(object), axes=([2], [0])
-            )
-            out[t] = prod.astype(np.int64)
-    else:
-        out = np.rint(np.matmul(flat.astype(np.float64), wmats)).astype(np.int64)
-        out = out.reshape(b, n, n, d)
-    return out, dens
+        invs.append(cached)
+    out = _exact_matmul(flat, np.stack([w for w, _ in invs]))
+    return out.reshape(nums.shape), _int_array([den for _, den in invs])
 
 
 def group_closure(
@@ -667,11 +630,11 @@ def group_closure(
 
     ctx = _context(m)
     d = ctx.degree
-    inv_cache: dict[bytes, tuple] = {}
+    inv_cache: dict = {}
     if projective:
         gens = [g.scalar_canonical() for g in gens]
-    gen_tensors = [_generator_tensor(g, ctx) for g in gens]
-    gen_dens = [g.den for g in gens]
+    right_ops = [_right_operator(g.num, ctx) for g in gens]
+    gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
 
     storing = store is not False
     auto = store is None
@@ -695,17 +658,20 @@ def group_closure(
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def compute_products(chunk_nums, chunk_dens, gi):
-        tfloat, texact, tmax = gen_tensors[gi]
-        out = _mul_chunk(chunk_nums, tfloat, texact, tmax, dim, d)
+        b = chunk_nums.shape[0]
+        flat = chunk_nums.reshape(b * dim, dim * d)
+        out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
         if projective:
             out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
         else:
-            dens = chunk_dens * gen_dens[gi]
-        out, dens = _reduce_batch(out, dens)
-        return out, dens
+            # a 1 x 1 product: the denominators multiply exactly too
+            dens = _exact_matmul(chunk_dens[:, None], gen_dens[gi])[:, 0]
+        return _canonical_batch(out, dens)
 
+    level = 0
     try:
         while fr_nums.shape[0]:
+            level += 1
             new_nums = []
             new_dens = []
             new_words: list[tuple[str, ...]] = []
@@ -764,6 +730,11 @@ def group_closure(
                 fr_nums = np.empty((0, dim, dim, d), dtype=np.int64)
                 fr_dens = np.empty((0,), dtype=np.int64)
                 fr_words = []
+    except CoefficientOverflowError as exc:
+        raise CoefficientOverflowError(
+            f"closure level {level} with {len(seen)} elements: {exc}; "
+            "the generators may not generate a finite group"
+        ) from exc
     finally:
         if pool is not None:
             pool.shutdown()
@@ -773,7 +744,7 @@ def group_closure(
     if storing and bodies_num is not None:
         triples = []
         for arr, den, w in zip(bodies_num, bodies_den, words):
-            mat = UMatrix(dim, m, arr, den)
+            mat = UMatrix._from_canonical(dim, m, arr, den)
             triples.append((mat.key(), mat, w))
         triples.sort(key=lambda t: t[0])
         elements = [t[1] for t in triples]
@@ -810,15 +781,15 @@ def kron(a: UMatrix, b: UMatrix) -> UMatrix:
     if a.m != b.m:
         raise FieldMismatchError("tensor factors must share a conductor")
     ctx = _context(a.m)
-    mult = ctx.mult_np
-    bound = (
-        int(np.abs(a.num).max(initial=0))
-        * int(np.abs(b.num).max(initial=0))
-        * ctx.degree**2
-        * int(np.abs(mult).max(initial=0))
-    )
-    if bound >= _INT64_SAFE:
-        raise OverflowError("tensor product coefficients exceed safe bounds")
-    t = np.einsum("ija,klb,abc->ikjlc", a.num, b.num, mult)
+    d = ctx.degree
+    # the field is commutative, so the multiplier can be built from the
+    # smaller factor, which keeps the operator small
+    small, large = (a, b) if a.dim <= b.dim else (b, a)
+    ns, nl = small.dim, large.dim
+    right = _multiplier(small.num, ctx).transpose(2, 0, 1, 3).reshape(d, ns * ns * d)
+    t = _exact_matmul(large.num.reshape(nl * nl, d), right)
+    # t[k, l, i, j] = large[k, l] * small[i, j]
+    t = t.reshape(nl, nl, ns, ns, d)
+    t = t.transpose(2, 0, 3, 1, 4) if small is a else t.transpose(0, 2, 1, 3, 4)
     n = a.dim * b.dim
-    return UMatrix(n, a.m, t.reshape(n, n, ctx.degree), a.den * b.den)
+    return UMatrix(n, a.m, t.reshape(n, n, d), a.den * b.den)

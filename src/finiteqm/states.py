@@ -266,38 +266,21 @@ def interference_candidates(stateset: StateSet, rng=None):
     return sorted(found, key=Ray.key), raw, len(found), skipped
 
 
-def rationality_filter(candidates, stateset: StateSet, threads: int = 1):
+def rationality_filter(candidates, stateset: StateSet):
     """Keep candidates whose probabilities against every current state are
-    rational; rejects carry one irrational witness each.
-
-    Filtering is independent per candidate; with threads > 1 the list is
-    chunked over a pool and results are merged in input order, so the
-    outcome never depends on the schedule.
+    rational; rejects carry one irrational witness each, in input order.
     """
     existing = stateset.sorted_states()
-
-    def check(cand: Ray) -> RejectedCandidate | None:
+    kept: list[Ray] = []
+    rejected: list[RejectedCandidate] = []
+    for cand in candidates:
         for s in existing:
             p = transition_probability(cand, s)
             if p.rational() is None:
-                return RejectedCandidate(cand, s, p)
-        return None
-
-    candidates = list(candidates)
-    if threads > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(check, candidates))
-    else:
-        outcomes = [check(c) for c in candidates]
-    kept: list[Ray] = []
-    rejected: list[RejectedCandidate] = []
-    for cand, witness in zip(candidates, outcomes):
-        if witness is None:
-            kept.append(cand)
+                rejected.append(RejectedCandidate(cand, s, p))
+                break
         else:
-            rejected.append(witness)
+            kept.append(cand)
     return kept, rejected
 
 
@@ -346,7 +329,6 @@ def generate_states(
     *,
     initial: StateSet | None = None,
     rng=None,
-    threads: int = 1,
 ) -> StateSet:
     """Run the generation loop for the given number of steps.
 
@@ -388,7 +370,7 @@ def generate_states(
     for k in range(steps):
         step = start_step + k
         candidates, raw, deduped, skipped = interference_candidates(ss, rng=rng)
-        kept, rejected = rationality_filter(candidates, ss, threads=threads)
+        kept, rejected = rationality_filter(candidates, ss)
         # close the kept set under the Clifford action
         new_states: set[Ray] = set()
         new_orbits: list[list[Ray]] = []

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import finiteqm.cli as cli
 
 
@@ -63,6 +65,63 @@ class TestGroup:
         assert list(tmp_path.glob("*.json"))
         _, second = run(capsys, "group", "--dim", "2", "--which", "wh", "--cache")
         assert first == second
+
+    def test_stale_cache_is_ignored(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FINITEQM_CACHE_DIR", str(tmp_path))
+        argv = ["group", "--dim", "3", "--which", "projective"]
+        _, uncached = run(capsys, *argv)
+        cache_file = cli._group_cache_file(cli.build_parser().parse_args(argv))
+        stale = json.loads(uncached)
+        stale["order"] = 215
+        cache_file.write_text(json.dumps(stale))
+        code, cached = run(capsys, *argv, "--cache")
+        assert code == 0
+        assert cached == uncached
+        assert json.loads(cache_file.read_text())["order"] == 216
+        cache_file.write_text("{not json")
+        _, cached = run(capsys, *argv, "--cache")
+        assert cached == uncached
+
+    def test_cache_key_names_version_and_conductor(self):
+        args = cli.build_parser().parse_args(
+            ["group", "--dim", "5", "--which", "clifford"]
+        )
+        name = cli._group_cache_file(args).name
+        assert cli.__version__ in name and cli._CACHE_SCHEMA in name
+        assert "-m120-" in name
+
+    def test_cached_orders_must_fit_closed_forms(self):
+        assert cli._order_fits("wh", 2, 16) and not cli._order_fits("wh", 2, 17)
+        for n, order in [(2, 24), (3, 216), (4, 768), (5, 3000), (6, 5184), (7, 16464)]:
+            assert cli._order_fits("projective", n, order)
+            assert not cli._order_fits("projective", n, order * 2)
+        for n, order in [(2, 192), (3, 2592), (4, 6144), (5, 30000), (6, 124416)]:
+            assert cli._order_fits("clifford", n, order)
+        assert not cli._order_fits("clifford", 6, 497664)
+        assert not cli._order_fits("clifford", 2, "192")
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cqs", "--dim", "2"],
+            ["mub", "--dim", "3"],
+            ["verify", "--dim", "2"],
+            ["galois", "--p", "2"],
+        ],
+    )
+    def test_closure_flags_only_where_read(self, argv):
+        parser = cli.build_parser()
+        for flag in ("--threads", "--max-closure"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + [flag, "2"])
+
+    def test_closure_flags_on_group_and_crt(self):
+        parser = cli.build_parser()
+        for argv in (["group", "--dim", "2", "--which", "wh"], ["crt", "--dim", "6"]):
+            args = parser.parse_args(argv + ["--threads", "2", "--max-closure", "9"])
+            assert (args.threads, args.max_closure) == (2, 9)
 
 
 class TestCqs:

@@ -1,7 +1,11 @@
 """Matrix generators, defining relations, and group closure."""
 
 import itertools
+import random
+from fractions import Fraction
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -10,6 +14,7 @@ from finiteqm.cyclotomic import Cyclotomic, conductor_for, sqrt_embed, zeta
 from finiteqm.galois import gf_build
 from finiteqm.qgroups import (
     ClosureCapError,
+    CoefficientOverflowError,
     UMatrix,
     center_of,
     check_weyl_relation,
@@ -26,6 +31,7 @@ from finiteqm.qgroups import (
     symplectic_form,
     wh_generators,
     wh_group,
+    _exact_matmul,
 )
 
 
@@ -371,35 +377,135 @@ class TestHigherDimensions:
 
 
 class TestExactFallback:
-    def test_mul_chunk_big_coefficients_match_reference(self):
-        import numpy as np
-
-        from finiteqm.qgroups import _mul_chunk
-
+    def test_exact_matmul_big_coefficients_match_reference(self):
         rng = np.random.default_rng(11)
         n, d, b = 2, 3, 4
         big = 1 << 28  # forces the exact path: bound exceeds 2**53
         chunk = rng.integers(-big, big, size=(b, n, n, d), dtype=np.int64)
         texact = rng.integers(-big, big, size=(n, d, n, d), dtype=np.int64)
-        tfloat = texact.reshape(n * d, n * d).astype(np.float64)
-        tmax = int(np.abs(texact).max())
-        out = _mul_chunk(chunk, tfloat, texact, tmax, n, d)
+        out = _exact_matmul(
+            chunk.reshape(b * n, n * d), texact.reshape(n * d, n * d)
+        )
         reference = np.tensordot(
             chunk.astype(object), texact.astype(object), axes=([2, 3], [0, 1])
         )
-        assert np.array_equal(out.astype(object), reference)
+        assert out.dtype == object
+        assert np.array_equal(out.reshape(b, n, n, d), reference)
 
-    def test_mul_chunk_fast_path_matches_reference(self):
-        import numpy as np
-
-        from finiteqm.qgroups import _mul_chunk
-
+    def test_exact_matmul_fast_path_matches_reference(self):
         rng = np.random.default_rng(12)
         n, d, b = 3, 2, 5
         chunk = rng.integers(-50, 50, size=(b, n, n, d), dtype=np.int64)
         texact = rng.integers(-50, 50, size=(n, d, n, d), dtype=np.int64)
-        tfloat = texact.reshape(n * d, n * d).astype(np.float64)
-        tmax = int(np.abs(texact).max())
-        out = _mul_chunk(chunk, tfloat, texact, tmax, n, d)
+        out = _exact_matmul(
+            chunk.reshape(b * n, n * d), texact.reshape(n * d, n * d)
+        )
         reference = np.tensordot(chunk, texact, axes=([2, 3], [0, 1]))
-        assert np.array_equal(out, reference)
+        assert out.dtype == np.int64
+        assert np.array_equal(out.reshape(b, n, n, d), reference)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.integers(-2, 2),
+        k=st.integers(1, 9),
+        extremal=st.booleans(),
+    )
+    def test_bound_straddling_2_53_matches_object_reference(
+        self, seed, shift, k, extremal
+    ):
+        rng = np.random.default_rng(seed)
+        xmax = 1 << 26
+        ymax = (1 << (27 + shift)) // k + rng.integers(-2, 3)
+        if extremal:  # every partial sum reaches the bound
+            x = np.full((2, 3, k), xmax, dtype=np.int64)
+            y = np.full((2, k, 4), ymax, dtype=np.int64)
+        else:
+            x = rng.integers(-xmax, xmax + 1, size=(2, 3, k), dtype=np.int64)
+            y = rng.integers(-ymax, ymax + 1, size=(2, k, 4), dtype=np.int64)
+            x[0, 0, 0], y[1, 0, 0] = -xmax, ymax
+        bound = xmax * int(ymax) * k
+        out = _exact_matmul(x, y)
+        reference = np.matmul(x.astype(object), y.astype(object))
+        assert (out.dtype == object) == (bound >= 2**53)
+        assert np.array_equal(out.astype(object), reference)
+
+    @given(nonzero_cyclotomics(24), st.integers(0, 2**32 - 1))
+    def test_dagger_and_scale_match_entrywise_cyclotomic(self, c, seed):
+        rng = random.Random(seed)
+        entries = [
+            [zeta(24, rng.randrange(24)) * Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+             for _ in range(3)]
+            for _ in range(3)
+        ]
+        a = UMatrix.from_entries(entries, 24)
+        dag, scaled = a.dagger(), a.scale(c)
+        for i in range(3):
+            for j in range(3):
+                assert dag.entry(i, j) == entries[j][i].conj()
+                assert scaled.entry(i, j) == entries[i][j] * c
+
+
+class TestCoefficientOverflow:
+    def test_typed_error_is_exported(self):
+        import finiteqm
+
+        assert finiteqm.CoefficientOverflowError is CoefficientOverflowError
+        assert issubclass(CoefficientOverflowError, OverflowError)
+
+    def test_infinite_rotation_closure_names_level(self):
+        # a rotation by an irrational angle: its powers never repeat, so the
+        # denominators 5^k outgrow int64 long before the element cap
+        def q(p, r):
+            return Cyclotomic.from_rational(24, Fraction(p, r))
+
+        rotation = UMatrix.from_entries(
+            [[q(3, 5), q(-4, 5)], [q(4, 5), q(3, 5)]], 24
+        )
+        with pytest.raises(CoefficientOverflowError) as exc:
+            group_closure([rotation], max_size=200)
+        message = str(exc.value)
+        assert "level 28" in message
+        assert "bits" in message and "denominator" in message
+        assert "may not generate a finite group" in message
+
+    def test_kron_big_coefficients_match_cyclotomic_reference(self):
+        # numerators and denominators near 2**40 that cancel in the product:
+        # the intermediate coefficients exceed int64, the result does not
+        m = conductor_for(6)
+        up = Fraction((1 << 40) + 15, (1 << 40) - 87)
+        rng = random.Random(7)
+
+        def entries(n, factor):
+            return [
+                [zeta(m, rng.randrange(m)) * (rng.randint(1, 5) * factor)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+
+        ea, eb = entries(2, up), entries(3, 1 / up)
+        a = UMatrix.from_entries(ea, m)
+        b = UMatrix.from_entries(eb, m)
+        assert np.abs(a.num).max() > 1 << 39 and b.den > 1 << 39
+        reference = UMatrix.from_entries(
+            [
+                [ea[i][j] * eb[k][l] for j in range(2) for l in range(3)]
+                for i in range(2)
+                for k in range(3)
+            ],
+            m,
+        )
+        assert kron(a, b) == reference
+        assert kron(b, a) == UMatrix.from_entries(
+            [
+                [eb[i][j] * ea[k][l] for j in range(3) for l in range(2)]
+                for i in range(3)
+                for k in range(2)
+            ],
+            m,
+        )
+
+    def test_oversized_result_raises_typed_error(self):
+        m = 24
+        big = UMatrix.diagonal([Cyclotomic.from_rational(m, (1 << 40) + 1)] * 2, m)
+        with pytest.raises(CoefficientOverflowError, match="bits"):
+            big @ big

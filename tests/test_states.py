@@ -147,17 +147,6 @@ class TestDeterminism:
         shuffled = generate_states(2, 1, rng=random.Random(99))
         assert set(plain.states) == set(shuffled.states)
 
-    def test_threaded_filter_identical(self):
-        ss = generate_states(2, 0)
-        cands, _, _, _ = interference_candidates(ss)
-        kept1, rej1 = rationality_filter(cands, ss, threads=1)
-        kept3, rej3 = rationality_filter(cands, ss, threads=3)
-        assert kept1 == kept3
-        assert [r.candidate for r in rej1] == [r.candidate for r in rej3]
-        assert set(generate_states(2, 1, threads=3).states) == set(
-            generate_states(2, 1).states
-        )
-
     def test_export_bytes_stable(self):
         from finiteqm.cyclotomic import canonical_dumps
 
