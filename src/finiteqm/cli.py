@@ -153,19 +153,18 @@ def cmd_group(args) -> int:
         print(f"cache hit: {cache_file}", file=sys.stderr)
         return _emit(result, args)
     t0 = time.time()
+    # without --elements only the order is printed, so keep no element bodies
+    closure = {
+        "max_size": args.max_closure,
+        "threads": args.threads,
+        "store": None if args.elements else False,
+    }
     if which == "wh":
-        table = wh_group(args.dim, max_size=args.max_closure, threads=args.threads)
+        table = wh_group(args.dim, **closure)
     elif which == "clifford":
-        table = clifford_group(
-            args.dim, max_size=args.max_closure, threads=args.threads
-        )
+        table = clifford_group(args.dim, **closure)
     elif which == "projective":
-        table = clifford_group(
-            args.dim,
-            projective=True,
-            max_size=args.max_closure,
-            threads=args.threads,
-        )
+        table = clifford_group(args.dim, projective=True, **closure)
     else:
         raise ValueError(f"unknown group kind {which}")
     print(f"closure in {time.time() - t0:.2f}s", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import Cyclotomic, conductor_for, zeta
 from .galois import GaloisField, GFElement, gf_build, gf_trace_int, is_prime
-from .rays import Ray, ontic_ray, transition_probability
+from .rays import Ray, ontic_ray, probabilities
 
 __all__ = [
     "BasisSet",
@@ -72,22 +72,28 @@ def verify_mub(bs: BasisSet) -> MubReport:
     """Exact check: orthonormal within bases, probability 1/N across."""
     n = bs.dim
     violations: list[str] = []
+    flat = [ray for basis in bs.bases for ray in basis]
+    probs = probabilities(flat, flat)
+    starts = [0]
+    for basis in bs.bases:
+        starts.append(starts[-1] + len(basis))
     for bi, basis in enumerate(bs.bases):
         if len(basis) != n:
             violations.append(f"basis {bi} has {len(basis)} rays, expected {n}")
             continue
+        o = starts[bi]
         for i in range(n):
             for j in range(i + 1, n):
-                p = transition_probability(basis[i], basis[j]).rational()
+                p = probs[o + i][o + j]
                 if p != 0:
                     violations.append(
                         f"basis {bi}: rays {i},{j} not orthogonal (P={p})"
                     )
     for bi in range(len(bs.bases)):
         for bj in range(bi + 1, len(bs.bases)):
-            for i, u in enumerate(bs.bases[bi]):
-                for j, v in enumerate(bs.bases[bj]):
-                    p = transition_probability(u, v).rational()
+            for i in range(len(bs.bases[bi])):
+                for j in range(len(bs.bases[bj])):
+                    p = probs[starts[bi] + i][starts[bj] + j]
                     if p is None or p.numerator != 1 or p.denominator != n:
                         violations.append(
                             f"bases {bi},{bj}: rays {i},{j} have P={p}, want 1/{n}"
@@ -183,6 +189,8 @@ def extract_mubs_from_orbit(rays) -> BasisSet:
     if not pool:
         raise MubExtractionError("empty orbit")
     n = pool[0].dim
+    index = {ray: k for k, ray in enumerate(pool)}
+    probs = probabilities(pool, pool)
     bases: list[list[Ray]] = []
     remaining = list(pool)
     while remaining:
@@ -191,9 +199,8 @@ def extract_mubs_from_orbit(rays) -> BasisSet:
         for cand in remaining[1:]:
             if len(basis) == n:
                 break
-            if all(
-                transition_probability(cand, b).rational() == 0 for b in basis
-            ):
+            row = probs[index[cand]]
+            if all(row[index[b]] == 0 for b in basis):
                 basis.append(cand)
         if len(basis) != n:
             raise MubExtractionError(

@@ -143,13 +143,12 @@ def _right_operator(num: np.ndarray, ctx) -> np.ndarray:
     return _multiplier(num, ctx).transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
-def _canonical_batch(nums: np.ndarray, dens: np.ndarray):
+def _content_reduce(nums: np.ndarray, dens: np.ndarray):
     """Content-reduce a batch of coefficient arrays (b, ...) over dens (b,).
 
-    Works on int64 or object input: each denominator is made positive and
-    the common content of a numerator array and its denominator divided
-    out.  Only then is the batch narrowed to int64, the single point where
-    a coefficient that is too big is detected.
+    Works on int64 or object input and keeps it: each denominator is made
+    positive and the common content of a numerator array and its
+    denominator divided out.
     """
     if nums.dtype == object or dens.dtype == object:
         nums = nums.astype(object)
@@ -160,8 +159,17 @@ def _canonical_batch(nums: np.ndarray, dens: np.ndarray):
     b = nums.shape[0]
     g = np.gcd(np.gcd.reduce(np.abs(nums.reshape(b, -1)), axis=1), dens)
     g = np.where(dens < 0, -g, g)
-    nums = nums // g.reshape((b,) + (1,) * (nums.ndim - 1))
-    dens = dens // g
+    return nums // g.reshape((b,) + (1,) * (nums.ndim - 1)), dens // g
+
+
+def _canonical_batch(nums: np.ndarray, dens: np.ndarray):
+    """Content-reduce a batch, then narrow it to int64.
+
+    This is the single point where a matrix coefficient that is too big
+    is detected.
+    """
+    nums, dens = _content_reduce(nums, dens)
+    b = nums.shape[0]
     try:
         return nums.astype(np.int64, copy=False), dens.astype(np.int64, copy=False)
     except OverflowError:
@@ -255,7 +263,7 @@ class UMatrix:
         return Cyclotomic(self.m, self.num[i, j, :].tolist(), self.den)
 
     def rows(self) -> tuple[tuple[Cyclotomic, ...], ...]:
-        """All entries as Cyclotomic values, cached (used by state application)."""
+        """All entries as Cyclotomic values, cached."""
         if self._rows is None:
             self._rows = tuple(
                 tuple(self.entry(i, j) for j in range(self.dim))
@@ -577,9 +585,14 @@ def center_of(table: GroupTable) -> list[Cyclotomic]:
 
 
 def _scalar_canonical_batch(nums: np.ndarray, ctx, inv_cache: dict):
-    """Divide each matrix by its first nonzero entry (denominators cancel)."""
-    b, n, _, d = nums.shape
-    flat = nums.reshape(b, n * n, d)
+    """Divide each array of a batch (b, ..., d) by its first nonzero entry.
+
+    Any denominator cancels, so only the numerators are read.  Returns the
+    quotient numerators and the denominators of the lead inverses, whose
+    multipliers inv_cache keeps by lead.
+    """
+    b, d = nums.shape[0], nums.shape[-1]
+    flat = nums.reshape(b, -1, d)
     first = np.argmax(np.any(flat != 0, axis=2), axis=1)
     entries = flat[np.arange(b), first]
     invs = []

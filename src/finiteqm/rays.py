@@ -1,63 +1,152 @@
-"""Projective state vectors with exact inner products.
+"""Projective state vectors stored as exact coefficient arrays.
 
-A Ray is an unnormalized amplitude vector in canonical projective form:
-the first nonzero amplitude is exactly 1.  Transition probabilities are
-computed with the scale-invariant formula |<a|b>|^2 / (|a|^2 |b|^2), so
-states never need normalizing and the whole pipeline stays inside one
-cyclotomic field.  Inverse squared norms are cached per ray because the
-rationality filter evaluates many probabilities against the same states.
+A Ray is an integer coefficient array of shape (n, phi(m)) over one
+positive denominator, like a UMatrix, in canonical projective form: the
+first nonzero amplitude is exactly 1 and the array is content-reduced, so
+byte equality is ray equality.  ``Ray.amps`` is a cached view of the
+amplitudes as ``Cyclotomic`` values.
+
+Batch work runs on the exact kernel of ``qgroups``: ``_exact_matmul``
+against ``_multiplier`` outputs, with its one float64 exactness check.
+
+* ``apply_all`` maps a whole list of rays through one matrix as one
+  product, then canonicalizes every image at once by dividing it by its
+  lead amplitude (``_scalar_canonical_batch``, with the lead inverses
+  cached), so the denominators cancel.
+* ``rational_pairs`` and ``probabilities`` run one blocked Gram kernel
+  over a row set and a column set.  A transition probability is
+  |<a|b>|^2 / (|a|^2 |b|^2); on the numerator arrays the denominators
+  cancel and it is |<a|b>|^2 * w_a * w_b with w = 1 / |num|^2.  Per tile
+  the kernel forms <a|b> as conj(A) against the multiplier stack of B,
+  multiplies it by its conjugate, and folds in the multiplier of each
+  irrational weight (a canonical ray can have an irrational squared
+  norm); a rational weight only scales the value and is applied last.
+  In the power basis a pair is rational exactly when coefficients
+  1..phi(m)-1 vanish.  Tiles are sized by a fixed budget of multiplier
+  entries, so memory does not grow with the number of pairs.
+
+The scalar functions ``inner``, ``transition_probability`` and
+``prob_rational`` work on ``Ray.amps`` in ``Cyclotomic`` arithmetic and
+are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, FieldMismatchError, canonical_dumps
-from .qgroups import UMatrix
+import numpy as np
+
+from .cyclotomic import Cyclotomic, FieldMismatchError, _context, canonical_dumps
+from .qgroups import (
+    UMatrix,
+    _content_reduce,
+    _exact_matmul,
+    _int_array,
+    _multiplier,
+    _right_operator,
+    _scalar_canonical_batch,
+)
 
 __all__ = [
     "Ray",
     "apply",
+    "apply_all",
     "inner",
     "ontic_ray",
     "prob_rational",
+    "probabilities",
+    "rational_pairs",
+    "rays_of",
     "transition_probability",
 ]
 
+# multiplier entries per Gram tile: the float64 and int64 copies of a tile
+# stay near a megabyte whatever the number of pairs
+_GRAM_BUDGET = 1 << 16
 
-class Ray:
-    """Projective state: canonical amplitude tuple, first nonzero entry 1."""
 
-    __slots__ = ("dim", "m", "amps", "_norm_inv", "_hash", "_key")
+def _canonical_rays(nums: np.ndarray, m: int) -> list["Ray"]:
+    """Rays of a batch (b, n, d) of nonzero numerators over Q(zeta_m).
 
-    def __init__(self, amps):
-        amps = tuple(amps)
+    Each array is divided by its lead amplitude, which cancels any scalar
+    factor and denominator, and then content-reduced.  Leads that repeat
+    within the batch are inverted once.
+    """
+    out, dens = _content_reduce(*_scalar_canonical_batch(nums, _context(m), {}))
+    return [Ray._from_canonical(m, num.copy(), int(den)) for num, den in zip(out, dens)]
+
+
+def _amplitude_numerators(vectors) -> tuple[np.ndarray, int]:
+    """The (b, n, d) numerators of amplitude vectors, and their conductor.
+
+    Each vector is scaled by the common denominator of its amplitudes,
+    which canonicalization cancels again.
+    """
+    rows = []
+    m = None
+    for amps in vectors:
         if not amps:
             raise ValueError("empty amplitude vector")
-        m = amps[0].m
-        pivot = None
-        for k, a in enumerate(amps):
+        if m is None:
+            m, n = amps[0].m, len(amps)
+        if len(amps) != n:
+            raise ValueError("amplitude vectors of different lengths")
+        den = 1
+        for a in amps:
             if a.m != m:
                 raise FieldMismatchError("mixed conductors in amplitudes")
-            if pivot is None and not a.is_zero():
-                pivot = k
-        if pivot is None:
+            den = math.lcm(den, a.den)
+        if all(a.is_zero() for a in amps):
             raise ValueError("zero vector does not define a ray")
-        lead = amps[pivot]
-        if not lead.is_one():
-            scale = lead.inv()
-            amps = tuple(
-                Cyclotomic.one(m)
-                if k == pivot
-                else (a if a.is_zero() else a * scale)
-                for k, a in enumerate(amps)
-            )
-        self.dim = len(amps)
+        rows.append([[v * (den // a.den) for v in a.num] for a in amps])
+    return _int_array(rows), m
+
+
+class Ray:
+    """Projective state: canonical coefficient array, first nonzero entry 1.
+
+    ``num`` is int64 unless a coefficient does not fit, in which case it
+    holds Python integers; which one follows from the ray alone.
+    """
+
+    __slots__ = (
+        "dim", "m", "num", "den", "_amps", "_norm_inv", "_weight", "_hash", "_key"
+    )
+
+    def __init__(self, amps):
+        (ray,) = rays_of([amps])
+        self._assign(ray.m, ray.num, ray.den)
+
+    @classmethod
+    def _from_canonical(cls, m: int, num: np.ndarray, den: int) -> "Ray":
+        """Wrap a canonical numerator array without reducing it again."""
+        self = cls.__new__(cls)
+        self._assign(m, num, den)
+        return self
+
+    def _assign(self, m: int, num: np.ndarray, den: int):
+        if num.dtype == object:
+            num = _int_array(num)
+        num.setflags(write=False)
+        self.dim = num.shape[0]
         self.m = m
-        self.amps = amps
+        self.num = num
+        self.den = den
+        self._amps = None
         self._norm_inv = None
+        self._weight = None
         self._hash = None
         self._key = None
+
+    @property
+    def amps(self) -> tuple[Cyclotomic, ...]:
+        """The amplitudes as Cyclotomic values, built once."""
+        if self._amps is None:
+            self._amps = tuple(
+                Cyclotomic(self.m, row, self.den) for row in self.num.tolist()
+            )
+        return self._amps
 
     def norm_sq(self) -> Cyclotomic:
         acc = Cyclotomic.zero(self.m)
@@ -74,12 +163,18 @@ class Ray:
     def __eq__(self, other):
         if not isinstance(other, Ray):
             return NotImplemented
-        return self.amps == other.amps
+        return (
+            self.m == other.m
+            and self.den == other.den
+            and np.array_equal(self.num, other.num)
+        )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.amps)
+            num = self.num
+            body = num.tobytes() if num.dtype != object else tuple(num.flat)
+            h = hash((self.den, body))
             self._hash = h
         return h
 
@@ -87,7 +182,17 @@ class Ray:
         return f"Ray({', '.join(repr(a) for a in self.amps)})"
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "amps": [a.to_json() for a in self.amps]}
+        """Each amplitude as Cyclotomic.to_json writes it."""
+        g = np.gcd(self.num, self.den)
+        tops = (self.num // g).tolist()
+        bottoms = (self.den // g).tolist()
+        return {
+            "dim": self.dim,
+            "amps": [
+                {"m": self.m, "c": [f"{p}/{q}" for p, q in zip(top, bottom)]}
+                for top, bottom in zip(tops, bottoms)
+            ],
+        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Ray":
@@ -105,9 +210,9 @@ class Ray:
 
 def ontic_ray(n: int, k: int, m: int) -> Ray:
     """Basis state |k> in dimension n over Q(zeta_m)."""
-    one = Cyclotomic.one(m)
-    zero = Cyclotomic.zero(m)
-    return Ray([one if i == k % n else zero for i in range(n)])
+    num = np.zeros((n, _context(m).degree), dtype=np.int64)
+    num[k % n, 0] = 1
+    return Ray._from_canonical(m, num, 1)
 
 
 def inner(a: Ray, b: Ray) -> Cyclotomic:
@@ -134,20 +239,149 @@ def prob_rational(a: Ray, b: Ray) -> Fraction | None:
     return transition_probability(a, b).rational()
 
 
+def rays_of(vectors) -> list[Ray]:
+    """Ray(amps) for each amplitude vector, canonicalized as one batch."""
+    vectors = [tuple(amps) for amps in vectors]
+    if not vectors:
+        return []
+    return _canonical_rays(*_amplitude_numerators(vectors))
+
+
+def apply_all(mat: UMatrix, rays) -> list[Ray]:
+    """Canonicalized images of the rays under the matrix, in input order."""
+    rays = list(rays)
+    for ray in rays:
+        if mat.dim != ray.dim or mat.m != ray.m:
+            raise FieldMismatchError("matrix and ray dimension or conductor mismatch")
+    if not rays:
+        return []
+    ctx = _context(mat.m)
+    n, d = mat.dim, ctx.degree
+    # op[(j, a), (i, c)] is entry [a, c] of the multiplier of mat[i, j], so
+    # a ray's flat numerator times op is the flat numerator of its image
+    op = _right_operator(mat.num.transpose(1, 0, 2), ctx)
+    flat = np.stack([ray.num for ray in rays]).reshape(len(rays), n * d)
+    images = _exact_matmul(flat, op).reshape(len(rays), n, d)
+    return _canonical_rays(images, mat.m)
+
+
 def apply(mat: UMatrix, ray: Ray) -> Ray:
     """Canonicalized image of the ray under the matrix."""
-    if mat.dim != ray.dim or mat.m != ray.m:
-        raise FieldMismatchError("matrix and ray dimension or conductor mismatch")
-    rows = mat.rows()
-    out = []
-    zero = Cyclotomic.zero(ray.m)
-    for i in range(mat.dim):
-        acc = zero
-        row = rows[i]
-        for j, amp in enumerate(ray.amps):
-            if not amp.is_zero():
-                e = row[j]
-                if not e.is_zero():
-                    acc = acc + e * amp
-        out.append(acc)
-    return Ray(out)
+    return apply_all(mat, [ray])[0]
+
+
+# -- Gram kernel -------------------------------------------------------------------
+
+
+def _fill_weights(rays, ctx):
+    """Cache w = 1 / |num|^2 on each ray as (multiplier or None, Fraction).
+
+    A rational w is kept as the Fraction alone.  An irrational one is kept
+    as the multiplier of the numerator of its inverse, with the Fraction
+    1 / denominator, so the kernel multiplies only by integers.
+    """
+    todo = [ray for ray in rays if ray._weight is None]
+    if not todo:
+        return
+    n, d = todo[0].dim, ctx.degree
+    step = max(1, _GRAM_BUDGET // (n * d * d))
+    cache: dict[tuple, tuple] = {}
+    for lo in range(0, len(todo), step):
+        chunk = todo[lo : lo + step]
+        nums = np.stack([ray.num for ray in chunk])
+        conj = _exact_matmul(nums, ctx.conj_np).reshape(len(chunk), 1, n * d)
+        mults = _multiplier(nums, ctx).reshape(len(chunk), n * d, d)
+        for ray, row in zip(chunk, _exact_matmul(conj, mults)[:, 0].tolist()):
+            key = tuple(row)
+            weight = cache.get(key)
+            if weight is None:
+                if any(row[1:]):
+                    inv = Cyclotomic(ctx.m, row, 1).inv()
+                    mult = _multiplier(_int_array(inv.num), ctx)
+                    weight = (mult, Fraction(1, inv.den))
+                else:
+                    weight = (None, Fraction(1, row[0]))
+                cache[key] = weight
+            ray._weight = weight
+
+
+def _fold_weights(prod: np.ndarray, rays, axis: int) -> np.ndarray:
+    """Multiply prod (r, c, d) by the irrational weights of the rays on axis."""
+    idx = [k for k, ray in enumerate(rays) if ray._weight[0] is not None]
+    if not idx:
+        return prod
+    mults = np.stack([rays[k]._weight[0] for k in idx])
+    if axis == 0:
+        part = _exact_matmul(prod[idx], mults)
+    else:
+        part = _exact_matmul(prod[:, idx][:, :, None, :], mults)[:, :, 0, :]
+    if part.dtype != prod.dtype:
+        prod = prod.astype(object)
+    if axis == 0:
+        prod[idx] = part
+    else:
+        prod[:, idx] = part
+    return prod
+
+
+def _gram_tiles(rows, cols):
+    """Yield (i0, j0, prod) over tiles of the pairs rows x cols.
+
+    prod[i, j] holds the coefficients of |<a|b>|^2 times the irrational
+    weights of a = rows[i0 + i] and b = cols[j0 + j], all on numerators;
+    the probability is prod[i, j, 0] times the weights' Fractions when
+    coefficients 1.. vanish, and irrational otherwise.
+    """
+    if not rows or not cols:
+        return
+    n, m = rows[0].dim, rows[0].m
+    for ray in rows + cols:
+        if ray.dim != n or ray.m != m:
+            raise FieldMismatchError("rays of different dimension or conductor")
+    ctx = _context(m)
+    d = ctx.degree
+    _fill_weights(rows + cols, ctx)
+    conj_rows = _exact_matmul(np.stack([r.num for r in rows]), ctx.conj_np)
+    conj_rows = conj_rows.reshape(len(rows), n * d)
+    col_nums = np.stack([c.num for c in cols])
+    col_block = max(1, _GRAM_BUDGET // (n * d * d))
+    for j0 in range(0, len(cols), col_block):
+        block = col_nums[j0 : j0 + col_block]
+        c = block.shape[0]
+        # right[(i, a), (j, e)] is entry [a, e] of the multiplier of b_j[i]
+        right = _multiplier(block, ctx).transpose(1, 2, 0, 3).reshape(n * d, c * d)
+        row_block = max(1, _GRAM_BUDGET // (c * d * d))
+        for i0 in range(0, len(rows), row_block):
+            ip = _exact_matmul(conj_rows[i0 : i0 + row_block], right).reshape(-1, d)
+            conj_ip = _exact_matmul(ip, ctx.conj_np)
+            prod = _exact_matmul(ip[:, None, :], _multiplier(conj_ip, ctx))
+            prod = prod.reshape(-1, c, d)
+            prod = _fold_weights(prod, rows[i0 : i0 + row_block], 0)
+            prod = _fold_weights(prod, cols[j0 : j0 + c], 1)
+            yield i0, j0, prod
+
+
+def rational_pairs(rows, cols) -> np.ndarray:
+    """Boolean matrix: entry (i, j) tells whether prob_rational(rows[i],
+    cols[j]) is a Fraction, computed by the Gram kernel.
+    """
+    rows, cols = list(rows), list(cols)
+    mask = np.ones((len(rows), len(cols)), dtype=bool)
+    for i0, j0, prod in _gram_tiles(rows, cols):
+        r, c = prod.shape[:2]
+        mask[i0 : i0 + r, j0 : j0 + c] = ~(prod[..., 1:] != 0).any(axis=2)
+    return mask
+
+
+def probabilities(rows, cols) -> list[list[Fraction | None]]:
+    """prob_rational(a, b) for every a in rows and b in cols, as a nested
+    list, computed by the Gram kernel.
+    """
+    rows, cols = list(rows), list(cols)
+    out: list[list[Fraction | None]] = [[None] * len(cols) for _ in rows]
+    for i0, j0, prod in _gram_tiles(rows, cols):
+        lead = prod[..., 0].tolist()
+        for i, j in zip(*np.nonzero(~(prod[..., 1:] != 0).any(axis=2))):
+            a, b = rows[i0 + i], cols[j0 + j]
+            out[i0 + i][j0 + j] = lead[i][j] * a._weight[1] * b._weight[1]
+    return out

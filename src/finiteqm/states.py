@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclotomic import (
     Cyclotomic,
     SqrtConstructionError,
@@ -39,7 +41,15 @@ from .cyclotomic import (
     sqrt_rational,
 )
 from .qgroups import center_of, clifford_generators, clifford_group
-from .rays import Ray, inner, ontic_ray, transition_probability
+from .rays import (
+    Ray,
+    apply_all,
+    inner,
+    ontic_ray,
+    rational_pairs,
+    rays_of,
+    transition_probability,
+)
 
 __all__ = [
     "IntegrityError",
@@ -171,17 +181,17 @@ def center_phases(n: int) -> list[Cyclotomic]:
 
 
 def clifford_orbit(start: Ray, n: int) -> list[Ray]:
-    """All rays reachable from start under X, F, S, sorted canonically."""
-    from .rays import apply
+    """All rays reachable from start under X, F, S, sorted canonically.
 
+    Breadth-first: each generator maps the whole frontier in one batch.
+    """
     gens = list(clifford_generators(n).values())
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for ray in frontier:
-            for g in gens:
-                img = apply(g, ray)
+        for g in gens:
+            for img in apply_all(g, frontier):
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -230,7 +240,7 @@ def interference_candidates(stateset: StateSet, rng=None):
     m = stateset.conductor
     raw = 0
     skipped = 0
-    found: set[Ray] = set()
+    emissions = []
     for i, a in enumerate(states):
         for b in states[i + 1 :]:
             if stateset.dim == 2 and inner(a, b).is_zero():
@@ -260,27 +270,29 @@ def interference_candidates(stateset: StateSet, rng=None):
                         norm_sq = norm_sq + v.conj() * v
                 if norm_sq.is_zero() or norm_sq.rational() is None:
                     continue
-                ray = Ray(amps)
-                if ray not in existing:
-                    found.add(ray)
+                emissions.append(amps)
+    found = set(rays_of(emissions)) - existing
     return sorted(found, key=Ray.key), raw, len(found), skipped
 
 
 def rationality_filter(candidates, stateset: StateSet):
     """Keep candidates whose probabilities against every current state are
     rational; rejects carry one irrational witness each, in input order.
+
+    The witness is the first current state, in sorted order, with an
+    irrational probability against the candidate.
     """
+    candidates = list(candidates)
     existing = stateset.sorted_states()
     kept: list[Ray] = []
     rejected: list[RejectedCandidate] = []
-    for cand in candidates:
-        for s in existing:
-            p = transition_probability(cand, s)
-            if p.rational() is None:
-                rejected.append(RejectedCandidate(cand, s, p))
-                break
-        else:
+    for cand, row in zip(candidates, rational_pairs(candidates, existing)):
+        if row.all():
             kept.append(cand)
+        else:
+            s = existing[int(np.argmin(row))]
+            p = transition_probability(cand, s)
+            rejected.append(RejectedCandidate(cand, s, p))
     return kept, rejected
 
 
@@ -308,19 +320,27 @@ def orbit_decompose(rays, n: int) -> list[list[Ray]]:
 
 
 def _assert_pairwise_rational(new_states, old_states, context: str):
-    for i, a in enumerate(new_states):
-        for b in new_states[i + 1 :]:
-            if transition_probability(a, b).rational() is None:
-                raise IntegrityError(
-                    f"{context}: irrational probability between new states "
-                    f"{a.key()} and {b.key()}"
-                )
-        for b in old_states:
-            if transition_probability(a, b).rational() is None:
-                raise IntegrityError(
-                    f"{context}: irrational probability between {a.key()} "
-                    f"and existing {b.key()}"
-                )
+    """Raise on the first irrational pair: for each new state in order, the
+    later new states first, then the old ones.
+    """
+    new, old = list(new_states), list(old_states)
+    mask = rational_pairs(new, new + old)
+    # row i checks only the new states after i
+    mask[:, : len(new)] |= np.tri(len(new), dtype=bool)
+    bad = np.argwhere(~mask)
+    if not len(bad):
+        return
+    i, j = bad[0]
+    a = new[i]
+    if j < len(new):
+        raise IntegrityError(
+            f"{context}: irrational probability between new states "
+            f"{a.key()} and {new[j].key()}"
+        )
+    raise IntegrityError(
+        f"{context}: irrational probability between {a.key()} "
+        f"and existing {old[j - len(new)].key()}"
+    )
 
 
 def generate_states(
@@ -415,24 +435,16 @@ def generate_states(
 
 def verify_requirements(ss: StateSet) -> dict:
     """Literal checks of the three defining requirements of the set."""
-    from .rays import apply
-
     gens = list(clifford_generators(ss.dim).values())
     states = ss.sorted_states()
-    invariant = all(apply(g, ray) in ss.states for ray in states for g in gens)
+    invariant = all(
+        img in ss.states for g in gens for img in apply_all(g, states)
+    )
     ontic = all(
         ontic_ray(ss.dim, k, ss.conductor) in ss.states for k in range(ss.dim)
     )
-    rational = True
-    for i, a in enumerate(states):
-        for b in states[i:]:
-            if transition_probability(a, b).rational() is None:
-                rational = False
-                break
-        if not rational:
-            break
     return {
         "clifford_invariant": invariant,
         "contains_ontic": ontic,
-        "pairwise_rational": rational,
+        "pairwise_rational": bool(rational_pairs(states, states).all()),
     }

@@ -59,6 +59,28 @@ class TestGroup:
                    "--threads", "3")
         assert a == b
 
+    @pytest.mark.parametrize("which", ["wh", "clifford", "projective"])
+    def test_closure_is_order_only_without_elements(self, capsys, monkeypatch, which):
+        import finiteqm.qgroups as qgroups
+
+        stores = []
+        closure = qgroups.group_closure
+
+        def recording(*args, **kwargs):
+            table = closure(*args, **kwargs)
+            stores.append((kwargs.get("store"), table.elements is None))
+            return table
+
+        monkeypatch.setattr(qgroups, "group_closure", recording)
+        argv = ["group", "--dim", "2", "--which", which]
+        code, plain = run(capsys, *argv)
+        assert code == 0 and stores == [(False, True)]
+        code, full = run(capsys, *argv, "--elements")
+        assert code == 0 and stores[1] == (None, False)
+        data = json.loads(full)
+        assert data.pop("elements") and data.pop("words")
+        assert plain == cli.canonical_dumps(data) + "\n"
+
     def test_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FINITEQM_CACHE_DIR", str(tmp_path))
         _, first = run(capsys, "group", "--dim", "2", "--which", "wh", "--cache")

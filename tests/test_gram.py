@@ -1,0 +1,296 @@
+"""Array-backed rays and the blocked Gram kernel against the scalar oracle.
+
+Every batched result here is compared with the scalar ``Cyclotomic``
+path: ``prob_rational`` pair by pair, an entrywise image of each ray
+under a matrix, and the loop forms of the rationality filter and of the
+pairwise and MUB checks.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+import hypothesis.strategies as st
+
+import finiteqm.rays as rays_mod
+from conftest import rays
+from finiteqm.cyclotomic import Cyclotomic, canonical_dumps, conductor_for, zeta
+from finiteqm.mub import BasisSet, mub_complete_set, verify_mub
+from finiteqm.qgroups import clifford_generators
+from finiteqm.rays import (
+    Ray,
+    apply_all,
+    ontic_ray,
+    prob_rational,
+    probabilities,
+    rational_pairs,
+    transition_probability,
+)
+from finiteqm.states import (
+    IntegrityError,
+    RejectedCandidate,
+    StateSet,
+    _assert_pairwise_rational,
+    clifford_orbit,
+    generate_states,
+    interference_candidates,
+    rationality_filter,
+    seed_orbit,
+    verify_requirements,
+)
+
+M2 = conductor_for(2)
+
+
+def scalar_probabilities(rows, cols):
+    return [[prob_rational(a, b) for b in cols] for a in rows]
+
+
+def assert_gram_matches(rows, cols):
+    want = scalar_probabilities(rows, cols)
+    assert probabilities(rows, cols) == want
+    mask = rational_pairs(rows, cols)
+    assert mask.tolist() == [[p is not None for p in row] for row in want]
+    return want
+
+
+def ray_of(m, *amps):
+    return Ray([a if isinstance(a, Cyclotomic) else Cyclotomic.from_rational(m, a)
+                for a in amps])
+
+
+class RecordingKernel:
+    """Wraps the kernel seen by rays and records each result's dtype."""
+
+    def __init__(self, monkeypatch):
+        self.dtypes = []
+        inner = rays_mod._exact_matmul
+
+        def record(x, y):
+            out = inner(x, y)
+            self.dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(rays_mod, "_exact_matmul", record)
+
+
+class TestGramOracle:
+    def test_next_step_candidates_against_dim2_states(self):
+        ss = generate_states(2, 1)
+        candidates, _, _, _ = interference_candidates(ss)
+        states = ss.sorted_states()
+        want = assert_gram_matches(candidates, states)
+        verdicts = [p is not None for row in want for p in row]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_irrational_squared_norms(self):
+        one = Cyclotomic.one(M2)
+        z8 = zeta(M2, 3)
+        odd = [
+            Ray([one, one + z8]),
+            Ray([one + z8, one]),
+            Ray([one + z8, 2 * one - z8 * z8]),
+            Ray([Cyclotomic.zero(M2), one]),
+        ]
+        assert any(r.norm_sq().rational() is None for r in odd)
+        # a canonical candidate whose lead is not a unit has such a norm
+        assert odd[1].norm_sq().rational() is None
+        rows = odd + seed_orbit(2)
+        assert_gram_matches(rows, rows)
+
+    def test_dim7_orbit_block(self):
+        orbit = seed_orbit(7)
+        assert orbit[0].m == 168
+        assert_gram_matches(orbit[:6], orbit)
+
+    def test_object_path_where_the_bound_straddles_2_53(self, monkeypatch):
+        m = M2
+        small = [ray_of(m, 1, 2), ray_of(m, 1, zeta(m, 2))]
+        # coefficients near 2**26 put the first product's bound just
+        # above 2**53; the small rays keep a block below it
+        big_amp = Cyclotomic(m, [(1 << 26) + 3, 5, -(1 << 26), 0, 7, 0, 0, 1])
+        big = [ray_of(m, 1, big_amp), ray_of(m, big_amp, 3)]
+        kernel = RecordingKernel(monkeypatch)
+        assert_gram_matches(small, small)
+        assert kernel.dtypes and all(dt == np.int64 for dt in kernel.dtypes)
+        kernel.dtypes.clear()
+        assert_gram_matches(small + big, small + big)
+        assert any(dt == object for dt in kernel.dtypes)
+
+    @given(st.lists(rays(2, M2), min_size=1, max_size=3))
+    def test_random_rays(self, sample):
+        assert_gram_matches(sample, sample + seed_orbit(2))
+
+    def test_mismatched_fields_raise(self):
+        with pytest.raises(ValueError):
+            rational_pairs([ontic_ray(2, 0, M2)], [ontic_ray(3, 0, conductor_for(3))])
+
+
+def reference_filter(candidates, ss):
+    existing = ss.sorted_states()
+    kept, rejected = [], []
+    for cand in candidates:
+        for s in existing:
+            p = transition_probability(cand, s)
+            if p.rational() is None:
+                rejected.append(RejectedCandidate(cand, s, p))
+                break
+        else:
+            kept.append(cand)
+    return kept, rejected
+
+
+class TestFilterReference:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_step1_matches_scalar_loop(self, n):
+        ss = generate_states(n, 0)
+        candidates, _, _, _ = interference_candidates(ss)
+        kept, rejected = rationality_filter(candidates, ss)
+        want_kept, want_rejected = reference_filter(candidates, ss)
+        assert kept == want_kept
+        assert [(r.candidate, r.against, r.probability) for r in rejected] == [
+            (r.candidate, r.against, r.probability) for r in want_rejected
+        ]
+        assert rejected
+
+
+def reference_image(mat, amps):
+    """Entrywise image of an amplitude tuple, divided by its lead amplitude."""
+    rows = mat.rows()
+    out = []
+    for i in range(mat.dim):
+        acc = Cyclotomic.zero(mat.m)
+        for j, amp in enumerate(amps):
+            acc = acc + rows[i][j] * amp
+        out.append(acc)
+    lead = next(a for a in out if not a.is_zero())
+    scale = lead.inv()
+    return tuple(a * scale for a in out)
+
+
+class TestArrayRay:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_batched_apply_and_orbit_match_entrywise_reference(self, n):
+        gens = list(clifford_generators(n).values())
+        orbit = clifford_orbit(ontic_ray(n, 0, conductor_for(n)), n)
+        sample = orbit[:: max(1, len(orbit) // 8)]
+        for g in gens:
+            images = apply_all(g, sample)
+            assert [img.amps for img in images] == [
+                reference_image(g, r.amps) for r in sample
+            ]
+        # the orbit is closed under the entrywise images and has no duplicates
+        amps = {r.amps for r in orbit}
+        assert len(amps) == len(orbit)
+        for r in sample:
+            for g in gens:
+                assert reference_image(g, r.amps) in amps
+
+    def test_orbit_equals_entrywise_bfs_in_dim3(self):
+        gens = list(clifford_generators(3).values())
+        start = ontic_ray(3, 0, conductor_for(3))
+        seen = {start.amps}
+        frontier = [start.amps]
+        while frontier:
+            nxt = []
+            for amps in frontier:
+                for g in gens:
+                    img = reference_image(g, amps)
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+            frontier = nxt
+        assert {r.amps for r in clifford_orbit(start, 3)} == seen
+
+    def test_key_and_json_match_the_cyclotomic_view(self):
+        big = Cyclotomic(M2, [(1 << 70) + 1, 3, 0, 0, 0, 0, 0, 1], 7)
+        sample = generate_states(2, 1).sorted_states() + [ray_of(M2, 1, big)]
+        assert sample[-1].num.dtype == object
+        for r in sample:
+            view = {"dim": r.dim, "amps": [a.to_json() for a in r.amps]}
+            assert r.key() == canonical_dumps(view)
+            back = Ray.from_json(json.loads(canonical_dumps(r.to_json())))
+            assert back == r and hash(back) == hash(r) and back.key() == r.key()
+            assert back.num.dtype == r.num.dtype
+
+    def test_stateset_round_trip_is_byte_identical(self):
+        ss = generate_states(2, 1)
+        text = canonical_dumps(ss.to_json())
+        back = StateSet.from_json(json.loads(text))
+        assert canonical_dumps(back.to_json()) == text
+        resumed = generate_states(2, 1, initial=back)
+        direct = generate_states(2, 2)
+        assert canonical_dumps(resumed.to_json()) == canonical_dumps(direct.to_json())
+
+    def test_equality_ignores_representative(self):
+        one = Cyclotomic.one(M2)
+        half = Cyclotomic.from_rational(M2, Fraction(1, 2))
+        z8 = zeta(M2, 3)
+        a = Ray([z8 * half, z8 * half * (one + z8)])
+        b = Ray([one, one + z8])
+        assert a == b and hash(a) == hash(b)
+        assert a.amps[0].is_one()
+
+
+def scalar_pairwise_message(new, old, context):
+    for i, a in enumerate(new):
+        for b in new[i + 1:]:
+            if prob_rational(a, b) is None:
+                return (f"{context}: irrational probability between new states "
+                        f"{a.key()} and {b.key()}")
+        for b in old:
+            if prob_rational(a, b) is None:
+                return (f"{context}: irrational probability between {a.key()} "
+                        f"and existing {b.key()}")
+    return None
+
+
+class TestPlantedIrrationalPair:
+    def planted(self):
+        one = Cyclotomic.one(M2)
+        return Ray([one, zeta(M2, 3)])  # P against |+> is (2 + sqrt 2) / 4
+
+    @pytest.mark.parametrize("where", ["new", "old"])
+    def test_pairwise_assertion_names_the_scalar_pair(self, where):
+        seed = seed_orbit(2)
+        new, old = (seed + [self.planted()], []) if where == "new" else (
+            seed, [self.planted()])
+        want = scalar_pairwise_message(new, old, "plant")
+        assert want is not None
+        with pytest.raises(IntegrityError) as info:
+            _assert_pairwise_rational(new, old, "plant")
+        assert str(info.value) == want
+
+    def test_verify_requirements_reports_it(self):
+        ss = generate_states(2, 0)
+        ss.states[self.planted()] = 0
+        reqs = verify_requirements(ss)
+        assert reqs["pairwise_rational"] is False
+        assert reqs["contains_ontic"] is True
+
+    def test_verify_mub_lists_the_violation(self):
+        bs = mub_complete_set(3)
+        bad = BasisSet(dim=3, bases=[list(b) for b in bs.bases])
+        bad.bases[2][1] = ray_of(bad.bases[2][1].m, 1, zeta(bad.bases[2][1].m, 1), 0)
+        report = verify_mub(bad)
+        assert not report.ok
+        want = []
+        for bi, basis in enumerate(bad.bases):
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    p = prob_rational(basis[i], basis[j])
+                    if p != 0:
+                        want.append(f"basis {bi}: rays {i},{j} not orthogonal (P={p})")
+        for bi in range(len(bad.bases)):
+            for bj in range(bi + 1, len(bad.bases)):
+                for i, u in enumerate(bad.bases[bi]):
+                    for j, v in enumerate(bad.bases[bj]):
+                        p = prob_rational(u, v)
+                        if p is None or p != Fraction(1, 3):
+                            want.append(
+                                f"bases {bi},{bj}: rays {i},{j} have P={p}, want 1/3"
+                            )
+        assert report.violations == want
+        assert any("P=None" in v for v in want)
