@@ -3,7 +3,12 @@
 
 Closes the shift/clock group and the Clifford group for each requested
 dimension and prints the orders, the scalar subgroup size, and the
-projective quotient, all from exact closures.
+projective quotient.  The closures are order-only, so they count in
+GL_n(F_p) after the exact finiteness certificate (see finiteqm.qgroups).
+Each row is checked against the closed forms: |WH| = N^3 for odd N and
+2 N^3 for even N, |PCL| = N^2 |SL(2, Z_N)| (Appleby, J. Math. Phys. 46,
+052107, 2005), and |CL| / |PCL| dividing the conductor.  Exits 1 when a
+row disagrees.
 """
 
 import argparse
@@ -13,28 +18,38 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from finiteqm.qgroups import center_of, clifford_group, wh_group
+from finiteqm.cli import _order_fits
+from finiteqm.qgroups import clifford_group, wh_group
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 5, 6])
     parser.add_argument("--max-closure", type=int, default=1_000_000)
     args = parser.parse_args()
 
+    closure = {"store": False, "max_size": args.max_closure}
+    mismatches = []
     print(f"{'N':>3} {'|WH|':>8} {'|CL|':>9} {'scalars':>8} {'|PCL|':>8} {'time':>7}")
     for n in args.dims:
         t0 = time.time()
-        wh = wh_group(n, max_size=args.max_closure).order
-        pcl = clifford_group(
-            n, projective=True, store=False, max_size=args.max_closure
-        ).order
-        cl_table = clifford_group(n, store=False, max_size=args.max_closure)
-        cl = cl_table.order
-        scalars = cl // pcl
+        orders = {
+            "wh": wh_group(n, **closure).order,
+            "clifford": clifford_group(n, **closure).order,
+            "projective": clifford_group(n, projective=True, **closure).order,
+        }
         elapsed = time.time() - t0
-        print(f"{n:>3} {wh:>8} {cl:>9} {scalars:>8} {pcl:>8} {elapsed:>6.1f}s")
+        wh, cl, pcl = orders["wh"], orders["clifford"], orders["projective"]
+        print(f"{n:>3} {wh:>8} {cl:>9} {cl // pcl:>8} {pcl:>8} {elapsed:>6.1f}s")
+        mismatches.extend(
+            f"N={n}: |{which}| = {order} disagrees with its closed form"
+            for which, order in orders.items()
+            if not _order_fits(which, n, order)
+        )
+    for line in mismatches:
+        print(f"MISMATCH {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -167,7 +167,8 @@ def cmd_group(args) -> int:
         table = clifford_group(args.dim, projective=True, **closure)
     else:
         raise ValueError(f"unknown group kind {which}")
-    print(f"closure in {time.time() - t0:.2f}s", file=sys.stderr)
+    path = "exact" if table.prime is None else f"order-only mod {table.prime}"
+    print(f"closure in {time.time() - t0:.2f}s ({path})", file=sys.stderr)
     result = table.to_json(include_elements=args.elements)
     result["failures"] = []
     rc = _emit(result, args)
@@ -472,7 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "summary"], default="json")
 
     def closure_flags(p):
-        p.add_argument("--threads", type=_positive, default=1)
+        p.add_argument(
+            "--threads",
+            type=_positive,
+            default=1,
+            help="worker threads for exact closures; an order-only count "
+            "modulo a prime always runs on one thread",
+        )
         p.add_argument("--max-closure", type=_positive, default=1_000_000)
 
     p = sub.add_parser("group", help="close a matrix group and report its order")

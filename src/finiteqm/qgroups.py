@@ -17,6 +17,32 @@ coefficient that does not fit raises CoefficientOverflowError.
 Breadth-first closure deduplicates canonical forms by digest, optionally
 after projective (scalar) canonicalization: dividing a matrix by its first
 nonzero entry, which removes exactly the scalar subgroup.
+
+An order-only closure (store=False) counts in GL_n(F_p) instead, as in the
+congruence-image method of Detinko, Flannery and O'Brien (J. Symb. Comput.
+50, 2013), when an exact certificate shows that the generators generate a
+finite group G.  Every generator g must be unitary, normalize the
+Weyl-Heisenberg group W_n = <X, Z> up to scalars, and have a power
+g^r = c * I with c a root of unity.  Then G modulo scalars embeds in the
+normalizer of W_n modulo scalars, a finite group whose order divides
+n^2 |SL(2, Z_n)|; and det(g)^r = c^n makes every determinant in G, hence
+every scalar in G, one of the finitely many roots of unity of Q(zeta_m).
+So G is finite.  Evaluating the power basis at a primitive m-th root of
+unity mod p, for a prime p = 1 (mod lcm(2, m)) dividing no generator
+denominator, is a ring map onto F_p whose kernel is a prime above p.  That
+prime is unramified and p is odd, so by the Minkowski-Serre lemma the
+kernel of reduction on matrices has no torsion: reduction is injective on
+G, and the number of residue matrices is |G|.
+
+Projectively, each residue matrix is divided by its first nonzero entry,
+which counts G modulo the elements whose reduction is scalar.  Such an
+element is a scalar: its part of p-power order reduces to lambda * I with
+lambda a p-power root of unity in F_p, so lambda = 1 and that part is the
+identity; its part of order prime to p has eigenvalues that are roots of
+unity of order prime to p and all congruent mod p, hence equal.  The count is therefore |G| over its
+scalar subgroup.  The path still moves to the next prime when p divides
+the count, which cannot happen here: p > 2n, while every prime factor of
+n^2 |SL(2, Z_n)| is at most n + 1.
 """
 
 from __future__ import annotations
@@ -529,7 +555,8 @@ class GroupTable:
         order: int,
         elements: list[UMatrix] | None,
         words: list[tuple[str, ...]] | None,
-        key_set: set[bytes],
+        key_set: set[bytes] | None,
+        prime: int | None = None,
     ):
         self.dim = dim
         self.conductor = conductor
@@ -539,11 +566,22 @@ class GroupTable:
         self.elements = elements
         self.words = words
         self._key_set = key_set
+        self._prime = prime
+
+    @property
+    def prime(self) -> int | None:
+        """The prime p the order was counted modulo, None for an exact closure."""
+        return self._prime
 
     def __len__(self) -> int:
         return self.order
 
     def contains(self, mat: UMatrix) -> bool:
+        if self._prime is not None:
+            raise ValueError(
+                f"membership needs an exact closure (order-only table "
+                f"counted mod {self._prime})"
+            )
         if mat.dim != self.dim or mat.m != self.conductor:
             return False
         if self.projective:
@@ -608,79 +646,139 @@ def _scalar_canonical_batch(nums: np.ndarray, ctx, inv_cache: dict):
     return out.reshape(nums.shape), _int_array([den for _, den in invs])
 
 
-def group_closure(
-    generators,
-    *,
-    names=None,
-    projective: bool = False,
-    max_size: int = _DEFAULT_MAX_SIZE,
-    store: bool | None = None,
-    threads: int = 1,
-    check_unitary: bool = True,
-) -> GroupTable:
-    """Breadth-first closure of a matrix generating set.
+def _weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
+    """(a, b) when mat = c X^a Z^b for a scalar c, else None.
 
-    Elements are deduplicated by their canonical form (scalar-canonical
-    form when projective=True).  Word provenance keeps the first word
-    found at the shallowest level.  store=None keeps element bodies until
-    the table grows past an internal limit, then switches to order-only.
+    a is read from the support and b from one ratio of consecutive entries,
+    and then every entry is compared exactly.
     """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    dim = gens[0].dim
-    m = gens[0].m
+    n, m = mat.dim, mat.m
+    support = mat.num.any(axis=2)
+    a = int(np.argmax(support[:, 0]))
+    cols = np.arange(n)
+    shifted = np.zeros((n, n), dtype=bool)
+    shifted[(cols + a) % n, cols] = True
+    if not np.array_equal(support, shifted):
+        return None
+    # (X^a Z^b)[j + a, j] = omega^(b j)
+    entries = [mat.entry((j + a) % n, j) for j in range(n)]
+    omega = zeta(m, m // n)
+    powers = [omega**k for k in range(n)]
+    b = next(
+        (k for k in range(n) if entries[1 % n] == entries[0] * powers[k]), None
+    )
+    if b is None:
+        return None
+    if any(entries[j] != entries[0] * powers[b * j % n] for j in range(n)):
+        return None
+    return a, b
+
+
+def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
+    """Order of [[a, c], [b, d]] in GL(2, Z_n), None when it is singular."""
+    if math.gcd(a * d - b * c, n) != 1:
+        return None
+    ident = (1 % n, 0, 0, 1 % n)
+    p, k = (a % n, b % n, c % n, d % n), 1
+    while p != ident:
+        pa, pb, pc, pd = p
+        p = (
+            (a * pa + c * pb) % n,
+            (b * pa + d * pb) % n,
+            (a * pc + c * pd) % n,
+            (b * pc + d * pd) % n,
+        )
+        k += 1
+    return k
+
+
+def _certified_finite(gens: list[UMatrix], unitary_checked: bool) -> bool:
+    """Whether an exact certificate shows that gens generate a finite group.
+
+    Each generator g must be unitary (checked here unless unitary_checked
+    says it already was), map X and Z to scalar multiples of elements X^a Z^b under
+    conjugation, and have a power g^r = c * I with c^lcm(2, m) == 1.  With
+    k the order of g's action on the exponents (a, b) mod n, g^k commutes
+    with X and Z up to scalars, so it is a scalar multiple of some X^u Z^v
+    and r = k n makes g^r a scalar.
+    """
+    n, m = gens[0].dim, gens[0].m
+    if m % (2 * n):
+        return False
+    _, x, z = wh_generators(n, m)
+    roots = math.lcm(2, m)
     for g in gens:
-        if g.dim != dim or g.m != m:
-            raise FieldMismatchError("generators must share dimension and conductor")
-        if check_unitary and not g.is_unitary():
-            raise ValueError("group generators must be unitary")
-    if names is None:
-        names = tuple(chr(ord("a") + i) for i in range(len(gens)))
-    names = tuple(names)
-    if max_size < 1:
-        raise ValueError("max_size must be positive")
+        if not unitary_checked and not g.is_unitary():
+            return False
+        g_dag = g.dagger()
+        image_x = _weyl_exponents(g @ x @ g_dag)
+        image_z = _weyl_exponents(g @ z @ g_dag) if image_x else None
+        if image_z is None:
+            return False
+        k = _symplectic_order(*image_x, *image_z, n)
+        if k is None:
+            return False
+        c = g.matpow(k * n).is_scalar()
+        if c is None or not (c**roots).is_one():
+            return False
+    return True
 
-    ctx = _context(m)
-    d = ctx.degree
-    inv_cache: dict = {}
-    if projective:
-        gens = [g.scalar_canonical() for g in gens]
-    right_ops = [_right_operator(g.num, ctx) for g in gens]
-    gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
 
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _closure_primes(gens: list[UMatrix]):
+    """Primes p = 1 (mod lcm(2, m)) dividing no generator denominator.
+
+    Ascending, and only while a float64 product of n residues per entry,
+    n (p - 1)^2, stays exact.
+    """
+    n, step = gens[0].dim, math.lcm(2, gens[0].m)
+    p = 1 + step
+    while n * (p - 1) ** 2 < _FLOAT_EXACT:
+        if _is_prime(p) and all(g.den % p for g in gens):
+            yield p
+        p += step
+
+
+def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
+    """The generators mod p, (k, n, n) float64, zeta_m sent to an m-th root."""
+    m = gens[0].m
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    root = next(
+        r
+        for r in (pow(a, (p - 1) // m, p) for a in range(2, p))
+        if all(pow(r, m // q, p) != 1 for q in primes)
+    )
+    d = gens[0].num.shape[2]
+    powers = np.array([pow(root, k, p) for k in range(d)], dtype=np.int64)
+    out = [(g.num % p) @ powers % p * pow(g.den, -1, p) % p for g in gens]
+    return np.array(out, dtype=np.float64)
+
+
+def _breadth_first(start, start_dens, compute, keys_of, names, max_size, store, pool):
+    """Breadth-first closure from one element under right multiplication.
+
+    compute(nums, dens, gi) maps a chunk of frontier elements through
+    generator gi and returns their canonical forms; keys_of(nums, dens)
+    gives one dedup key per element.  Products are formed generator by
+    generator in _CHUNK batches, each new key is kept in first-occurrence
+    order and the cap is checked after every batch, so the order and any
+    ClosureCapError.partial_size depend only on which products are new.
+    Returns the key set and, when storing, (bodies, dens, words).
+    """
     storing = store is not False
     auto = store is None
-    element_bytes = dim * dim * _context(m).degree * 8
+    element_bytes = start[0].size * 8
     auto_limit = min(_AUTO_STORE_LIMIT, max(1, _AUTO_STORE_BYTES // element_bytes))
-    seen: set[bytes] = set()
-    bodies_num: list[np.ndarray] | None = [] if storing else None
-    bodies_den: list[int] | None = [] if storing else None
-    words: list[tuple[str, ...]] | None = [] if storing else None
+    seen: set[bytes] = set(keys_of(start, start_dens))
+    bodies_num = [start[0].copy()] if storing else None
+    bodies_den = [int(start_dens[0])] if storing else None
+    words: list[tuple[str, ...]] | None = [()] if storing else None
 
-    ident = UMatrix.identity(dim, m)
-    fr_nums = ident.num[None, :, :, :].copy()
-    fr_dens = np.array([ident.den], dtype=np.int64)
-    fr_words: list[tuple[str, ...]] | None = [()]
-    seen.add(_element_key(ident.num, ident.den))
-    if storing:
-        bodies_num.append(ident.num.copy())
-        bodies_den.append(ident.den)
-        words.append(())
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def compute_products(chunk_nums, chunk_dens, gi):
-        b = chunk_nums.shape[0]
-        flat = chunk_nums.reshape(b * dim, dim * d)
-        out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
-        if projective:
-            out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
-        else:
-            # a 1 x 1 product: the denominators multiply exactly too
-            dens = _exact_matmul(chunk_dens[:, None], gen_dens[gi])[:, 0]
-        return _canonical_batch(out, dens)
-
+    fr_nums, fr_dens = start, start_dens
+    fr_words: list[tuple[str, ...]] = [()]
     level = 0
     try:
         while fr_nums.shape[0]:
@@ -690,14 +788,14 @@ def group_closure(
             new_words: list[tuple[str, ...]] = []
             b = fr_nums.shape[0]
             jobs = []
-            for gi in range(len(gens)):
+            for gi in range(len(names)):
                 for lo in range(0, b, _CHUNK):
                     hi = min(lo + _CHUNK, b)
                     jobs.append((gi, lo, hi))
             if pool is not None:
                 results = list(
                     pool.map(
-                        lambda job: compute_products(
+                        lambda job: compute(
                             fr_nums[job[1] : job[2]], fr_dens[job[1] : job[2]], job[0]
                         ),
                         jobs,
@@ -705,13 +803,12 @@ def group_closure(
                 )
             else:
                 results = [
-                    compute_products(fr_nums[lo:hi], fr_dens[lo:hi], gi)
+                    compute(fr_nums[lo:hi], fr_dens[lo:hi], gi)
                     for gi, lo, hi in jobs
                 ]
             for (gi, lo, hi), (out, dens) in zip(jobs, results):
                 keep = []
-                for t in range(out.shape[0]):
-                    key = _element_key(out[t], int(dens[t]))
+                for t, key in enumerate(keys_of(out, dens)):
                     if key in seen:
                         continue
                     seen.add(key)
@@ -738,25 +835,160 @@ def group_closure(
             if new_nums:
                 fr_nums = np.concatenate(new_nums, axis=0)
                 fr_dens = np.concatenate(new_dens, axis=0)
-                fr_words = new_words
             else:
-                fr_nums = np.empty((0, dim, dim, d), dtype=np.int64)
-                fr_dens = np.empty((0,), dtype=np.int64)
-                fr_words = []
+                fr_nums, fr_dens = fr_nums[:0], fr_dens[:0]
+            fr_words = new_words
     except CoefficientOverflowError as exc:
         raise CoefficientOverflowError(
             f"closure level {level} with {len(seen)} elements: {exc}; "
             "the generators may not generate a finite group"
         ) from exc
+    return seen, ((bodies_num, bodies_den, words) if storing else None)
+
+
+def _mod_p_closure(gens, names, projective, max_size):
+    """Order-only closure of certified generators in GL_n(F_p).
+
+    Returns (key set, p), or None when no prime keeps the products exact.
+    """
+    n = gens[0].dim
+    for p in _closure_primes(gens):
+        residues = _residues(gens, p)
+        dtype = np.uint16 if p < 1 << 16 else np.uint32
+        inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+        row = np.dtype((np.void, n * n * np.dtype(dtype).itemsize))
+
+        def compute(chunk, dens, gi):
+            b = chunk.shape[0]
+            prod = chunk.reshape(b * n, n).astype(np.float64) @ residues[gi]
+            prod = prod.astype(np.int64).reshape(b, n * n) % p
+            if projective:
+                lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
+                prod = prod * inverse[lead][:, None] % p
+            return prod.astype(dtype).reshape(b, n, n), dens
+
+        def keys_of(chunk, dens):
+            flat = np.ascontiguousarray(chunk).reshape(chunk.shape[0], n * n)
+            return flat.view(row).ravel().tolist()
+
+        # residue matrices have no denominator; a unit one rides along
+        start = np.eye(n, dtype=dtype)[None]
+        seen, _ = _breadth_first(
+            start, np.ones(1, np.int64), compute, keys_of, names, max_size, False, None
+        )
+        if not (projective and len(seen) % p == 0):
+            return seen, p
+    return None
+
+
+def group_closure(
+    generators,
+    *,
+    names=None,
+    projective: bool = False,
+    max_size: int = _DEFAULT_MAX_SIZE,
+    store: bool | None = None,
+    threads: int = 1,
+    check_unitary: bool = True,
+) -> GroupTable:
+    """Breadth-first closure of a matrix generating set.
+
+    Elements are deduplicated by their canonical form (scalar-canonical
+    form when projective=True).  Word provenance keeps the first word
+    found at the shallowest level.  store=None keeps element bodies until
+    the table grows past an internal limit, then switches to order-only.
+
+    With store=False the closure counts modulo a prime when the generators
+    carry the module's finiteness certificate (each unitary, normalizing
+    <X, Z> up to scalars, with a power equal to a root of unity times I):
+    the unitary generators are reduced to GL_n(F_p) for the smallest prime
+    p = 1 (mod lcm(2, m)) dividing no generator denominator, and the same
+    breadth-first loop runs on residue matrices.  Reduction is injective on
+    a finite group (Minkowski-Serre), and projectively an element whose
+    reduction is scalar is itself scalar (module docstring), so the order
+    is exact; such a table records p in .prime, holds no membership keys
+    and ignores threads.  Other generator sets, and every storing closure,
+    are closed exactly.
+    """
+    gens = list(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    dim = gens[0].dim
+    m = gens[0].m
+    for g in gens:
+        if g.dim != dim or g.m != m:
+            raise FieldMismatchError("generators must share dimension and conductor")
+        if check_unitary and not g.is_unitary():
+            raise ValueError("group generators must be unitary")
+    if names is None:
+        names = tuple(chr(ord("a") + i) for i in range(len(gens)))
+    names = tuple(names)
+    if len(names) != len(gens):
+        raise ValueError(f"need {len(gens)} generator names, got {len(names)}")
+    if max_size < 1:
+        raise ValueError("max_size must be positive")
+
+    counted = None
+    if store is False and _certified_finite(gens, check_unitary):
+        counted = _mod_p_closure(gens, names, projective, max_size)
+    if counted is not None:
+        seen, prime = counted
+        return GroupTable(
+            dim=dim,
+            conductor=m,
+            projective=projective,
+            generator_names=names,
+            order=len(seen),
+            elements=None,
+            words=None,
+            key_set=None,
+            prime=prime,
+        )
+
+    ctx = _context(m)
+    d = ctx.degree
+    inv_cache: dict = {}
+    if projective:
+        gens = [g.scalar_canonical() for g in gens]
+    right_ops = [_right_operator(g.num, ctx) for g in gens]
+    gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
+
+    def compute_products(chunk_nums, chunk_dens, gi):
+        b = chunk_nums.shape[0]
+        flat = chunk_nums.reshape(b * dim, dim * d)
+        out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
+        if projective:
+            out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
+        else:
+            # a 1 x 1 product: the denominators multiply exactly too
+            dens = _exact_matmul(chunk_dens[:, None], gen_dens[gi])[:, 0]
+        return _canonical_batch(out, dens)
+
+    def keys_of(nums, dens):
+        return [_element_key(nums[t], int(dens[t])) for t in range(nums.shape[0])]
+
+    ident = UMatrix.identity(dim, m)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        seen, stored = _breadth_first(
+            ident.num[None].copy(),
+            np.array([ident.den], dtype=np.int64),
+            compute_products,
+            keys_of,
+            names,
+            max_size,
+            store,
+            pool,
+        )
     finally:
         if pool is not None:
             pool.shutdown()
 
     elements = None
     word_list = None
-    if storing and bodies_num is not None:
+    if stored is not None:
         triples = []
-        for arr, den, w in zip(bodies_num, bodies_den, words):
+        for arr, den, w in zip(*stored):
             mat = UMatrix._from_canonical(dim, m, arr, den)
             triples.append((mat.key(), mat, w))
         triples.sort(key=lambda t: t[0])

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, canonical output, file formats."""
 
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,22 @@ class TestGroup:
         data = json.loads(full)
         assert data.pop("elements") and data.pop("words")
         assert plain == cli.canonical_dumps(data) + "\n"
+
+    def test_stderr_names_closure_path(self, capsys):
+        argv = ["group", "--dim", "3", "--which", "clifford"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            '{"conductor":24,"dim":3,"failures":[],"generators":["X","F","S"],'
+            '"ok":true,"order":2592,"projective":false}\n'
+        )
+        assert re.fullmatch(
+            r"closure in \d+\.\d\ds \(order-only mod 73\)\n", captured.err
+        )
+        assert cli.main(argv + ["--elements"]) == 0
+        assert re.fullmatch(
+            r"closure in \d+\.\d\ds \(exact\)\n", capsys.readouterr().err
+        )
 
     def test_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FINITEQM_CACHE_DIR", str(tmp_path))

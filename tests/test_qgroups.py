@@ -263,6 +263,12 @@ class TestClosure:
         with pytest.raises(ValueError):
             group_closure([position_operator(2)])
 
+    def test_requires_one_name_per_generator(self):
+        gens = list(clifford_generators(2).values())
+        for store in (False, None):
+            with pytest.raises(ValueError, match="generator names"):
+                group_closure(gens, names=("X", "F"), store=store)
+
 
 class TestScalarCanonical:
     @given(nonzero_cyclotomics(24))
@@ -509,3 +515,114 @@ class TestCoefficientOverflow:
         big = UMatrix.diagonal([Cyclotomic.from_rational(m, (1 << 40) + 1)] * 2, m)
         with pytest.raises(CoefficientOverflowError, match="bits"):
             big @ big
+
+
+def sl2_order(n):
+    """|SL(2, Z_n)| by counting the matrices of determinant 1 mod n."""
+    return sum(
+        (a * d - b * c) % n == 1 % n
+        for a, b, c, d in itertools.product(range(n), repeat=4)
+    )
+
+
+class TestOrderOnlyModP:
+    """store=False counts in GL_n(F_p); the exact closure is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_clifford_paths_agree(self, n):
+        counted = clifford_group(n, store=False)
+        exact = clifford_group(n)
+        assert counted.prime is not None and exact.prime is None
+        assert counted.order == exact.order
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_projective_paths_agree(self, n):
+        counted = clifford_group(n, projective=True, store=False)
+        exact = clifford_group(n, projective=True)
+        assert counted.prime is not None and exact.prime is None
+        assert counted.order == exact.order
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_wh_paths_agree(self, n):
+        counted = wh_group(n, store=False)
+        exact = wh_group(n)
+        assert counted.prime is not None and exact.prime is None
+        assert counted.order == exact.order
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_projective_order_is_appleby(self, n):
+        # Appleby, J. Math. Phys. 46, 052107 (2005): |PCL(N)| = N^2 |SL(2, Z_N)|
+        table = clifford_group(n, projective=True, store=False)
+        assert table.prime is not None
+        assert table.order == n * n * sl2_order(n)
+
+    def test_dim6_order_only(self):
+        table = clifford_group(6, store=False)
+        assert table.prime == 73
+        assert table.order == 124416 == 5184 * 24
+
+    @pytest.mark.parametrize("n,cap", [(3, 100), (6, 10_000)])
+    def test_cap_partial_size_matches_exact(self, n, cap):
+        sizes = []
+        for store in (False, None):
+            with pytest.raises(ClosureCapError) as exc:
+                clifford_group(n, max_size=cap, store=store)
+            sizes.append(exc.value.partial_size)
+        assert sizes[0] == sizes[1] > cap
+
+    def test_membership_needs_exact_closure(self):
+        table = clifford_group(2, store=False)
+        _, x, _ = wh_generators(2)
+        with pytest.raises(ValueError, match="membership needs an exact closure"):
+            table.contains(x)
+        with pytest.raises(ValueError, match="order-only"):
+            table.scalars()
+
+    def test_prime_is_read_only(self):
+        table = clifford_group(2, store=False)
+        assert table.prime == 73
+        with pytest.raises(AttributeError):
+            table.prime = 97
+
+
+class TestFinitenessCertificate:
+    """Generators without the certificate keep the exact closure."""
+
+    def test_infinite_rotation_stays_exact(self):
+        def q(p, r):
+            return Cyclotomic.from_rational(24, Fraction(p, r))
+
+        rotation = UMatrix.from_entries(
+            [[q(3, 5), q(-4, 5)], [q(4, 5), q(3, 5)]], 24
+        )
+        with pytest.raises(CoefficientOverflowError, match="level 28"):
+            group_closure([rotation], max_size=200, store=False)
+
+    def test_scalar_of_infinite_order_stays_exact(self):
+        # ((3 + 4i)/5) I normalizes <X, Z> and is unitary, but no power of it
+        # is a root of unity: the group is infinite, while its image mod 73
+        # is finite (576 elements), so only the exact path may close it
+        c = Cyclotomic.from_rational(24, Fraction(3, 5)) + zeta(24, 6) * Fraction(4, 5)
+        scalar = UMatrix.identity(2, 24).scale(c)
+        gens = list(clifford_generators(2).values()) + [scalar]
+        with pytest.raises(CoefficientOverflowError, match="finite group"):
+            group_closure(gens, max_size=20_000, store=False)
+
+    def test_tensored_crt_generators_stay_exact(self):
+        from finiteqm.decomposition import (
+            _tensored_generators,
+            crt_permutation,
+            crt_split,
+        )
+
+        split = crt_split(6)
+        m = conductor_for(6)
+        gens, names = _tensored_generators(split, m)
+        table = group_closure(gens, names=names, projective=True, store=False)
+        assert table.prime is None
+        assert table.order == group_closure(gens, names=names, projective=True).order
+        assert table.order == 5184
+        perm = crt_permutation(split, m)
+        for g in clifford_generators(6, m).values():
+            assert table.contains(perm @ g @ perm.dagger())
+        assert not table.contains(position_operator(6))
