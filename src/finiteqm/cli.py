@@ -154,11 +154,7 @@ def cmd_group(args) -> int:
         return _emit(result, args)
     t0 = time.time()
     # without --elements only the order is printed, so keep no element bodies
-    closure = {
-        "max_size": args.max_closure,
-        "threads": args.threads,
-        "store": None if args.elements else False,
-    }
+    closure = {"max_size": args.max_closure, "store": None if args.elements else False}
     if which == "wh":
         table = wh_group(args.dim, **closure)
     elif which == "clifford":
@@ -167,7 +163,12 @@ def cmd_group(args) -> int:
         table = clifford_group(args.dim, projective=True, **closure)
     else:
         raise ValueError(f"unknown group kind {which}")
-    path = "exact" if table.prime is None else f"order-only mod {table.prime}"
+    if table.prime is None:
+        path = "exact"
+    elif table.elements is None:
+        path = f"order-only mod {table.prime}"
+    else:
+        path = f"mod {table.prime}, exact bodies"
     print(f"closure in {time.time() - t0:.2f}s ({path})", file=sys.stderr)
     result = table.to_json(include_elements=args.elements)
     result["failures"] = []
@@ -298,12 +299,7 @@ def cmd_crt(args) -> int:
                     "dual": list(split.dual(k)),
                 }
             )
-    report = clifford_product_check(
-        args.dim,
-        mode=args.mode,
-        max_size=args.max_closure,
-        threads=args.threads,
-    )
+    report = clifford_product_check(args.dim, mode=args.mode, max_size=args.max_closure)
     print(f"product check in {report.elapsed_s:.2f}s", file=sys.stderr)
     rep_json = report.to_json()
     rep_json.pop("elapsed_s", None)
@@ -473,13 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "summary"], default="json")
 
     def closure_flags(p):
-        p.add_argument(
-            "--threads",
-            type=_positive,
-            default=1,
-            help="worker threads for exact closures; an order-only count "
-            "modulo a prime always runs on one thread",
-        )
         p.add_argument("--max-closure", type=_positive, default=1_000_000)
 
     p = sub.add_parser("group", help="close a matrix group and report its order")

@@ -201,17 +201,19 @@ def clifford_product_check(
     n: int,
     mode: str = "full",
     max_size: int = 1_000_000,
-    threads: int = 1,
 ) -> ProductCheckReport:
     """Measure how the dimension-n Clifford group relates to its factors.
 
     full mode closes the global group and the tensor products of the
-    local generators, checks the conjugated global generators for
-    membership, and compares orders: against the naive product of local
-    orders and against the central-product value (naive divided by the
-    scalar overlap).  projective mode closes only the projective groups,
-    where the decomposition is an exact direct product.  A single prime
-    power factor makes the check a tautology; it is reported as skipped.
+    local generators, conjugated back into the frame of X_n and Z_n by the
+    basis permutation P, checks the global generators for membership, and
+    compares orders: against the naive product of local orders and
+    against the central-product value (naive divided by the scalar
+    overlap).  projective mode closes only the projective groups, where
+    the decomposition is an exact direct product.  Every generator set
+    here carries the finiteness certificate, so each closure counts mod p.
+    A single prime power factor makes the check a tautology; it is
+    reported as skipped.
     """
     t0 = time.time()
     split = crt_split(n)
@@ -249,9 +251,7 @@ def clifford_product_check(
     for f in split.factors:
         gens = clifford_generators(f, m)
         local_tables[f] = group_closure(
-            list(gens.values()),
-            names=tuple(gens.keys()),
-            threads=threads,
+            list(gens.values()), names=tuple(gens.keys()), store=False
         )
         report.local_orders[f] = local_tables[f].order
         report.local_scalar_orders[f] = len(center_of(local_tables[f]))
@@ -269,6 +269,9 @@ def clifford_product_check(
 
     global_gens = clifford_generators(n, m)
     tens_gens, tens_names = _tensored_generators(split, m)
+    # P^-1 t P normalizes <X_n, Z_n>, so the tensor group closes mod p, and
+    # g lies in it exactly when P g P^-1 lies in the group of the t
+    tens_gens = [perm_inv @ t @ perm for t in tens_gens]
 
     if mode == "full":
         try:
@@ -277,13 +280,10 @@ def clifford_product_check(
                 names=tuple(global_gens.keys()),
                 max_size=max_size,
                 store=False,
-                threads=threads,
             )
         except ClosureCapError as exc:
             # order-only fallback: redo the check projectively
-            report = clifford_product_check(
-                n, mode="projective", max_size=max_size, threads=threads
-            )
+            report = clifford_product_check(n, mode="projective", max_size=max_size)
             report.mode = "projective-fallback"
             report.global_order = None
             report.partial_global_order = exc.partial_size
@@ -294,16 +294,8 @@ def clifford_product_check(
             global_table.order == report.expected_matrix_order
         )
         tensor_table = group_closure(
-            tens_gens,
-            names=tens_names,
-            max_size=max_size,
-            store=False,
-            threads=threads,
+            tens_gens, names=tens_names, max_size=max_size, store=False
         )
-        report.tensor_group_order = tensor_table.order
-        for gname, g in global_gens.items():
-            conj = perm @ g @ perm_inv
-            report.generators_in_tensor_group[gname] = tensor_table.contains(conj)
     else:
         pcl_global = group_closure(
             list(global_gens.values()),
@@ -311,7 +303,6 @@ def clifford_product_check(
             projective=True,
             max_size=max_size,
             store=False,
-            threads=threads,
         )
         report.projective_global_order = pcl_global.order
         proj_product = 1
@@ -321,7 +312,7 @@ def clifford_product_check(
                 list(gens.values()),
                 names=tuple(gens.keys()),
                 projective=True,
-                threads=threads,
+                store=False,
             ).order
         report.projective_product = proj_product
         report.projective_matches = pcl_global.order == proj_product
@@ -331,12 +322,10 @@ def clifford_product_check(
             projective=True,
             max_size=max_size,
             store=False,
-            threads=threads,
         )
-        report.tensor_group_order = tensor_table.order
-        for gname, g in global_gens.items():
-            conj = perm @ g @ perm_inv
-            report.generators_in_tensor_group[gname] = tensor_table.contains(conj)
+    report.tensor_group_order = tensor_table.order
+    for gname, g in global_gens.items():
+        report.generators_in_tensor_group[gname] = tensor_table.contains(g)
 
     report.elapsed_s = time.time() - t0
     return report

@@ -14,14 +14,11 @@ single kernel call.  Results are content-reduced by one batch
 canonicalizer, the only place where coefficients are narrowed to int64; a
 coefficient that does not fit raises CoefficientOverflowError.
 
-Breadth-first closure deduplicates canonical forms by digest, optionally
-after projective (scalar) canonicalization: dividing a matrix by its first
-nonzero entry, which removes exactly the scalar subgroup.
-
-An order-only closure (store=False) counts in GL_n(F_p) instead, as in the
-congruence-image method of Detinko, Flannery and O'Brien (J. Symb. Comput.
-50, 2013), when an exact certificate shows that the generators generate a
-finite group G.  Every generator g must be unitary, normalize the
+Breadth-first closure has one engine for generators that carry an exact
+finiteness certificate, and keeps exact enumeration only as the fallback
+for generators without one.  The certified engine counts in GL_n(F_p), as
+in the congruence-image method of Detinko, Flannery and O'Brien (J. Symb.
+Comput. 50, 2013).  Every generator g must be unitary, normalize the
 Weyl-Heisenberg group W_n = <X, Z> up to scalars, and have a power
 g^r = c * I with c a root of unity.  Then G modulo scalars embeds in the
 normalizer of W_n modulo scalars, a finite group whose order divides
@@ -39,17 +36,29 @@ which counts G modulo the elements whose reduction is scalar.  Such an
 element is a scalar: its part of p-power order reduces to lambda * I with
 lambda a p-power root of unity in F_p, so lambda = 1 and that part is the
 identity; its part of order prime to p has eigenvalues that are roots of
-unity of order prime to p and all congruent mod p, hence equal.  The count is therefore |G| over its
-scalar subgroup.  The path still moves to the next prime when p divides
-the count, which cannot happen here: p > 2n, while every prime factor of
-n^2 |SL(2, Z_n)| is at most n + 1.
+unity of order prime to p and all congruent mod p, hence equal.  The count
+is therefore |G| over its scalar subgroup, and projective residue classes
+are exactly the classes of G modulo scalars.  The path still moves to the
+next prime when p divides the count, which cannot happen here: p > 2n,
+while every prime factor of n^2 |SL(2, Z_n)| is at most n + 1.
+
+Both engines key an element by the raw bytes of its canonical array
+(residues mod p, or the int64 numerators and the denominator) and record
+the breadth-first tree: each new element's parent and generator.  Because
+reduction is injective and respects projective classes, the residue search
+meets new elements in the same order as an exact search would.  Element
+bodies and words, when wanted, are rebuilt along that tree with one exact
+product (parent times generator) per element.  Membership and the scalar
+subgroup are read from the residue key set: a query q that carries the
+certificate itself and has no p in its denominator generates, with G, a
+finite certified group that is p-integral, so reduction stays injective
+there and q lies in G exactly when its residue does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +113,6 @@ class ClosureCapError(RuntimeError):
 
 class CoefficientOverflowError(OverflowError):
     """A content-reduced coefficient or denominator does not fit in int64."""
-
-
-def _element_key(num: np.ndarray, den: int) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(num, dtype=np.int64).tobytes())
-    h.update(int(den).to_bytes(8, "little", signed=True))
-    return h.digest()
 
 
 # -- exact coefficient kernel ------------------------------------------------------
@@ -555,7 +557,7 @@ class GroupTable:
         order: int,
         elements: list[UMatrix] | None,
         words: list[tuple[str, ...]] | None,
-        key_set: set[bytes] | None,
+        key_set: set[bytes],
         prime: int | None = None,
     ):
         self.dim = dim
@@ -570,33 +572,51 @@ class GroupTable:
 
     @property
     def prime(self) -> int | None:
-        """The prime p the order was counted modulo, None for an exact closure."""
+        """The prime p the closure ran modulo, None for an exact closure."""
         return self._prime
 
     def __len__(self) -> int:
         return self.order
 
     def contains(self, mat: UMatrix) -> bool:
-        if self._prime is not None:
-            raise ValueError(
-                f"membership needs an exact closure (order-only table "
-                f"counted mod {self._prime})"
-            )
+        """Whether mat is an element (projectively: an element times a scalar).
+
+        A table closed mod p answers from residues, exactly (module
+        docstring).  Every element of such a table carries the finiteness
+        certificate and has no p in its denominator, so a query without
+        either is absent.  On a projective table closed mod p, c * g for an
+        element g is therefore present exactly when c is a root of unity.
+        """
         if mat.dim != self.dim or mat.m != self.conductor:
             return False
+        p = self._prime
+        if p is not None and (mat.den % p == 0 or not _certified_finite([mat], False)):
+            return False
+        return self._lookup(mat)
+
+    def _lookup(self, mat: UMatrix) -> bool:
+        """Whether the key of mat is in the table, with no further check."""
+        p = self._prime
+        if p is None:
+            if self.projective:
+                mat = mat.scalar_canonical()
+            return _exact_keys(mat.num[None], np.array([mat.den]))[0] in self._key_set
+        res = _residues([mat], p).astype(np.int64).ravel()
         if self.projective:
-            mat = mat.scalar_canonical()
-        return _element_key(mat.num, mat.den) in self._key_set
+            res = res * pow(int(res[np.argmax(res != 0)]), -1, p) % p
+        return res.astype(_residue_dtype(p)).tobytes() in self._key_set
 
     def scalars(self) -> list[Cyclotomic]:
-        """All scalar matrices in the table, as their scalar values."""
-        if self.elements is None:
-            raise ValueError("scalars need stored elements (order-only table)")
-        out = []
-        for el in self.elements:
-            c = el.is_scalar()
-            if c is not None:
-                out.append(c)
+        """The roots of unity c of Q(zeta_m) with c * I in the table, sorted.
+
+        A finite group over Q(zeta_m) holds no other scalars.  Each c * I
+        carries the certificate and has denominator 1, so it is looked up
+        directly.
+        """
+        m = self.conductor
+        ident = UMatrix.identity(self.dim, m)
+        roots = {c.key(): c for k in range(m) for c in (zeta(m, k), -zeta(m, k))}
+        out = [c for c in roots.values() if self._lookup(ident.scale(c))]
         out.sort(key=lambda c: c.key())
         return out
 
@@ -757,7 +777,26 @@ def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def _breadth_first(start, start_dens, compute, keys_of, names, max_size, store, pool):
+def _residue_dtype(p: int):
+    return np.uint16 if p < 1 << 16 else np.uint32
+
+
+def _row_keys(flat: np.ndarray) -> list[bytes]:
+    """The raw bytes of each row of a 2-D array."""
+    flat = np.ascontiguousarray(flat)
+    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+    return flat.view(row).ravel().tolist()
+
+
+def _exact_keys(nums: np.ndarray, dens: np.ndarray) -> list[bytes]:
+    """Keys of canonical int64 arrays: the numerators, then the denominator."""
+    b = nums.shape[0]
+    return _row_keys(
+        np.concatenate([nums.reshape(b, -1), dens.reshape(b, 1)], axis=1)
+    )
+
+
+def _breadth_first(start, start_dens, compute, keys_of, n_gens, max_size):
     """Breadth-first closure from one element under right multiplication.
 
     compute(nums, dens, gi) maps a chunk of frontier elements through
@@ -766,97 +805,69 @@ def _breadth_first(start, start_dens, compute, keys_of, names, max_size, store, 
     generator in _CHUNK batches, each new key is kept in first-occurrence
     order and the cap is checked after every batch, so the order and any
     ClosureCapError.partial_size depend only on which products are new.
-    Returns the key set and, when storing, (bodies, dens, words).
+    Returns the key set and the tree: for the i-th element found (the start
+    is element 0), parents[i] is the element it was first reached from and
+    gens[i] the generator, both -1 for the start.
     """
-    storing = store is not False
-    auto = store is None
-    element_bytes = start[0].size * 8
-    auto_limit = min(_AUTO_STORE_LIMIT, max(1, _AUTO_STORE_BYTES // element_bytes))
     seen: set[bytes] = set(keys_of(start, start_dens))
-    bodies_num = [start[0].copy()] if storing else None
-    bodies_den = [int(start_dens[0])] if storing else None
-    words: list[tuple[str, ...]] | None = [()] if storing else None
-
+    parents = [np.array([-1])]
+    gens = [np.array([-1])]
     fr_nums, fr_dens = start, start_dens
-    fr_words: list[tuple[str, ...]] = [()]
+    base = 0  # index of the first frontier element
     level = 0
     try:
         while fr_nums.shape[0]:
             level += 1
+            next_base = len(seen)
             new_nums = []
             new_dens = []
-            new_words: list[tuple[str, ...]] = []
             b = fr_nums.shape[0]
-            jobs = []
-            for gi in range(len(names)):
-                for lo in range(0, b, _CHUNK):
-                    hi = min(lo + _CHUNK, b)
-                    jobs.append((gi, lo, hi))
-            if pool is not None:
-                results = list(
-                    pool.map(
-                        lambda job: compute(
-                            fr_nums[job[1] : job[2]], fr_dens[job[1] : job[2]], job[0]
-                        ),
-                        jobs,
-                    )
-                )
-            else:
-                results = [
-                    compute(fr_nums[lo:hi], fr_dens[lo:hi], gi)
-                    for gi, lo, hi in jobs
-                ]
-            for (gi, lo, hi), (out, dens) in zip(jobs, results):
+            jobs = [(gi, lo) for gi in range(n_gens) for lo in range(0, b, _CHUNK)]
+            # all products of a level before any key: interleaving the two
+            # leaves BLAS threads spinning while Python checks keys
+            results = [
+                compute(fr_nums[lo : lo + _CHUNK], fr_dens[lo : lo + _CHUNK], gi)
+                for gi, lo in jobs
+            ]
+            for (gi, lo), (out, dens) in zip(jobs, results):
                 keep = []
                 for t, key in enumerate(keys_of(out, dens)):
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    keep.append(t)
-                    if storing:
-                        bodies_num.append(out[t].copy())
-                        bodies_den.append(int(dens[t]))
-                        words.append(fr_words[lo + t] + (names[gi],))
+                    if key not in seen:
+                        seen.add(key)
+                        keep.append(t)
                 if len(seen) > max_size:
-                    raise ClosureCapError(
-                        f"closure exceeded cap {max_size}", len(seen)
-                    )
+                    raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
                 if keep:
+                    keep = np.array(keep)
                     new_nums.append(out[keep])
                     new_dens.append(dens[keep])
-                    if storing:
-                        new_words.extend(
-                            fr_words[lo + t] + (names[gi],) for t in keep
-                        )
-                if storing and auto and len(seen) > auto_limit:
-                    storing = False
-                    bodies_num = bodies_den = words = None
-                    new_words = []
+                    parents.append(base + lo + keep)
+                    gens.append(np.full(keep.size, gi))
             if new_nums:
                 fr_nums = np.concatenate(new_nums, axis=0)
                 fr_dens = np.concatenate(new_dens, axis=0)
             else:
                 fr_nums, fr_dens = fr_nums[:0], fr_dens[:0]
-            fr_words = new_words
+            base = next_base
     except CoefficientOverflowError as exc:
         raise CoefficientOverflowError(
             f"closure level {level} with {len(seen)} elements: {exc}; "
             "the generators may not generate a finite group"
         ) from exc
-    return seen, ((bodies_num, bodies_den, words) if storing else None)
+    return seen, np.concatenate(parents), np.concatenate(gens)
 
 
-def _mod_p_closure(gens, names, projective, max_size):
-    """Order-only closure of certified generators in GL_n(F_p).
+def _mod_p_closure(gens, projective, max_size):
+    """Closure of certified generators in GL_n(F_p).
 
-    Returns (key set, p), or None when no prime keeps the products exact.
+    Returns (key set, parents, generator indices, p) as _breadth_first
+    does, or None when no prime keeps the products exact.
     """
     n = gens[0].dim
     for p in _closure_primes(gens):
         residues = _residues(gens, p)
-        dtype = np.uint16 if p < 1 << 16 else np.uint32
+        dtype = _residue_dtype(p)
         inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
-        row = np.dtype((np.void, n * n * np.dtype(dtype).itemsize))
 
         def compute(chunk, dens, gi):
             b = chunk.shape[0]
@@ -868,17 +879,72 @@ def _mod_p_closure(gens, names, projective, max_size):
             return prod.astype(dtype).reshape(b, n, n), dens
 
         def keys_of(chunk, dens):
-            flat = np.ascontiguousarray(chunk).reshape(chunk.shape[0], n * n)
-            return flat.view(row).ravel().tolist()
+            return _row_keys(chunk.reshape(chunk.shape[0], n * n))
 
         # residue matrices have no denominator; a unit one rides along
         start = np.eye(n, dtype=dtype)[None]
-        seen, _ = _breadth_first(
-            start, np.ones(1, np.int64), compute, keys_of, names, max_size, False, None
+        seen, parents, gen_idx = _breadth_first(
+            start, np.ones(1, np.int64), compute, keys_of, len(gens), max_size
         )
         if not (projective and len(seen) % p == 0):
-            return seen, p
+            return seen, parents, gen_idx, p
     return None
+
+
+def _exact_products(gens: list[UMatrix], projective: bool):
+    """compute(nums, dens, gi): canonical exact products of a chunk with gens[gi].
+
+    Projectively each product is divided by its first nonzero entry.
+    """
+    dim, ctx = gens[0].dim, _context(gens[0].m)
+    d = ctx.degree
+    inv_cache: dict = {}
+    if projective:
+        gens = [g.scalar_canonical() for g in gens]
+    right_ops = [_right_operator(g.num, ctx) for g in gens]
+    gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
+
+    def compute(chunk_nums, chunk_dens, gi):
+        b = chunk_nums.shape[0]
+        flat = chunk_nums.reshape(b * dim, dim * d)
+        out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
+        if projective:
+            out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
+        else:
+            # a 1 x 1 product: the denominators multiply exactly too
+            dens = _exact_matmul(chunk_dens[:, None], gen_dens[gi])[:, 0]
+        return _canonical_batch(out, dens)
+
+    return compute
+
+
+def _bodies(start, compute, parents, gens, names):
+    """Exact canonical bodies and words of a closure tree, in discovery order.
+
+    Level by level, each element is computed as its parent times its
+    generator: one exact product per element.  Its word is its parent's
+    word followed by the generator's name.
+    """
+    order = len(parents)
+    nums = np.empty((order,) + start.shape, np.int64)
+    dens = np.empty(order, np.int64)
+    nums[0], dens[0] = start, 1
+    lo = 1  # the level being computed starts here
+    while lo < order:
+        # the next level starts at the first element whose parent is on this one
+        later = np.flatnonzero(parents[lo:] >= lo)
+        hi = lo + int(later[0]) if later.size else order
+        for gi in range(len(names)):
+            idx = lo + np.flatnonzero(gens[lo:hi] == gi)
+            for c in range(0, idx.size, _CHUNK):
+                sel = idx[c : c + _CHUNK]
+                src = parents[sel]
+                nums[sel], dens[sel] = compute(nums[src], dens[src], gi)
+        lo = hi
+    words = [()]
+    for i in range(1, order):
+        words.append(words[parents[i]] + (names[gens[i]],))
+    return nums, dens, words
 
 
 def group_closure(
@@ -888,27 +954,26 @@ def group_closure(
     projective: bool = False,
     max_size: int = _DEFAULT_MAX_SIZE,
     store: bool | None = None,
-    threads: int = 1,
     check_unitary: bool = True,
 ) -> GroupTable:
     """Breadth-first closure of a matrix generating set.
 
-    Elements are deduplicated by their canonical form (scalar-canonical
-    form when projective=True).  Word provenance keeps the first word
-    found at the shallowest level.  store=None keeps element bodies until
-    the table grows past an internal limit, then switches to order-only.
+    Generators that carry the module's finiteness certificate (each
+    unitary, normalizing <X, Z> up to scalars, with a power equal to a root
+    of unity times I) are closed in GL_n(F_p), for the smallest prime
+    p = 1 (mod lcm(2, m)) dividing no generator denominator; the table
+    records p in .prime and answers contains and scalars from its residue
+    keys.  Reduction is injective on a finite group (Minkowski-Serre), and
+    projectively an element whose reduction is scalar is itself scalar
+    (module docstring), so the order is exact.  Other generator sets are
+    closed exactly, deduplicated by canonical form (scalar-canonical form
+    when projective=True); .prime is then None.
 
-    With store=False the closure counts modulo a prime when the generators
-    carry the module's finiteness certificate (each unitary, normalizing
-    <X, Z> up to scalars, with a power equal to a root of unity times I):
-    the unitary generators are reduced to GL_n(F_p) for the smallest prime
-    p = 1 (mod lcm(2, m)) dividing no generator denominator, and the same
-    breadth-first loop runs on residue matrices.  Reduction is injective on
-    a finite group (Minkowski-Serre), and projectively an element whose
-    reduction is scalar is itself scalar (module docstring), so the order
-    is exact; such a table records p in .prime, holds no membership keys
-    and ignores threads.  Other generator sets, and every storing closure,
-    are closed exactly.
+    store=True keeps element bodies and words, store=False keeps only the
+    order, and store=None keeps bodies when the order is at most an
+    internal limit.  Bodies are rebuilt exactly along the breadth-first
+    tree, one product per element, and sorted by UMatrix.key(); each word
+    is the first one found at the shallowest level.
     """
     gens = list(generators)
     if not gens:
@@ -928,81 +993,42 @@ def group_closure(
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    counted = None
-    if store is False and _certified_finite(gens, check_unitary):
-        counted = _mod_p_closure(gens, names, projective, max_size)
-    if counted is not None:
-        seen, prime = counted
-        return GroupTable(
-            dim=dim,
-            conductor=m,
-            projective=projective,
-            generator_names=names,
-            order=len(seen),
-            elements=None,
-            words=None,
-            key_set=None,
-            prime=prime,
+    ident = UMatrix.identity(dim, m).num
+    compute = closed = None
+    if _certified_finite(gens, check_unitary):
+        closed = _mod_p_closure(gens, projective, max_size)
+    if closed is None:
+        compute = _exact_products(gens, projective)
+        seen, parents, gen_idx = _breadth_first(
+            ident[None], np.ones(1, np.int64), compute, _exact_keys, len(gens), max_size
         )
+        prime = None
+    else:
+        seen, parents, gen_idx, prime = closed
 
-    ctx = _context(m)
-    d = ctx.degree
-    inv_cache: dict = {}
-    if projective:
-        gens = [g.scalar_canonical() for g in gens]
-    right_ops = [_right_operator(g.num, ctx) for g in gens]
-    gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
-
-    def compute_products(chunk_nums, chunk_dens, gi):
-        b = chunk_nums.shape[0]
-        flat = chunk_nums.reshape(b * dim, dim * d)
-        out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
-        if projective:
-            out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
-        else:
-            # a 1 x 1 product: the denominators multiply exactly too
-            dens = _exact_matmul(chunk_dens[:, None], gen_dens[gi])[:, 0]
-        return _canonical_batch(out, dens)
-
-    def keys_of(nums, dens):
-        return [_element_key(nums[t], int(dens[t])) for t in range(nums.shape[0])]
-
-    ident = UMatrix.identity(dim, m)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        seen, stored = _breadth_first(
-            ident.num[None].copy(),
-            np.array([ident.den], dtype=np.int64),
-            compute_products,
-            keys_of,
-            names,
-            max_size,
-            store,
-            pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    elements = None
-    word_list = None
-    if stored is not None:
-        triples = []
-        for arr, den, w in zip(*stored):
-            mat = UMatrix._from_canonical(dim, m, arr, den)
-            triples.append((mat.key(), mat, w))
-        triples.sort(key=lambda t: t[0])
-        elements = [t[1] for t in triples]
-        word_list = [t[2] for t in triples]
+    order = len(seen)
+    if store is None:
+        store = order <= min(_AUTO_STORE_LIMIT, _AUTO_STORE_BYTES // (ident.size * 8))
+    elements = word_list = None
+    if store:
+        compute = compute or _exact_products(gens, projective)
+        nums, dens, words = _bodies(ident, compute, parents, gen_idx, names)
+        mats = [
+            UMatrix._from_canonical(dim, m, nums[i], int(dens[i])) for i in range(order)
+        ]
+        ranked = sorted(range(order), key=lambda i: mats[i].key())
+        elements = [mats[i] for i in ranked]
+        word_list = [words[i] for i in ranked]
     return GroupTable(
         dim=dim,
         conductor=m,
         projective=projective,
         generator_names=names,
-        order=len(seen),
+        order=order,
         elements=elements,
         words=word_list,
         key_set=seen,
+        prime=prime,
     )
 
 

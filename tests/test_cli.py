@@ -1,5 +1,6 @@
 """Command line surface: exit codes, canonical output, file formats."""
 
+import hashlib
 import json
 import re
 
@@ -53,12 +54,25 @@ class TestGroup:
         mats = [UMatrix.from_json(e) for e in data["elements"]]
         assert all(mat.is_unitary() for mat in mats)
 
-    def test_threads_do_not_change_bytes(self, capsys):
-        _, a = run(capsys, "group", "--dim", "3", "--which", "clifford",
-                   "--threads", "1")
-        _, b = run(capsys, "group", "--dim", "3", "--which", "clifford",
-                   "--threads", "3")
-        assert a == b
+    # SHA-256 of stdout of `group --dim N --which W --elements`, recorded
+    # when element bodies still came from the exact closure
+    ELEMENTS_SHA256 = {
+        (2, "wh"): "e6e33924855d61db94b3ea4ed5f4a0a03d4d52cc9ceba2b7964027663e2affe3",
+        (2, "clifford"): "a80fce129d1119ea33dee6d06648596b080aca539a4e44daacecf9b7379e3d97",
+        (2, "projective"): "84dc263fc32e0dbbf0fd8c36b58d0d0f33b097a2f7afd6a0e926fdf9b001cc36",
+        (3, "wh"): "f60477b42687ff5dd3a1c2c31e571f31d0e65900e78646886a25319017c9de58",
+        (3, "clifford"): "0afe1f18d8d9bd2d77deb31fd5d4c769373b42a7e2689155ec847fe4c0ff385c",
+        (3, "projective"): "0cbf49cefa7d2e8f8a3287b886b9ad06ce812348ce9120b5b401a1aea5caad6d",
+    }
+
+    @pytest.mark.parametrize("n,which", sorted(ELEMENTS_SHA256))
+    def test_elements_bytes_pinned(self, capsys, n, which):
+        code, out = run(
+            capsys, "group", "--dim", str(n), "--which", which, "--elements"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.ELEMENTS_SHA256[(n, which)]
 
     @pytest.mark.parametrize("which", ["wh", "clifford", "projective"])
     def test_closure_is_order_only_without_elements(self, capsys, monkeypatch, which):
@@ -95,7 +109,8 @@ class TestGroup:
         )
         assert cli.main(argv + ["--elements"]) == 0
         assert re.fullmatch(
-            r"closure in \d+\.\d\ds \(exact\)\n", capsys.readouterr().err
+            r"closure in \d+\.\d\ds \(mod 73, exact bodies\)\n",
+            capsys.readouterr().err,
         )
 
     def test_cache(self, capsys, tmp_path, monkeypatch):
@@ -152,15 +167,14 @@ class TestFlags:
     )
     def test_closure_flags_only_where_read(self, argv):
         parser = cli.build_parser()
-        for flag in ("--threads", "--max-closure"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(argv + [flag, "2"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--max-closure", "2"])
 
     def test_closure_flags_on_group_and_crt(self):
         parser = cli.build_parser()
         for argv in (["group", "--dim", "2", "--which", "wh"], ["crt", "--dim", "6"]):
-            args = parser.parse_args(argv + ["--threads", "2", "--max-closure", "9"])
-            assert (args.threads, args.max_closure) == (2, 9)
+            args = parser.parse_args(argv + ["--max-closure", "9"])
+            assert args.max_closure == 9
 
 
 class TestCqs:

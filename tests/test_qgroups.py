@@ -235,12 +235,6 @@ class TestClosure:
         assert a.order == b.order
         assert [e.key() for e in a.elements] == [e.key() for e in b.elements]
 
-    def test_closure_identical_across_thread_counts(self):
-        gens = list(clifford_generators(3).values())
-        a = group_closure(gens, threads=1)
-        b = group_closure(gens, threads=3)
-        assert [e.key() for e in a.elements] == [e.key() for e in b.elements]
-
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapError) as exc:
             clifford_group(3, max_size=100)
@@ -334,11 +328,20 @@ class TestCenterErrors:
         with _pytest.raises(ValueError):
             center_of(clifford_group(2, projective=True))
 
-    def test_order_only_table_rejected(self):
-        import pytest as _pytest
+    @pytest.mark.parametrize("group", [clifford_group, wh_group])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_residue_center_matches_body_scan(self, group, n):
+        counted = group(n, store=False)
+        stored = group(n, store=True)
+        assert counted.elements is None and counted.prime is not None
+        scan = [c for c in (el.is_scalar() for el in stored.elements) if c is not None]
+        assert center_of(counted) == sorted(scan, key=lambda c: c.key())
 
-        with _pytest.raises(ValueError):
-            center_of(clifford_group(2, store=False))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_center_size_is_full_over_projective_order(self, n):
+        full = clifford_group(n, store=False)
+        proj = clifford_group(n, projective=True, store=False)
+        assert len(center_of(full)) == full.order // proj.order
 
 
 class TestOrderFormulas:
@@ -525,27 +528,40 @@ def sl2_order(n):
     )
 
 
+@pytest.fixture
+def exact_closure(monkeypatch):
+    """Run a closure on the exact fallback by withholding the certificate."""
+    import finiteqm.qgroups as qgroups
+
+    def run(build, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(qgroups, "_certified_finite", lambda *a: False)
+            return build(*args, **kwargs)
+
+    return run
+
+
 class TestOrderOnlyModP:
-    """store=False counts in GL_n(F_p); the exact closure is the oracle."""
+    """Certified closures count in GL_n(F_p); the exact closure is the oracle."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_clifford_paths_agree(self, n):
+    def test_clifford_paths_agree(self, n, exact_closure):
         counted = clifford_group(n, store=False)
-        exact = clifford_group(n)
+        exact = exact_closure(clifford_group, n)
         assert counted.prime is not None and exact.prime is None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_projective_paths_agree(self, n):
+    def test_projective_paths_agree(self, n, exact_closure):
         counted = clifford_group(n, projective=True, store=False)
-        exact = clifford_group(n, projective=True)
+        exact = exact_closure(clifford_group, n, projective=True)
         assert counted.prime is not None and exact.prime is None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_wh_paths_agree(self, n):
+    def test_wh_paths_agree(self, n, exact_closure):
         counted = wh_group(n, store=False)
-        exact = wh_group(n)
+        exact = exact_closure(wh_group, n)
         assert counted.prime is not None and exact.prime is None
         assert counted.order == exact.order
 
@@ -562,21 +578,21 @@ class TestOrderOnlyModP:
         assert table.order == 124416 == 5184 * 24
 
     @pytest.mark.parametrize("n,cap", [(3, 100), (6, 10_000)])
-    def test_cap_partial_size_matches_exact(self, n, cap):
-        sizes = []
-        for store in (False, None):
-            with pytest.raises(ClosureCapError) as exc:
-                clifford_group(n, max_size=cap, store=store)
-            sizes.append(exc.value.partial_size)
-        assert sizes[0] == sizes[1] > cap
+    def test_cap_partial_size_matches_exact(self, n, cap, exact_closure):
+        with pytest.raises(ClosureCapError) as counted:
+            clifford_group(n, max_size=cap, store=False)
+        with pytest.raises(ClosureCapError) as exact:
+            exact_closure(clifford_group, n, max_size=cap)
+        assert counted.value.partial_size == exact.value.partial_size > cap
 
-    def test_membership_needs_exact_closure(self):
-        table = clifford_group(2, store=False)
-        _, x, _ = wh_generators(2)
-        with pytest.raises(ValueError, match="membership needs an exact closure"):
-            table.contains(x)
-        with pytest.raises(ValueError, match="order-only"):
-            table.scalars()
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bodies_and_words_match_exact(self, n, projective, exact_closure):
+        counted = clifford_group(n, projective=projective, store=True)
+        exact = exact_closure(clifford_group, n, projective=projective, store=True)
+        assert counted.prime == 73 and exact.prime is None
+        assert counted.elements == exact.elements
+        assert counted.words == exact.words
 
     def test_prime_is_read_only(self):
         table = clifford_group(2, store=False)
@@ -626,3 +642,101 @@ class TestFinitenessCertificate:
         for g in clifford_generators(6, m).values():
             assert table.contains(perm @ g @ perm.dagger())
         assert not table.contains(position_operator(6))
+
+
+class TestResidueMembership:
+    """contains on a table closed mod p, against exact answers."""
+
+    def test_conjugated_tensor_table_agrees_with_exact_table(self):
+        from finiteqm.decomposition import (
+            _tensored_generators,
+            crt_permutation,
+            crt_split,
+        )
+
+        split = crt_split(6)
+        m = conductor_for(6)
+        gens, names = _tensored_generators(split, m)
+        perm = crt_permutation(split, m)
+        exact = group_closure(gens, names=names, projective=True, store=False)
+        counted = group_closure(
+            [perm.dagger() @ t @ perm for t in gens],
+            names=names,
+            projective=True,
+            store=False,
+        )
+        assert exact.prime is None and counted.prime == 73
+        assert counted.order == exact.order == 5184
+        x, f, s = clifford_generators(6, m).values()
+        bump = UMatrix.diagonal(
+            [Cyclotomic.one(m), zeta(m, 6)] + [Cyclotomic.one(m)] * 4, m
+        )
+        queries = [x, f, s, x @ f, f @ s @ x, s @ s @ f, position_operator(6), bump]
+        answers = [counted.contains(q) for q in queries]
+        assert answers == [exact.contains(perm @ q @ perm.dagger()) for q in queries]
+        assert answers == [True] * 6 + [False] * 2
+
+    def test_stored_clifford_2(self):
+        table = clifford_group(2)
+        assert table.prime == 73 and len(table.elements) == 192
+        assert all(table.contains(el) for el in table.elements)
+        ident = UMatrix.identity(2, 24)
+        assert table.contains(ident.scale(zeta(24, 3)))
+        assert not table.contains(ident.scale(zeta(24, 1)))
+        c = Cyclotomic.from_rational(24, Fraction(3, 5)) + zeta(24, 6) * Fraction(4, 5)
+        assert not table.contains(ident.scale(c))
+
+    def test_non_member_congruent_to_member_is_absent(self):
+        from finiteqm.qgroups import _residues
+
+        # c = (1 + 73i) / (1 - 73i) has |c| = 1 and is no root of unity, but
+        # c = 1 mod 73, so c X reduces to the residue of X
+        i = zeta(24, 6)
+        c = (i * 73 + 1) * (i * -73 + 1).inv()
+        table = clifford_group(2, store=False)
+        _, x, _ = wh_generators(2)
+        cx = x.scale(c)
+        assert cx.is_unitary() and cx.den % 73
+        assert np.array_equal(_residues([cx], 73), _residues([x], 73))
+        assert table.contains(x) and not table.contains(cx)
+
+    def test_denominator_divisible_by_p_is_absent(self):
+        table = clifford_group(2, store=False)
+        _, x, _ = wh_generators(2)
+        assert table.contains(x)
+        assert not table.contains(x.scale(Cyclotomic.from_rational(24, Fraction(1, 73))))
+
+
+def test_certified_closures_never_run_exact(monkeypatch, capsys):
+    import finiteqm.cli as cli
+    import finiteqm.decomposition as decomposition
+    import finiteqm.qgroups as qgroups
+    import finiteqm.states as states
+    from finiteqm.decomposition import clifford_product_check
+
+    primes = []
+    closure = qgroups.group_closure
+
+    def recording(*args, **kwargs):
+        table = closure(*args, **kwargs)
+        primes.append(table.prime)
+        return table
+
+    monkeypatch.setattr(qgroups, "group_closure", recording)
+    monkeypatch.setattr(decomposition, "group_closure", recording)
+    # full: two local tables, the global group and the tensor group;
+    # projective: also the two local projective groups
+    assert clifford_product_check(6, "full").mode == "full"
+    assert clifford_product_check(6, "projective").mode == "projective"
+    assert len(primes) == 4 + 6
+    for n in (2, 3):
+        monkeypatch.setattr(states, "_PHASES_CACHE", {})
+        states.center_phases(n)
+    monkeypatch.setattr(states, "_PHASES_CACHE", {})
+    assert cli.main(["cqs", "--dim", "2", "--steps", "1"]) == 0
+    for which in ("wh", "clifford", "projective"):
+        for extra in ([], ["--elements"]):
+            assert cli.main(["group", "--dim", "3", "--which", which, *extra]) == 0
+    capsys.readouterr()
+    assert len(primes) == 4 + 6 + 2 + 1 + 6
+    assert None not in primes
