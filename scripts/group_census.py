@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--max-closure", type=int, default=1_000_000)
     args = parser.parse_args()
 
-    closure = {"store": False, "max_size": args.max_closure}
+    closure = {"max_size": args.max_closure}
     mismatches = []
     print(f"{'N':>3} {'|WH|':>8} {'|CL|':>9} {'scalars':>8} {'|PCL|':>8} {'time':>7}")
     for n in args.dims:

@@ -17,7 +17,6 @@ exact direct product, and a fast projective mode checks just that.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -184,7 +183,6 @@ class ProductCheckReport:
     generators_in_tensor_group: dict[str, bool] = field(default_factory=dict)
     tensor_group_order: int | None = None
     partial_global_order: int | None = None
-    elapsed_s: float = 0.0
 
     def to_json(self) -> dict:
         out = dict(self.__dict__)
@@ -215,12 +213,10 @@ def clifford_product_check(
     A single prime power factor makes the check a tautology; it is
     reported as skipped.
     """
-    t0 = time.time()
     split = crt_split(n)
     report = ProductCheckReport(n=n, factors=split.factors, mode=mode)
     if len(split.factors) < 2:
         report.skipped = True
-        report.elapsed_s = time.time() - t0
         return report
 
     m = conductor_for(n)
@@ -250,9 +246,7 @@ def clifford_product_check(
     local_tables: dict[int, GroupTable] = {}
     for f in split.factors:
         gens = clifford_generators(f, m)
-        local_tables[f] = group_closure(
-            list(gens.values()), names=tuple(gens.keys()), store=False
-        )
+        local_tables[f] = group_closure(list(gens.values()), names=tuple(gens.keys()))
         report.local_orders[f] = local_tables[f].order
         report.local_scalar_orders[f] = len(center_of(local_tables[f]))
 
@@ -279,7 +273,6 @@ def clifford_product_check(
                 list(global_gens.values()),
                 names=tuple(global_gens.keys()),
                 max_size=max_size,
-                store=False,
             )
         except ClosureCapError as exc:
             # order-only fallback: redo the check projectively
@@ -293,16 +286,13 @@ def clifford_product_check(
         report.matches_central_product = (
             global_table.order == report.expected_matrix_order
         )
-        tensor_table = group_closure(
-            tens_gens, names=tens_names, max_size=max_size, store=False
-        )
+        tensor_table = group_closure(tens_gens, names=tens_names, max_size=max_size)
     else:
         pcl_global = group_closure(
             list(global_gens.values()),
             names=tuple(global_gens.keys()),
             projective=True,
             max_size=max_size,
-            store=False,
         )
         report.projective_global_order = pcl_global.order
         proj_product = 1
@@ -312,7 +302,6 @@ def clifford_product_check(
                 list(gens.values()),
                 names=tuple(gens.keys()),
                 projective=True,
-                store=False,
             ).order
         report.projective_product = proj_product
         report.projective_matches = pcl_global.order == proj_product
@@ -321,11 +310,8 @@ def clifford_product_check(
             names=tens_names,
             projective=True,
             max_size=max_size,
-            store=False,
         )
     report.tensor_group_order = tensor_table.order
     for gname, g in global_gens.items():
         report.generators_in_tensor_group[gname] = tensor_table.contains(g)
-
-    report.elapsed_s = time.time() - t0
     return report

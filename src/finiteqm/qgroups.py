@@ -42,13 +42,14 @@ are exactly the classes of G modulo scalars.  The path still moves to the
 next prime when p divides the count, which cannot happen here: p > 2n,
 while every prime factor of n^2 |SL(2, Z_n)| is at most n + 1.
 
-Both engines key an element by the raw bytes of its canonical array
-(residues mod p, or the int64 numerators and the denominator) and record
-the breadth-first tree: each new element's parent and generator.  Because
-reduction is injective and respects projective classes, the residue search
-meets new elements in the same order as an exact search would.  Element
-bodies and words, when wanted, are rebuilt along that tree with one exact
-product (parent times generator) per element.  Membership and the scalar
+Both engines carry an element as one integer row, keyed by its raw bytes
+(residues mod p, or the int64 numerators followed by the denominator), and
+record the breadth-first tree: each new element's parent and generator.
+Because reduction is injective and respects projective classes, the
+residue search meets new elements in the same order as an exact search
+would.  A closure keeps only the keys and the tree; element bodies and
+words are built on first access, along that tree, with one exact product
+(parent times generator) per element.  Membership and the scalar
 subgroup are read from the residue key set: a query q that carries the
 certificate itself and has no p in its denominator generates, with G, a
 finite certified group that is p-integral, so reduction stays injective
@@ -60,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from .cyclotomic import (
     sqrt_embed,
     zeta,
 )
-from .galois import GaloisField, GFElement, gf_trace_int
+from .galois import GaloisField, GFElement, gf_trace_int, is_prime
 
 __all__ = [
     "ClosureCapError",
@@ -98,8 +100,6 @@ __all__ = [
 
 _FLOAT_EXACT = 2**53
 _DEFAULT_MAX_SIZE = 1_000_000
-_AUTO_STORE_LIMIT = 50_000
-_AUTO_STORE_BYTES = 200_000_000
 _CHUNK = 8192
 
 
@@ -207,6 +207,15 @@ def _canonical_batch(nums: np.ndarray, dens: np.ndarray):
             f"exact coefficients exceed int64: the largest coefficient has "
             f"{int(sizes[t]).bit_length()} bits over denominator {int(dens[t])}"
         ) from None
+
+
+def _coeff_json(num: np.ndarray, den: int, m: int) -> list[dict]:
+    """Cyclotomic.to_json of each row of a coefficient array (k, phi(m)) over den."""
+    g = np.gcd(num, den)
+    return [
+        {"m": m, "c": [f"{p}/{q}" for p, q in zip(top, bottom)]}
+        for top, bottom in zip((num // g).tolist(), (den // g).tolist())
+    ]
 
 
 class UMatrix:
@@ -378,18 +387,10 @@ class UMatrix:
                 return None
         return self.entry(0, 0)
 
-    def first_nonzero_entry(self) -> tuple[int, int]:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.num[i, j].any():
-                    return i, j
-        raise ValueError("zero matrix has no nonzero entry")
-
     def scalar_canonical(self) -> "UMatrix":
         """Divide by the first nonzero entry; canonical projective form."""
-        i, j = self.first_nonzero_entry()
-        inv = Cyclotomic(self.m, self.num[i, j, :].tolist(), 1).inv()
-        return self._times(inv.num, inv.den)
+        nums, dens = _scalar_canonical_batch(self.num[None], _context(self.m), {})
+        return UMatrix(self.dim, self.m, nums[0], int(dens[0]))
 
     def trace(self) -> Cyclotomic:
         acc = Cyclotomic.zero(self.m)
@@ -400,13 +401,9 @@ class UMatrix:
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [
-                [self.entry(i, j).to_json() for j in range(self.dim)]
-                for i in range(self.dim)
-            ],
-        }
+        n = self.dim
+        entries = _coeff_json(self.num.reshape(n * n, -1), self.den, self.m)
+        return {"dim": n, "entries": [entries[i * n : (i + 1) * n] for i in range(n)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "UMatrix":
@@ -546,29 +543,34 @@ def check_weyl_relation(n: int) -> WeylReport:
 
 
 class GroupTable:
-    """Closure of a matrix generating set, with canonical deduplication."""
+    """Closure of a matrix generating set: its key set and breadth-first tree.
+
+    Element bodies and words are built on first access to .elements or
+    .words, exactly, along the tree (one product per element), and kept.
+    """
 
     def __init__(
         self,
-        dim: int,
-        conductor: int,
+        generators: list[UMatrix],
+        names: tuple[str, ...],
         projective: bool,
-        generator_names: tuple[str, ...],
-        order: int,
-        elements: list[UMatrix] | None,
-        words: list[tuple[str, ...]] | None,
         key_set: set[bytes],
-        prime: int | None = None,
+        parents: np.ndarray,
+        gen_idx: np.ndarray,
+        prime: int | None,
+        compute=None,
     ):
-        self.dim = dim
-        self.conductor = conductor
+        self.dim = generators[0].dim
+        self.conductor = generators[0].m
         self.projective = projective
-        self.generator_names = generator_names
-        self.order = order
-        self.elements = elements
-        self.words = words
+        self.generator_names = names
+        self.order = len(key_set)
+        self._generators = generators
         self._key_set = key_set
+        self._parents = parents
+        self._gen_idx = gen_idx
         self._prime = prime
+        self._compute = compute
 
     @property
     def prime(self) -> int | None:
@@ -578,19 +580,49 @@ class GroupTable:
     def __len__(self) -> int:
         return self.order
 
+    @cached_property
+    def _sorted_bodies(self):
+        compute = self._compute or _exact_products(self._generators, self.projective)
+        start = _exact_rows(UMatrix.identity(self.dim, self.conductor).num[None], 1)
+        rows, words = _bodies(
+            start, compute, self._parents, self._gen_idx, self.generator_names
+        )
+        shape = (self.dim, self.dim, -1)
+        mats = [
+            UMatrix._from_canonical(
+                self.dim, self.conductor, row[:-1].reshape(shape), int(row[-1])
+            )
+            for row in rows
+        ]
+        ranked = sorted(range(self.order), key=lambda i: mats[i].key())
+        return [mats[i] for i in ranked], [words[i] for i in ranked]
+
+    @property
+    def elements(self) -> list[UMatrix]:
+        """Exact element bodies, sorted by UMatrix.key()."""
+        return self._sorted_bodies[0]
+
+    @property
+    def words(self) -> list[tuple[str, ...]]:
+        """For each element, the first shallowest generator word found for it."""
+        return self._sorted_bodies[1]
+
     def contains(self, mat: UMatrix) -> bool:
         """Whether mat is an element (projectively: an element times a scalar).
 
         A table closed mod p answers from residues, exactly (module
-        docstring).  Every element of such a table carries the finiteness
-        certificate and has no p in its denominator, so a query without
-        either is absent.  On a projective table closed mod p, c * g for an
-        element g is therefore present exactly when c is a root of unity.
+        docstring).  Every element of such a table is unitary, carries the
+        finiteness certificate and has no p in its denominator, so a query
+        without all three is absent.  On a projective table closed mod p,
+        c * g for an element g is therefore present exactly when c is a
+        root of unity.
         """
         if mat.dim != self.dim or mat.m != self.conductor:
             return False
         p = self._prime
-        if p is not None and (mat.den % p == 0 or not _certified_finite([mat], False)):
+        if p is not None and (
+            mat.den % p == 0 or not mat.is_unitary() or not _certified_finite([mat])
+        ):
             return False
         return self._lookup(mat)
 
@@ -600,27 +632,14 @@ class GroupTable:
         if p is None:
             if self.projective:
                 mat = mat.scalar_canonical()
-            return _exact_keys(mat.num[None], np.array([mat.den]))[0] in self._key_set
+            row = _exact_rows(mat.num[None], mat.den)
+            return _row_keys(row)[0] in self._key_set
         res = _residues([mat], p).astype(np.int64).ravel()
         if self.projective:
             res = res * pow(int(res[np.argmax(res != 0)]), -1, p) % p
         return res.astype(_residue_dtype(p)).tobytes() in self._key_set
 
-    def scalars(self) -> list[Cyclotomic]:
-        """The roots of unity c of Q(zeta_m) with c * I in the table, sorted.
-
-        A finite group over Q(zeta_m) holds no other scalars.  Each c * I
-        carries the certificate and has denominator 1, so it is looked up
-        directly.
-        """
-        m = self.conductor
-        ident = UMatrix.identity(self.dim, m)
-        roots = {c.key(): c for k in range(m) for c in (zeta(m, k), -zeta(m, k))}
-        out = [c for c in roots.values() if self._lookup(ident.scale(c))]
-        out.sort(key=lambda c: c.key())
-        return out
-
-    def to_json(self, include_elements: bool = True) -> dict:
+    def to_json(self, include_elements: bool = False) -> dict:
         obj = {
             "dim": self.dim,
             "conductor": self.conductor,
@@ -628,18 +647,27 @@ class GroupTable:
             "order": self.order,
             "generators": list(self.generator_names),
         }
-        if include_elements and self.elements is not None:
+        if include_elements:
             obj["elements"] = [el.to_json() for el in self.elements]
-            if self.words is not None:
-                obj["words"] = ["".join(w) for w in self.words]
+            obj["words"] = ["".join(w) for w in self.words]
         return obj
 
 
 def center_of(table: GroupTable) -> list[Cyclotomic]:
-    """Scalar subgroup of a non-projective closure, as sorted scalars."""
+    """Scalar subgroup of a non-projective closure, as sorted scalars.
+
+    A finite group over Q(zeta_m) holds no scalars but the roots of unity
+    c of Q(zeta_m).  Each c * I carries the certificate and has
+    denominator 1, so it is looked up directly.
+    """
     if table.projective:
         raise ValueError("center of a projective table is trivial by construction")
-    return table.scalars()
+    m = table.conductor
+    ident = UMatrix.identity(table.dim, m)
+    roots = {c.key(): c for k in range(m) for c in (zeta(m, k), -zeta(m, k))}
+    out = [c for c in roots.values() if table._lookup(ident.scale(c))]
+    out.sort(key=lambda c: c.key())
+    return out
 
 
 def _scalar_canonical_batch(nums: np.ndarray, ctx, inv_cache: dict):
@@ -712,15 +740,14 @@ def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
     return k
 
 
-def _certified_finite(gens: list[UMatrix], unitary_checked: bool) -> bool:
-    """Whether an exact certificate shows that gens generate a finite group.
+def _certified_finite(gens: list[UMatrix]) -> bool:
+    """Whether an exact certificate shows that unitary gens generate a finite group.
 
-    Each generator g must be unitary (checked here unless unitary_checked
-    says it already was), map X and Z to scalar multiples of elements X^a Z^b under
-    conjugation, and have a power g^r = c * I with c^lcm(2, m) == 1.  With
-    k the order of g's action on the exponents (a, b) mod n, g^k commutes
-    with X and Z up to scalars, so it is a scalar multiple of some X^u Z^v
-    and r = k n makes g^r a scalar.
+    Each generator g must map X and Z to scalar multiples of elements
+    X^a Z^b under conjugation, and have a power g^r = c * I with
+    c^lcm(2, m) == 1.  With k the order of g's action on the exponents
+    (a, b) mod n, g^k commutes with X and Z up to scalars, so it is a
+    scalar multiple of some X^u Z^v and r = k n makes g^r a scalar.
     """
     n, m = gens[0].dim, gens[0].m
     if m % (2 * n):
@@ -728,8 +755,6 @@ def _certified_finite(gens: list[UMatrix], unitary_checked: bool) -> bool:
     _, x, z = wh_generators(n, m)
     roots = math.lcm(2, m)
     for g in gens:
-        if not unitary_checked and not g.is_unitary():
-            return False
         g_dag = g.dagger()
         image_x = _weyl_exponents(g @ x @ g_dag)
         image_z = _weyl_exponents(g @ z @ g_dag) if image_x else None
@@ -744,10 +769,6 @@ def _certified_finite(gens: list[UMatrix], unitary_checked: bool) -> bool:
     return True
 
 
-def _is_prime(p: int) -> bool:
-    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
-
-
 def _closure_primes(gens: list[UMatrix]):
     """Primes p = 1 (mod lcm(2, m)) dividing no generator denominator.
 
@@ -757,7 +778,7 @@ def _closure_primes(gens: list[UMatrix]):
     n, step = gens[0].dim, math.lcm(2, gens[0].m)
     p = 1 + step
     while n * (p - 1) ** 2 < _FLOAT_EXACT:
-        if _is_prime(p) and all(g.den % p for g in gens):
+        if is_prime(p) and all(g.den % p for g in gens):
             yield p
         p += step
 
@@ -765,7 +786,7 @@ def _closure_primes(gens: list[UMatrix]):
 def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
     """The generators mod p, (k, n, n) float64, zeta_m sent to an m-th root."""
     m = gens[0].m
-    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    primes = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
     root = next(
         r
         for r in (pow(a, (p - 1) // m, p) for a in range(2, p))
@@ -788,50 +809,52 @@ def _row_keys(flat: np.ndarray) -> list[bytes]:
     return flat.view(row).ravel().tolist()
 
 
-def _exact_keys(nums: np.ndarray, dens: np.ndarray) -> list[bytes]:
-    """Keys of canonical int64 arrays: the numerators, then the denominator."""
+def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
+    """Exact rows of canonical int64 arrays (b, ...) over dens.
+
+    Each row holds the numerators, then the denominator.
+    """
     b = nums.shape[0]
-    return _row_keys(
-        np.concatenate([nums.reshape(b, -1), dens.reshape(b, 1)], axis=1)
-    )
+    rows = np.empty((b, nums[0].size + 1), np.int64)
+    rows[:, :-1] = nums.reshape(b, -1)
+    rows[:, -1] = dens
+    return rows
 
 
-def _breadth_first(start, start_dens, compute, keys_of, n_gens, max_size):
+def _breadth_first(start, compute, n_gens, max_size):
     """Breadth-first closure from one element under right multiplication.
 
-    compute(nums, dens, gi) maps a chunk of frontier elements through
-    generator gi and returns their canonical forms; keys_of(nums, dens)
-    gives one dedup key per element.  Products are formed generator by
-    generator in _CHUNK batches, each new key is kept in first-occurrence
-    order and the cap is checked after every batch, so the order and any
-    ClosureCapError.partial_size depend only on which products are new.
-    Returns the key set and the tree: for the i-th element found (the start
-    is element 0), parents[i] is the element it was first reached from and
-    gens[i] the generator, both -1 for the start.
+    Each element is one integer row, keyed by its raw bytes: residues mod p,
+    or exact int64 numerators followed by the denominator.  start is a
+    (1, L) row array; compute(rows, gi) maps a chunk of frontier rows
+    through generator gi and returns the rows of the products, in canonical
+    form.  Products are formed generator by generator in _CHUNK batches,
+    each new key is kept in first-occurrence order and the cap is checked
+    after every batch, so the order and any ClosureCapError.partial_size
+    depend only on which products are new.  Returns the key set and the
+    tree: for the i-th element found (the start is element 0), parents[i]
+    is the element it was first reached from and gens[i] the generator,
+    both -1 for the start.
     """
-    seen: set[bytes] = set(keys_of(start, start_dens))
+    seen: set[bytes] = set(_row_keys(start))
     parents = [np.array([-1])]
     gens = [np.array([-1])]
-    fr_nums, fr_dens = start, start_dens
+    frontier = start
     base = 0  # index of the first frontier element
     level = 0
     try:
-        while fr_nums.shape[0]:
+        while frontier.shape[0]:
             level += 1
             next_base = len(seen)
-            new_nums = []
-            new_dens = []
-            b = fr_nums.shape[0]
+            found = []
+            b = frontier.shape[0]
             jobs = [(gi, lo) for gi in range(n_gens) for lo in range(0, b, _CHUNK)]
             # all products of a level before any key: interleaving the two
             # leaves BLAS threads spinning while Python checks keys
-            results = [
-                compute(fr_nums[lo : lo + _CHUNK], fr_dens[lo : lo + _CHUNK], gi)
-                for gi, lo in jobs
-            ]
-            for (gi, lo), (out, dens) in zip(jobs, results):
+            results = [compute(frontier[lo : lo + _CHUNK], gi) for gi, lo in jobs]
+            for (gi, lo), out in zip(jobs, results):
                 keep = []
-                for t, key in enumerate(keys_of(out, dens)):
+                for t, key in enumerate(_row_keys(out)):
                     if key not in seen:
                         seen.add(key)
                         keep.append(t)
@@ -839,15 +862,10 @@ def _breadth_first(start, start_dens, compute, keys_of, n_gens, max_size):
                     raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
                 if keep:
                     keep = np.array(keep)
-                    new_nums.append(out[keep])
-                    new_dens.append(dens[keep])
+                    found.append(out[keep])
                     parents.append(base + lo + keep)
                     gens.append(np.full(keep.size, gi))
-            if new_nums:
-                fr_nums = np.concatenate(new_nums, axis=0)
-                fr_dens = np.concatenate(new_dens, axis=0)
-            else:
-                fr_nums, fr_dens = fr_nums[:0], fr_dens[:0]
+            frontier = np.concatenate(found, axis=0) if found else frontier[:0]
             base = next_base
     except CoefficientOverflowError as exc:
         raise CoefficientOverflowError(
@@ -869,30 +887,24 @@ def _mod_p_closure(gens, projective, max_size):
         dtype = _residue_dtype(p)
         inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
 
-        def compute(chunk, dens, gi):
-            b = chunk.shape[0]
-            prod = chunk.reshape(b * n, n).astype(np.float64) @ residues[gi]
+        def compute(rows, gi):
+            b = rows.shape[0]
+            prod = rows.reshape(b * n, n).astype(np.float64) @ residues[gi]
             prod = prod.astype(np.int64).reshape(b, n * n) % p
             if projective:
                 lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
                 prod = prod * inverse[lead][:, None] % p
-            return prod.astype(dtype).reshape(b, n, n), dens
+            return prod.astype(dtype)
 
-        def keys_of(chunk, dens):
-            return _row_keys(chunk.reshape(chunk.shape[0], n * n))
-
-        # residue matrices have no denominator; a unit one rides along
-        start = np.eye(n, dtype=dtype)[None]
-        seen, parents, gen_idx = _breadth_first(
-            start, np.ones(1, np.int64), compute, keys_of, len(gens), max_size
-        )
+        start = np.eye(n, dtype=dtype).reshape(1, n * n)
+        seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
         if not (projective and len(seen) % p == 0):
             return seen, parents, gen_idx, p
     return None
 
 
 def _exact_products(gens: list[UMatrix], projective: bool):
-    """compute(nums, dens, gi): canonical exact products of a chunk with gens[gi].
+    """compute(rows, gi): canonical exact rows of a chunk's products with gens[gi].
 
     Projectively each product is divided by its first nonzero entry.
     """
@@ -904,31 +916,30 @@ def _exact_products(gens: list[UMatrix], projective: bool):
     right_ops = [_right_operator(g.num, ctx) for g in gens]
     gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
 
-    def compute(chunk_nums, chunk_dens, gi):
-        b = chunk_nums.shape[0]
-        flat = chunk_nums.reshape(b * dim, dim * d)
+    def compute(rows, gi):
+        b = rows.shape[0]
+        flat = rows[:, :-1].reshape(b * dim, dim * d)
         out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
         if projective:
             out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
         else:
             # a 1 x 1 product: the denominators multiply exactly too
-            dens = _exact_matmul(chunk_dens[:, None], gen_dens[gi])[:, 0]
-        return _canonical_batch(out, dens)
+            dens = _exact_matmul(rows[:, -1:], gen_dens[gi])[:, 0]
+        return _exact_rows(*_canonical_batch(out, dens))
 
     return compute
 
 
 def _bodies(start, compute, parents, gens, names):
-    """Exact canonical bodies and words of a closure tree, in discovery order.
+    """Exact rows and words of a closure tree, in discovery order.
 
     Level by level, each element is computed as its parent times its
     generator: one exact product per element.  Its word is its parent's
     word followed by the generator's name.
     """
     order = len(parents)
-    nums = np.empty((order,) + start.shape, np.int64)
-    dens = np.empty(order, np.int64)
-    nums[0], dens[0] = start, 1
+    rows = np.empty((order, start.shape[1]), np.int64)
+    rows[0] = start[0]
     lo = 1  # the level being computed starts here
     while lo < order:
         # the next level starts at the first element whose parent is on this one
@@ -938,13 +949,12 @@ def _bodies(start, compute, parents, gens, names):
             idx = lo + np.flatnonzero(gens[lo:hi] == gi)
             for c in range(0, idx.size, _CHUNK):
                 sel = idx[c : c + _CHUNK]
-                src = parents[sel]
-                nums[sel], dens[sel] = compute(nums[src], dens[src], gi)
+                rows[sel] = compute(rows[parents[sel]], gi)
         lo = hi
     words = [()]
     for i in range(1, order):
         words.append(words[parents[i]] + (names[gens[i]],))
-    return nums, dens, words
+    return rows, words
 
 
 def group_closure(
@@ -953,27 +963,24 @@ def group_closure(
     names=None,
     projective: bool = False,
     max_size: int = _DEFAULT_MAX_SIZE,
-    store: bool | None = None,
-    check_unitary: bool = True,
 ) -> GroupTable:
-    """Breadth-first closure of a matrix generating set.
+    """Breadth-first closure of a unitary matrix generating set.
 
     Generators that carry the module's finiteness certificate (each
-    unitary, normalizing <X, Z> up to scalars, with a power equal to a root
-    of unity times I) are closed in GL_n(F_p), for the smallest prime
+    normalizing <X, Z> up to scalars, with a power equal to a root of unity
+    times I) are closed in GL_n(F_p), for the smallest prime
     p = 1 (mod lcm(2, m)) dividing no generator denominator; the table
-    records p in .prime and answers contains and scalars from its residue
+    records p in .prime and answers contains and center_of from its residue
     keys.  Reduction is injective on a finite group (Minkowski-Serre), and
     projectively an element whose reduction is scalar is itself scalar
     (module docstring), so the order is exact.  Other generator sets are
     closed exactly, deduplicated by canonical form (scalar-canonical form
     when projective=True); .prime is then None.
 
-    store=True keeps element bodies and words, store=False keeps only the
-    order, and store=None keeps bodies when the order is at most an
-    internal limit.  Bodies are rebuilt exactly along the breadth-first
-    tree, one product per element, and sorted by UMatrix.key(); each word
-    is the first one found at the shallowest level.
+    The table holds the keys and the breadth-first tree.  Element bodies
+    and words are built on first access: exactly, along the tree, one
+    product per element, sorted by UMatrix.key(); each word is the first
+    one found at the shallowest level.
     """
     gens = list(generators)
     if not gens:
@@ -983,7 +990,7 @@ def group_closure(
     for g in gens:
         if g.dim != dim or g.m != m:
             raise FieldMismatchError("generators must share dimension and conductor")
-        if check_unitary and not g.is_unitary():
+        if not g.is_unitary():
             raise ValueError("group generators must be unitary")
     if names is None:
         names = tuple(chr(ord("a") + i) for i in range(len(gens)))
@@ -993,43 +1000,16 @@ def group_closure(
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    ident = UMatrix.identity(dim, m).num
-    compute = closed = None
-    if _certified_finite(gens, check_unitary):
+    closed = None
+    if _certified_finite(gens):
         closed = _mod_p_closure(gens, projective, max_size)
-    if closed is None:
-        compute = _exact_products(gens, projective)
-        seen, parents, gen_idx = _breadth_first(
-            ident[None], np.ones(1, np.int64), compute, _exact_keys, len(gens), max_size
-        )
-        prime = None
-    else:
+    if closed is not None:
         seen, parents, gen_idx, prime = closed
-
-    order = len(seen)
-    if store is None:
-        store = order <= min(_AUTO_STORE_LIMIT, _AUTO_STORE_BYTES // (ident.size * 8))
-    elements = word_list = None
-    if store:
-        compute = compute or _exact_products(gens, projective)
-        nums, dens, words = _bodies(ident, compute, parents, gen_idx, names)
-        mats = [
-            UMatrix._from_canonical(dim, m, nums[i], int(dens[i])) for i in range(order)
-        ]
-        ranked = sorted(range(order), key=lambda i: mats[i].key())
-        elements = [mats[i] for i in ranked]
-        word_list = [words[i] for i in ranked]
-    return GroupTable(
-        dim=dim,
-        conductor=m,
-        projective=projective,
-        generator_names=names,
-        order=order,
-        elements=elements,
-        words=word_list,
-        key_set=seen,
-        prime=prime,
-    )
+        return GroupTable(gens, names, projective, seen, parents, gen_idx, prime)
+    compute = _exact_products(gens, projective)
+    start = _exact_rows(UMatrix.identity(dim, m).num[None], 1)
+    seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
+    return GroupTable(gens, names, projective, seen, parents, gen_idx, None, compute)
 
 
 def wh_group(n: int, **kwargs) -> GroupTable:

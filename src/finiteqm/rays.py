@@ -40,6 +40,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, FieldMismatchError, _context, canonical_dumps
 from .qgroups import (
     UMatrix,
+    _coeff_json,
     _content_reduce,
     _exact_matmul,
     _int_array,
@@ -183,16 +184,7 @@ class Ray:
 
     def to_json(self) -> dict:
         """Each amplitude as Cyclotomic.to_json writes it."""
-        g = np.gcd(self.num, self.den)
-        tops = (self.num // g).tolist()
-        bottoms = (self.den // g).tolist()
-        return {
-            "dim": self.dim,
-            "amps": [
-                {"m": self.m, "c": [f"{p}/{q}" for p, q in zip(top, bottom)]}
-                for top, bottom in zip(tops, bottoms)
-            ],
-        }
+        return {"dim": self.dim, "amps": _coeff_json(self.num, self.den, self.m)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Ray":

@@ -174,7 +174,7 @@ def center_phases(n: int) -> list[Cyclotomic]:
     """Scalar subgroup of the dimension-n Clifford group, computed once."""
     phases = _PHASES_CACHE.get(n)
     if phases is None:
-        table = clifford_group(n, store=False)
+        table = clifford_group(n)
         phases = center_of(table)
         _PHASES_CACHE[n] = phases
     return phases

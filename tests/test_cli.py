@@ -78,20 +78,19 @@ class TestGroup:
     def test_closure_is_order_only_without_elements(self, capsys, monkeypatch, which):
         import finiteqm.qgroups as qgroups
 
-        stores = []
-        closure = qgroups.group_closure
+        calls = []
+        bodies = qgroups._bodies
 
-        def recording(*args, **kwargs):
-            table = closure(*args, **kwargs)
-            stores.append((kwargs.get("store"), table.elements is None))
-            return table
+        def recording(*args):
+            calls.append(1)
+            return bodies(*args)
 
-        monkeypatch.setattr(qgroups, "group_closure", recording)
+        monkeypatch.setattr(qgroups, "_bodies", recording)
         argv = ["group", "--dim", "2", "--which", which]
         code, plain = run(capsys, *argv)
-        assert code == 0 and stores == [(False, True)]
+        assert code == 0 and calls == []
         code, full = run(capsys, *argv, "--elements")
-        assert code == 0 and stores[1] == (None, False)
+        assert code == 0 and calls == [1]
         data = json.loads(full)
         assert data.pop("elements") and data.pop("words")
         assert plain == cli.canonical_dumps(data) + "\n"

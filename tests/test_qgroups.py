@@ -247,11 +247,26 @@ class TestClosure:
         assert table.contains(z)  # z = FXF^-1 lies inside
         assert not table.contains(position_operator(2))
 
-    def test_order_only_mode(self):
-        table = clifford_group(2, store=False)
+    def test_order_only_mode(self, monkeypatch):
+        import finiteqm.qgroups as qgroups
+
+        calls = []
+        bodies = qgroups._bodies
+
+        def recording(*args):
+            calls.append(1)
+            return bodies(*args)
+
+        monkeypatch.setattr(qgroups, "_bodies", recording)
+        table = clifford_group(2)
         assert table.order == 192
-        assert table.elements is None
         assert "elements" not in table.to_json()
+        assert calls == []
+        # bodies and words are built together on first access, then kept
+        first = (table.elements, table.words)
+        assert (table.elements, table.words) == first
+        assert len(first[0]) == len(first[1]) == 192
+        assert calls == [1]
 
     def test_requires_unitary_generators(self):
         with pytest.raises(ValueError):
@@ -259,9 +274,8 @@ class TestClosure:
 
     def test_requires_one_name_per_generator(self):
         gens = list(clifford_generators(2).values())
-        for store in (False, None):
-            with pytest.raises(ValueError, match="generator names"):
-                group_closure(gens, names=("X", "F"), store=store)
+        with pytest.raises(ValueError, match="generator names"):
+            group_closure(gens, names=("X", "F"))
 
 
 class TestScalarCanonical:
@@ -331,16 +345,15 @@ class TestCenterErrors:
     @pytest.mark.parametrize("group", [clifford_group, wh_group])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_residue_center_matches_body_scan(self, group, n):
-        counted = group(n, store=False)
-        stored = group(n, store=True)
-        assert counted.elements is None and counted.prime is not None
-        scan = [c for c in (el.is_scalar() for el in stored.elements) if c is not None]
-        assert center_of(counted) == sorted(scan, key=lambda c: c.key())
+        table = group(n)
+        assert table.prime is not None
+        scan = [c for c in (el.is_scalar() for el in table.elements) if c is not None]
+        assert center_of(table) == sorted(scan, key=lambda c: c.key())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_center_size_is_full_over_projective_order(self, n):
-        full = clifford_group(n, store=False)
-        proj = clifford_group(n, projective=True, store=False)
+        full = clifford_group(n)
+        proj = clifford_group(n, projective=True)
         assert len(center_of(full)) == full.order // proj.order
 
 
@@ -375,11 +388,11 @@ class TestHigherDimensions:
     def test_projective_order_formula_at_primes(self):
         # p^3 (p^2 - 1) matches the measured projective orders at 2, 3, 5
         for p in (2, 3, 5):
-            table = clifford_group(p, projective=True, store=False)
+            table = clifford_group(p, projective=True)
             assert table.order == p**3 * (p**2 - 1)
 
     def test_dim4_orders(self):
-        assert clifford_group(4, projective=True, store=False).order == 768
+        assert clifford_group(4, projective=True).order == 768
         cl4 = clifford_group(4)
         assert cl4.order == 6144
         assert len(center_of(cl4)) == 8
@@ -546,21 +559,21 @@ class TestOrderOnlyModP:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_clifford_paths_agree(self, n, exact_closure):
-        counted = clifford_group(n, store=False)
+        counted = clifford_group(n)
         exact = exact_closure(clifford_group, n)
         assert counted.prime is not None and exact.prime is None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_projective_paths_agree(self, n, exact_closure):
-        counted = clifford_group(n, projective=True, store=False)
+        counted = clifford_group(n, projective=True)
         exact = exact_closure(clifford_group, n, projective=True)
         assert counted.prime is not None and exact.prime is None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_wh_paths_agree(self, n, exact_closure):
-        counted = wh_group(n, store=False)
+        counted = wh_group(n)
         exact = exact_closure(wh_group, n)
         assert counted.prime is not None and exact.prime is None
         assert counted.order == exact.order
@@ -568,19 +581,19 @@ class TestOrderOnlyModP:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_projective_order_is_appleby(self, n):
         # Appleby, J. Math. Phys. 46, 052107 (2005): |PCL(N)| = N^2 |SL(2, Z_N)|
-        table = clifford_group(n, projective=True, store=False)
+        table = clifford_group(n, projective=True)
         assert table.prime is not None
         assert table.order == n * n * sl2_order(n)
 
     def test_dim6_order_only(self):
-        table = clifford_group(6, store=False)
+        table = clifford_group(6)
         assert table.prime == 73
         assert table.order == 124416 == 5184 * 24
 
     @pytest.mark.parametrize("n,cap", [(3, 100), (6, 10_000)])
     def test_cap_partial_size_matches_exact(self, n, cap, exact_closure):
         with pytest.raises(ClosureCapError) as counted:
-            clifford_group(n, max_size=cap, store=False)
+            clifford_group(n, max_size=cap)
         with pytest.raises(ClosureCapError) as exact:
             exact_closure(clifford_group, n, max_size=cap)
         assert counted.value.partial_size == exact.value.partial_size > cap
@@ -588,14 +601,14 @@ class TestOrderOnlyModP:
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("n", [2, 3])
     def test_bodies_and_words_match_exact(self, n, projective, exact_closure):
-        counted = clifford_group(n, projective=projective, store=True)
-        exact = exact_closure(clifford_group, n, projective=projective, store=True)
+        counted = clifford_group(n, projective=projective)
+        exact = exact_closure(clifford_group, n, projective=projective)
         assert counted.prime == 73 and exact.prime is None
         assert counted.elements == exact.elements
         assert counted.words == exact.words
 
     def test_prime_is_read_only(self):
-        table = clifford_group(2, store=False)
+        table = clifford_group(2)
         assert table.prime == 73
         with pytest.raises(AttributeError):
             table.prime = 97
@@ -612,7 +625,7 @@ class TestFinitenessCertificate:
             [[q(3, 5), q(-4, 5)], [q(4, 5), q(3, 5)]], 24
         )
         with pytest.raises(CoefficientOverflowError, match="level 28"):
-            group_closure([rotation], max_size=200, store=False)
+            group_closure([rotation], max_size=200)
 
     def test_scalar_of_infinite_order_stays_exact(self):
         # ((3 + 4i)/5) I normalizes <X, Z> and is unitary, but no power of it
@@ -622,7 +635,7 @@ class TestFinitenessCertificate:
         scalar = UMatrix.identity(2, 24).scale(c)
         gens = list(clifford_generators(2).values()) + [scalar]
         with pytest.raises(CoefficientOverflowError, match="finite group"):
-            group_closure(gens, max_size=20_000, store=False)
+            group_closure(gens, max_size=20_000)
 
     def test_tensored_crt_generators_stay_exact(self):
         from finiteqm.decomposition import (
@@ -634,9 +647,9 @@ class TestFinitenessCertificate:
         split = crt_split(6)
         m = conductor_for(6)
         gens, names = _tensored_generators(split, m)
-        table = group_closure(gens, names=names, projective=True, store=False)
+        table = group_closure(gens, names=names, projective=True)
         assert table.prime is None
-        assert table.order == group_closure(gens, names=names, projective=True).order
+        assert len(set(table.elements)) == table.order
         assert table.order == 5184
         perm = crt_permutation(split, m)
         for g in clifford_generators(6, m).values():
@@ -658,12 +671,11 @@ class TestResidueMembership:
         m = conductor_for(6)
         gens, names = _tensored_generators(split, m)
         perm = crt_permutation(split, m)
-        exact = group_closure(gens, names=names, projective=True, store=False)
+        exact = group_closure(gens, names=names, projective=True)
         counted = group_closure(
             [perm.dagger() @ t @ perm for t in gens],
             names=names,
             projective=True,
-            store=False,
         )
         assert exact.prime is None and counted.prime == 73
         assert counted.order == exact.order == 5184
@@ -693,7 +705,7 @@ class TestResidueMembership:
         # c = 1 mod 73, so c X reduces to the residue of X
         i = zeta(24, 6)
         c = (i * 73 + 1) * (i * -73 + 1).inv()
-        table = clifford_group(2, store=False)
+        table = clifford_group(2)
         _, x, _ = wh_generators(2)
         cx = x.scale(c)
         assert cx.is_unitary() and cx.den % 73
@@ -701,7 +713,7 @@ class TestResidueMembership:
         assert table.contains(x) and not table.contains(cx)
 
     def test_denominator_divisible_by_p_is_absent(self):
-        table = clifford_group(2, store=False)
+        table = clifford_group(2)
         _, x, _ = wh_generators(2)
         assert table.contains(x)
         assert not table.contains(x.scale(Cyclotomic.from_rational(24, Fraction(1, 73))))
