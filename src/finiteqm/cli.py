@@ -6,22 +6,17 @@ ordered by serialized key, no timings) or a human summary with
 --format summary; timings and progress go to stderr.  The exit code is 0
 exactly when every assertion the command makes holds; failures add a
 machine-readable "failures" list.
-
-FINITEQM_CACHE_DIR overrides the directory used to cache group tables
-(default ~/.cache/finiteqm).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
 from .cyclotomic import canonical_dumps, conductor_for, zeta
 from .decomposition import (
     clifford_product_check,
@@ -49,17 +44,6 @@ _EXPECTED_STEPS = {
     (2, 2): {"orbit_sizes": [24] * 16, "new_states": 384},
     (3, 1): {"kept": 153, "new_states": 153, "orbit_sizes": [9, 36, 108]},
 }
-
-# bump when the layout of a cached group table changes
-_CACHE_SCHEMA = "table1"
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get("FINITEQM_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "finiteqm"
-
 
 def _emit(result: dict, args) -> int:
     """Print the result and derive the exit code from its failures."""
@@ -91,16 +75,6 @@ def _print_summary(result: dict, indent: str = ""):
 # -- group ------------------------------------------------------------------
 
 
-def _group_cache_file(args) -> Path:
-    """Cache path keyed on the package version, schema, request and field."""
-    key = (
-        f"group-{__version__}-{_CACHE_SCHEMA}-dim{args.dim}"
-        f"-m{conductor_for(args.dim)}-{args.which}"
-        f"-cap{args.max_closure}-el{int(args.elements)}"
-    )
-    return _cache_dir() / f"{key}.json"
-
-
 def _sl2_order(n: int) -> int:
     """|SL(2, Z_n)| = n^3 * prod over primes p | n of (1 - 1/p^2)."""
     order = n**3
@@ -128,30 +102,8 @@ def _order_fits(which: str, n: int, order) -> bool:
     return order % pcl == 0 and conductor_for(n) % (order // pcl) == 0
 
 
-def _load_cached_group(cache_file: Path, args) -> dict | None:
-    """The cached result, or None when it is missing, unreadable or stale."""
-    try:
-        result = json.loads(cache_file.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(result, dict)
-        or result.get("dim") != args.dim
-        or result.get("conductor") != conductor_for(args.dim)
-        or not _order_fits(args.which, args.dim, result.get("order"))
-    ):
-        print(f"cache miss: stale {cache_file}", file=sys.stderr)
-        return None
-    return result
-
-
 def cmd_group(args) -> int:
     which = args.which
-    cache_file = _group_cache_file(args)
-    result = _load_cached_group(cache_file, args) if args.cache else None
-    if result is not None:
-        print(f"cache hit: {cache_file}", file=sys.stderr)
-        return _emit(result, args)
     t0 = time.time()
     closure = {"max_size": args.max_closure}
     if which == "wh":
@@ -172,13 +124,9 @@ def cmd_group(args) -> int:
     print(f"closure in {time.time() - t0:.2f}s ({path})", file=sys.stderr)
     result = table.to_json(include_elements=args.elements)
     result["failures"] = []
-    rc = _emit(result, args)
-    if args.cache:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_file.with_suffix(".tmp")
-        tmp.write_text(canonical_dumps(result) + "\n")
-        tmp.replace(cache_file)
-    return rc
+    if not _order_fits(which, args.dim, table.order):
+        result["failures"].append({"check": "closed-form order", "actual": table.order})
+    return _emit(result, args)
 
 
 # -- cqs ----------------------------------------------------------------------
@@ -475,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     closure_flags(p)
     p.add_argument("--which", choices=["wh", "clifford", "projective"], required=True)
     p.add_argument("--elements", action="store_true", help="include element bodies")
-    p.add_argument("--cache", action="store_true", help="use the table cache")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("cqs", help="generate the rational-probability state set")

@@ -6,6 +6,11 @@ vector with a single positive denominator.  The stored form is canonical
 (content coprime to the denominator), so equality, hashing and the JSON
 serialization are exact and byte-stable.
 
+The Galois action sigma_k: zeta -> zeta^k (gcd(k, m) = 1) sends power
+z^j to the reduced power z^(jk).  Complex conjugation is sigma_(m-1), and
+the inverse of a is the product of its other conjugates over the rational
+norm N(a) = prod_k sigma_k(a).
+
 Square roots of integers are embedded through quadratic Gauss sums, which
 is what makes Fourier matrices with 1/sqrt(N) entries representable.
 conductor_for(N) picks a conductor large enough for every construction in
@@ -129,11 +134,10 @@ class _Context:
         "degree",
         "phi_poly",
         "rows",
-        "conj_rows",
+        "_galois",
         "_lock",
         "_mult_np",
         "_conj_np",
-        "_red_np",
         "_embed",
     )
 
@@ -158,12 +162,22 @@ class _Context:
             cur = nxt
             rows.append(tuple(cur))
         self.rows = tuple(rows)
-        self.conj_rows = tuple(rows[(m - a) % m] for a in range(d))
+        self._galois: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._lock = threading.Lock()
         self._mult_np = None
         self._conj_np = None
-        self._red_np = None
         self._embed = None
+
+    def galois_rows(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Rows of sigma_k: row j holds z^(j k) mod Phi_m; needs gcd(k, m) = 1."""
+        k %= self.m
+        rows = self._galois.get(k)
+        if rows is None:
+            if math.gcd(k, self.m) != 1:
+                raise ValueError(f"sigma_{k} needs gcd(k, {self.m}) = 1")
+            rows = tuple(self.rows[j * k % self.m] for j in range(self.degree))
+            self._galois[k] = rows
+        return rows
 
     @property
     def mult_np(self) -> np.ndarray:
@@ -185,7 +199,7 @@ class _Context:
         if self._conj_np is None:
             with self._lock:
                 if self._conj_np is None:
-                    t = np.array(self.conj_rows, dtype=np.int64)
+                    t = np.array(self.galois_rows(-1), dtype=np.int64)
                     t.setflags(write=False)
                     self._conj_np = t
         return self._conj_np
@@ -404,27 +418,25 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended gcd with Phi_m."""
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero cyclotomic")
-        ctx = _context(self.m)
-        phi = [Fraction(c) for c in ctx.phi_poly]
-        a = [Fraction(v) for v in self.num]
-        # extended euclid over Q[x]: u*a + v*phi = gcd (a unit, Phi_m irreducible)
-        r0, r1 = phi, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
-        c = r1[0]  # nonzero constant
-        u = [v / c for v in s1]
-        result = Cyclotomic.make(self.m, u)
-        return result * self.den
+        """Multiplicative inverse: the other Galois conjugates over the norm.
+
+        For a not rational, a * prod(sigma_k(a) : 1 < k < m, gcd(k, m) = 1)
+        is the norm N(a), a nonzero rational, so that product over N(a) is
+        a^-1.  A rational a is inverted directly.
+        """
+        r = self.rational()
+        if r is not None:
+            if r == 0:
+                raise ZeroDivisionError("inversion of zero cyclotomic")
+            return Cyclotomic.from_rational(self.m, 1 / r)
+        cofactor = Cyclotomic.one(self.m)
+        for k in range(2, self.m):
+            if math.gcd(k, self.m) == 1:
+                cofactor = cofactor * self.galois(k)
+        norm = (self * cofactor).rational()
+        if not norm:
+            raise ArithmeticError(f"norm of {self!r} is not a nonzero rational")
+        return cofactor * (1 / norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -457,18 +469,21 @@ class Cyclotomic:
             k >>= 1
         return result
 
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^(m-1); exact and involutive."""
-        ctx = _context(self.m)
-        d = ctx.degree
+    def galois(self, k: int) -> "Cyclotomic":
+        """The field automorphism sigma_k: zeta -> zeta^k, for gcd(k, m) = 1."""
+        rows = _context(self.m).galois_rows(k)
+        d = len(rows)
         out = [0] * d
-        for a_idx, c in enumerate(self.num):
+        for c, row in zip(self.num, rows):
             if c:
-                row = ctx.conj_rows[a_idx]
                 for t in range(d):
                     if row[t]:
                         out[t] += c * row[t]
         return _normalized(self.m, out, self.den)
+
+    def conj(self) -> "Cyclotomic":
+        """Complex conjugation sigma_(m-1); exact and involutive."""
+        return self.galois(self.m - 1)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -517,49 +532,6 @@ class Cyclotomic:
 
     def key(self) -> str:
         return canonical_dumps(self.to_json())
-
-
-# -- rational polynomial helpers for inversion ---------------------------------
-
-
-def _poly_divmod_q(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[-1]
-    while len(a) - 1 >= db and any(a):
-        k = len(a) - 1
-        c = a[k] / lead
-        q[k - db] = c
-        for j in range(db + 1):
-            a[k - db + j] -= c * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    if not a:
-        a = [Fraction(0)]
-    return q, a
-
-
-def _poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_q(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return out
 
 
 # -- conductors and embedded square roots --------------------------------------

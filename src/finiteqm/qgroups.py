@@ -38,9 +38,9 @@ lambda a p-power root of unity in F_p, so lambda = 1 and that part is the
 identity; its part of order prime to p has eigenvalues that are roots of
 unity of order prime to p and all congruent mod p, hence equal.  The count
 is therefore |G| over its scalar subgroup, and projective residue classes
-are exactly the classes of G modulo scalars.  The path still moves to the
-next prime when p divides the count, which cannot happen here: p > 2n,
-while every prime factor of n^2 |SL(2, Z_n)| is at most n + 1.
+are exactly the classes of G modulo scalars.  p never divides the count,
+since p > 2n while every prime factor of n^2 |SL(2, Z_n)| is at most
+n + 1; the closure asserts this rather than trying another prime.
 
 Both engines carry an element as one integer row, keyed by its raw bytes
 (residues mod p, or the int64 numerators followed by the denominator), and
@@ -769,18 +769,19 @@ def _certified_finite(gens: list[UMatrix]) -> bool:
     return True
 
 
-def _closure_primes(gens: list[UMatrix]):
-    """Primes p = 1 (mod lcm(2, m)) dividing no generator denominator.
+def _closure_prime(gens: list[UMatrix]) -> int | None:
+    """The smallest prime p = 1 (mod lcm(2, m)) dividing no generator denominator.
 
-    Ascending, and only while a float64 product of n residues per entry,
-    n (p - 1)^2, stays exact.
+    None when no such prime keeps a float64 product of n residues per
+    entry, n (p - 1)^2, exact.
     """
     n, step = gens[0].dim, math.lcm(2, gens[0].m)
     p = 1 + step
     while n * (p - 1) ** 2 < _FLOAT_EXACT:
         if is_prime(p) and all(g.den % p for g in gens):
-            yield p
+            return p
         p += step
+    return None
 
 
 def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
@@ -881,26 +882,29 @@ def _mod_p_closure(gens, projective, max_size):
     Returns (key set, parents, generator indices, p) as _breadth_first
     does, or None when no prime keeps the products exact.
     """
+    p = _closure_prime(gens)
+    if p is None:
+        return None
     n = gens[0].dim
-    for p in _closure_primes(gens):
-        residues = _residues(gens, p)
-        dtype = _residue_dtype(p)
-        inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+    residues = _residues(gens, p)
+    dtype = _residue_dtype(p)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
 
-        def compute(rows, gi):
-            b = rows.shape[0]
-            prod = rows.reshape(b * n, n).astype(np.float64) @ residues[gi]
-            prod = prod.astype(np.int64).reshape(b, n * n) % p
-            if projective:
-                lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
-                prod = prod * inverse[lead][:, None] % p
-            return prod.astype(dtype)
+    def compute(rows, gi):
+        b = rows.shape[0]
+        prod = rows.reshape(b * n, n).astype(np.float64) @ residues[gi]
+        prod = prod.astype(np.int64).reshape(b, n * n) % p
+        if projective:
+            lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
+            prod = prod * inverse[lead][:, None] % p
+        return prod.astype(dtype)
 
-        start = np.eye(n, dtype=dtype).reshape(1, n * n)
-        seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
-        if not (projective and len(seen) % p == 0):
-            return seen, parents, gen_idx, p
-    return None
+    start = np.eye(n, dtype=dtype).reshape(1, n * n)
+    seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
+    if projective and len(seen) % p == 0:
+        # p > 2n, and every prime factor of n^2 |SL(2, Z_n)| is at most n + 1
+        raise AssertionError(f"{p} divides the projective count {len(seen)}")
+    return seen, parents, gen_idx, p
 
 
 def _exact_products(gens: list[UMatrix], projective: bool):

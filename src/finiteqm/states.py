@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,11 @@ class RejectedCandidate:
 
     candidate: Ray
     against: Ray
-    probability: Cyclotomic
+
+    @cached_property
+    def probability(self) -> Cyclotomic:
+        """The witness's irrational transition probability, on first read."""
+        return transition_probability(self.candidate, self.against)
 
 
 @dataclass
@@ -290,9 +295,7 @@ def rationality_filter(candidates, stateset: StateSet):
         if row.all():
             kept.append(cand)
         else:
-            s = existing[int(np.argmin(row))]
-            p = transition_probability(cand, s)
-            rejected.append(RejectedCandidate(cand, s, p))
+            rejected.append(RejectedCandidate(cand, existing[int(np.argmin(row))]))
     return kept, rejected
 
 

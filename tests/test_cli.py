@@ -112,36 +112,13 @@ class TestGroup:
             capsys.readouterr().err,
         )
 
-    def test_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FINITEQM_CACHE_DIR", str(tmp_path))
-        _, first = run(capsys, "group", "--dim", "2", "--which", "wh", "--cache")
-        assert list(tmp_path.glob("*.json"))
-        _, second = run(capsys, "group", "--dim", "2", "--which", "wh", "--cache")
-        assert first == second
-
-    def test_stale_cache_is_ignored(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FINITEQM_CACHE_DIR", str(tmp_path))
-        argv = ["group", "--dim", "3", "--which", "projective"]
-        _, uncached = run(capsys, *argv)
-        cache_file = cli._group_cache_file(cli.build_parser().parse_args(argv))
-        stale = json.loads(uncached)
-        stale["order"] = 215
-        cache_file.write_text(json.dumps(stale))
-        code, cached = run(capsys, *argv, "--cache")
-        assert code == 0
-        assert cached == uncached
-        assert json.loads(cache_file.read_text())["order"] == 216
-        cache_file.write_text("{not json")
-        _, cached = run(capsys, *argv, "--cache")
-        assert cached == uncached
-
-    def test_cache_key_names_version_and_conductor(self):
-        args = cli.build_parser().parse_args(
-            ["group", "--dim", "5", "--which", "clifford"]
-        )
-        name = cli._group_cache_file(args).name
-        assert cli.__version__ in name and cli._CACHE_SCHEMA in name
-        assert "-m120-" in name
+    def test_order_off_the_closed_forms_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_order_fits", lambda which, n, order: False)
+        code, out = run(capsys, "group", "--dim", "2", "--which", "wh")
+        assert code == 1
+        data = json.loads(out)
+        assert not data["ok"] and data["order"] == 16
+        assert data["failures"] == [{"check": "closed-form order", "actual": 16}]
 
     def test_cached_orders_must_fit_closed_forms(self):
         assert cli._order_fits("wh", 2, 16) and not cli._order_fits("wh", 2, 17)

@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 
+import cmath
+import math
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import cyclotomics, embed, nonzero_cyclotomics
+from conftest import cyclotomics, embed, nonzero_cyclotomics, rationals
 from finiteqm.cyclotomic import (
     Cyclotomic,
     FieldMismatchError,
@@ -20,6 +24,7 @@ from finiteqm.cyclotomic import (
 )
 
 M = 24  # shared working conductor for the property tests
+UNITS = [k for k in range(M) if math.gcd(k, M) == 1]
 
 
 class TestReduction:
@@ -81,9 +86,17 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
 
-    @given(nonzero_cyclotomics(M))
-    def test_multiplicative_inverse(self, a):
-        assert (a * a.inv()).rational() == 1
+    @given(st.data())
+    def test_multiplicative_inverse(self, data):
+        for m in (8, 24, 72, 168):
+            q = data.draw(rationals().filter(bool))
+            k = data.draw(st.integers(0, m - 1))
+            root = zeta(m, k)
+            operands = [data.draw(nonzero_cyclotomics(m)), root, root * q]
+            for a in operands + [Cyclotomic.from_rational(m, q)]:
+                assert (a * a.inv()).is_one()
+            assert root.inv() == zeta(m, -k)
+            assert Cyclotomic.from_rational(m, q).inv() == 1 / q
 
     @given(cyclotomics(M), cyclotomics(M))
     def test_conj_is_ring_homomorphism(self, a, b):
@@ -108,6 +121,34 @@ class TestArithmetic:
     def test_embedding_oracle_agrees(self, a, b):
         assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-6
         assert abs(embed(a + b) - (embed(a) + embed(b))) < 1e-6
+
+    @given(cyclotomics(M), cyclotomics(M))
+    def test_galois_is_ring_homomorphism(self, a, b):
+        for k in UNITS:
+            assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+
+    @given(cyclotomics(M))
+    def test_galois_composes_as_units(self, a):
+        for k in UNITS:
+            for l in UNITS:
+                assert a.galois(l).galois(k) == a.galois(k * l % M)
+        assert a.galois(1) == a
+        assert a.galois(M - 1) == a.galois(-1) == a.conj()
+
+    @given(cyclotomics(M))
+    def test_galois_matches_embedding_oracle(self, a):
+        for k in UNITS:
+            want = sum(
+                float(c) * cmath.exp(2j * cmath.pi * j * k / M)
+                for j, c in enumerate(a.coeffs)
+            )
+            assert abs(embed(a.galois(k)) - want) < 1e-6
+
+    @pytest.mark.parametrize("k", [0, 2, 3, 6, 8, 12, 26])
+    def test_galois_needs_a_unit(self, k):
+        with pytest.raises(ValueError):
+            zeta(M).galois(k)
 
     def test_power_and_division(self):
         z = zeta(24, 5)

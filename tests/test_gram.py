@@ -30,7 +30,6 @@ from finiteqm.rays import (
 )
 from finiteqm.states import (
     IntegrityError,
-    RejectedCandidate,
     StateSet,
     _assert_pairwise_rational,
     clifford_orbit,
@@ -135,7 +134,7 @@ def reference_filter(candidates, ss):
         for s in existing:
             p = transition_probability(cand, s)
             if p.rational() is None:
-                rejected.append(RejectedCandidate(cand, s, p))
+                rejected.append((cand, s, p))
                 break
         else:
             kept.append(cand)
@@ -150,9 +149,9 @@ class TestFilterReference:
         kept, rejected = rationality_filter(candidates, ss)
         want_kept, want_rejected = reference_filter(candidates, ss)
         assert kept == want_kept
-        assert [(r.candidate, r.against, r.probability) for r in rejected] == [
-            (r.candidate, r.against, r.probability) for r in want_rejected
-        ]
+        assert [
+            (r.candidate, r.against, r.probability) for r in rejected
+        ] == want_rejected
         assert rejected
 
 

@@ -129,6 +129,25 @@ class TestFilter:
             assert rej.probability.rational() is None
             assert rej.against in ss.states
 
+    def test_witness_probability_is_computed_on_first_read(self, monkeypatch):
+        import finiteqm.states as states
+
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return transition_probability(a, b)
+
+        monkeypatch.setattr(states, "transition_probability", counting)
+        ss = generate_states(2, 0)
+        cands, _, _, _ = interference_candidates(ss)
+        _, rejected = rationality_filter(cands, ss)
+        assert rejected and calls == []
+        rej = rejected[0]
+        assert rej.probability == transition_probability(rej.candidate, rej.against)
+        assert rej.probability.rational() is None
+        assert len(calls) == 1
+
     def test_candidates_exclude_existing(self):
         ss = generate_states(2, 0)
         cands, _, _, _ = interference_candidates(ss)
