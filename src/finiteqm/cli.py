@@ -17,14 +17,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import canonical_dumps, conductor_for, zeta
+from .cyclotomic import _factorize, canonical_dumps, conductor_for, zeta
 from .decomposition import (
     clifford_product_check,
     crt_split,
     energy_decompose,
     energy_fraction_identity,
 )
-from .galois import gf_build, gf_trace_int, is_prime
+from .galois import gf_build, gf_trace_int
 from .mub import MubExtractionError, extract_mubs_from_orbit, mub_complete_set, verify_mub
 from .qgroups import (
     check_weyl_relation,
@@ -78,9 +78,8 @@ def _print_summary(result: dict, indent: str = ""):
 def _sl2_order(n: int) -> int:
     """|SL(2, Z_n)| = n^3 * prod over primes p | n of (1 - 1/p^2)."""
     order = n**3
-    for p in range(2, n + 1):
-        if n % p == 0 and is_prime(p):
-            order = order // (p * p) * (p * p - 1)
+    for p in _factorize(n):
+        order = order // (p * p) * (p * p - 1)
     return order
 
 
@@ -197,12 +196,7 @@ def cmd_mub(args) -> int:
                 ],
             }
             return _emit(result, args)
-        q = split.factors[0]
-        p = next(p for p in range(2, q + 1) if q % p == 0)
-        ell = 0
-        while q > 1:
-            q //= p
-            ell += 1
+        ((p, ell),) = _factorize(args.dim).items()
         bs = mub_complete_set(p, ell)
     report = verify_mub(bs)
     if not report.ok:

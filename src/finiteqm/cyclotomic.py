@@ -56,20 +56,26 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1, primes ascending."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError(f"euler_phi needs m >= 1, got {m}")
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in _factorize(m):
+        result -= result // p
     return result
 
 
@@ -559,26 +565,6 @@ def _legendre(t: int, p: int) -> int:
     return r - p if r == p - 1 else r
 
 
-def _squarefree_split(n: int) -> tuple[int, list[int]]:
-    """n = square * product(primes); returns (sqrt of square part, primes)."""
-    root = 1
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            root *= p ** (e // 2)
-            if e % 2:
-                primes.append(p)
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return root, primes
-
-
 def sqrt_embed(n: int, m: int) -> Cyclotomic:
     """The positive square root of the integer n inside Q(zeta_m).
 
@@ -589,9 +575,10 @@ def sqrt_embed(n: int, m: int) -> Cyclotomic:
     """
     if n <= 0:
         raise ValueError(f"sqrt_embed needs a positive integer, got {n}")
-    root, primes = _squarefree_split(n)
+    factors = _factorize(n)
+    root = math.prod(p ** (e // 2) for p, e in factors.items())
     result = Cyclotomic.from_rational(m, root)
-    for p in primes:
+    for p in [p for p, e in factors.items() if e % 2]:
         if p == 2:
             if m % 8:
                 raise SqrtConstructionError(f"sqrt(2) needs 8 | m, got m={m}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import conductor_for
+from .cyclotomic import _factorize, conductor_for
 from .qgroups import (
     ClosureCapError,
     GroupTable,
@@ -43,23 +43,6 @@ __all__ = [
     "energy_decompose",
     "energy_fraction_identity",
 ]
-
-
-def _prime_power_factors(n: int) -> tuple[int, ...]:
-    out = []
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            out.append(q)
-        p += 1
-    if rest > 1:
-        out.append(rest)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -103,7 +86,7 @@ def crt_split(n: int) -> CrtSplit:
     """Prime-power factorization of n, ascending primes, with maps."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    return CrtSplit(n=n, factors=_prime_power_factors(n))
+    return CrtSplit(n=n, factors=tuple(p**e for p, e in _factorize(n).items()))
 
 
 def crt_permutation(split: CrtSplit, m: int | None = None) -> UMatrix:

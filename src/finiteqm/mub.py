@@ -70,37 +70,39 @@ class MubReport:
 
 def verify_mub(bs: BasisSet) -> MubReport:
     """Exact check: orthonormal within bases, probability 1/N across."""
+    flat = [ray for basis in bs.bases for ray in basis]
+    index = {ray: k for k, ray in enumerate(flat)}
+    violations = _mub_violations(bs, probabilities(flat, flat), index)
+    return MubReport(
+        dim=bs.dim, n_bases=len(bs.bases), ok=not violations, violations=violations
+    )
+
+
+def _mub_violations(bs: BasisSet, probs, index: dict[Ray, int]) -> list[str]:
+    """verify_mub's violations, with P(a, b) read as probs[index[a]][index[b]]."""
     n = bs.dim
     violations: list[str] = []
-    flat = [ray for basis in bs.bases for ray in basis]
-    probs = probabilities(flat, flat)
-    starts = [0]
-    for basis in bs.bases:
-        starts.append(starts[-1] + len(basis))
     for bi, basis in enumerate(bs.bases):
         if len(basis) != n:
             violations.append(f"basis {bi} has {len(basis)} rays, expected {n}")
             continue
-        o = starts[bi]
         for i in range(n):
             for j in range(i + 1, n):
-                p = probs[o + i][o + j]
+                p = probs[index[basis[i]]][index[basis[j]]]
                 if p != 0:
                     violations.append(
                         f"basis {bi}: rays {i},{j} not orthogonal (P={p})"
                     )
-    for bi in range(len(bs.bases)):
+    for bi, one in enumerate(bs.bases):
         for bj in range(bi + 1, len(bs.bases)):
-            for i in range(len(bs.bases[bi])):
-                for j in range(len(bs.bases[bj])):
-                    p = probs[starts[bi] + i][starts[bj] + j]
+            for i, a in enumerate(one):
+                for j, b in enumerate(bs.bases[bj]):
+                    p = probs[index[a]][index[b]]
                     if p is None or p.numerator != 1 or p.denominator != n:
                         violations.append(
                             f"bases {bi},{bj}: rays {i},{j} have P={p}, want 1/{n}"
                         )
-    return MubReport(
-        dim=n, n_bases=len(bs.bases), ok=not violations, violations=violations
-    )
+    return violations
 
 
 def _slope_basis(field: GaloisField, slope: GFElement, m: int) -> list[Ray]:
@@ -213,11 +215,10 @@ def extract_mubs_from_orbit(rays) -> BasisSet:
         remaining = [r for r in remaining if r not in chosen]
         bases.append(basis)
     result = BasisSet(dim=n, bases=bases)
-    report = verify_mub(result)
-    if not report.ok:
+    violations = _mub_violations(result, probs, index)
+    if violations:
         raise MubExtractionError(
-            "partition found but unbiasedness fails: "
-            + "; ".join(report.violations[:3]),
+            "partition found but unbiasedness fails: " + "; ".join(violations[:3]),
             bases=bases,
         )
     return result

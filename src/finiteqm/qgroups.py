@@ -69,6 +69,7 @@ from .cyclotomic import (
     Cyclotomic,
     FieldMismatchError,
     _context,
+    _factorize,
     conductor_for,
     sqrt_embed,
     zeta,
@@ -615,9 +616,10 @@ class GroupTable:
         finiteness certificate and has no p in its denominator, so a query
         without all three is absent.  On a projective table closed mod p,
         c * g for an element g is therefore present exactly when c is a
-        root of unity.
+        root of unity.  Every element is invertible, so the zero matrix is
+        absent on both engines.
         """
-        if mat.dim != self.dim or mat.m != self.conductor:
+        if mat.dim != self.dim or mat.m != self.conductor or not mat.num.any():
             return False
         p = self._prime
         if p is not None and (
@@ -787,7 +789,7 @@ def _closure_prime(gens: list[UMatrix]) -> int | None:
 def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
     """The generators mod p, (k, n, n) float64, zeta_m sent to an m-th root."""
     m = gens[0].m
-    primes = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    primes = _factorize(m)
     root = next(
         r
         for r in (pow(a, (p - 1) // m, p) for a in range(2, p))

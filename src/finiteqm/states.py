@@ -7,6 +7,10 @@ frozen pre-step set are all rational, closes the kept set under the
 Clifford action, and then re-checks pairwise rationality of the union.
 The re-check is an assertion, not a repair: a violation raises.
 
+Every orbit, of the seed, of a closed set or of a step's kept states,
+comes from one search, `clifford_orbits`: a single breadth-first search
+from all seeds at once, split into orbits by a union-find.
+
 Superpositions are taken between unit representatives, with equal weight
 and a scalar-subgroup relative phase.  Two refinements pin down which
 emissions count as formed candidates, both validated against the known
@@ -57,6 +61,7 @@ __all__ = [
     "StateSet",
     "StepReport",
     "clifford_orbit",
+    "clifford_orbits",
     "generate_states",
     "interference_candidates",
     "orbit_decompose",
@@ -185,23 +190,52 @@ def center_phases(n: int) -> list[Cyclotomic]:
     return phases
 
 
-def clifford_orbit(start: Ray, n: int) -> list[Ray]:
-    """All rays reachable from start under X, F, S, sorted canonically.
+def clifford_orbits(seeds, n: int) -> list[list[Ray]]:
+    """The orbits under X, F, S that meet the seeds, each sorted canonically.
 
-    Breadth-first: each generator maps the whole frontier in one batch.
+    One breadth-first search runs from all distinct seeds at once, and each
+    generator maps the whole frontier in one batch.  For a finite group the
+    orbit of a ray is what the generators reach from it, so a union-find
+    over the edges ray -> g.ray groups the reached rays into orbits.  The
+    orbits are sorted by their first ray, which is their smallest key.
     """
     gens = list(clifford_generators(n).values())
-    seen = {start}
-    frontier = [start]
+    index: dict[Ray, int] = {}
+    for ray in seeds:
+        index.setdefault(ray, len(index))
+    parent = list(range(len(index)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    frontier = list(index)
     while frontier:
         nxt = []
         for g in gens:
-            for img in apply_all(g, frontier):
-                if img not in seen:
-                    seen.add(img)
+            for ray, img in zip(frontier, apply_all(g, frontier)):
+                a = root(index[ray])
+                b = index.get(img)
+                if b is None:
+                    index[img] = len(parent)
+                    parent.append(a)
                     nxt.append(img)
+                else:
+                    parent[root(b)] = a
         frontier = nxt
-    return sorted(seen, key=Ray.key)
+    orbits: dict[int, list[Ray]] = {}
+    for ray, i in index.items():
+        orbits.setdefault(root(i), []).append(ray)
+    return sorted(
+        (sorted(orbit, key=Ray.key) for orbit in orbits.values()),
+        key=lambda orbit: orbit[0].key(),
+    )
+
+
+def clifford_orbit(start: Ray, n: int) -> list[Ray]:
+    """All rays reachable from start under X, F, S, sorted canonically."""
+    return clifford_orbits([start], n)[0]
 
 
 def seed_orbit(n: int) -> list[Ray]:
@@ -304,21 +338,14 @@ def orbit_decompose(rays, n: int) -> list[list[Ray]]:
 
     Raises ValueError when the set is not closed (an orbit escapes it).
     """
-    remaining = set(rays)
-    universe = set(remaining)
-    orbits = []
-    for ray in sorted(universe, key=Ray.key):
-        if ray not in remaining:
-            continue
-        orbit = clifford_orbit(ray, n)
-        escape = [r for r in orbit if r not in universe]
-        if escape:
+    universe = set(rays)
+    orbits = clifford_orbits(universe, n)
+    for orbit in orbits:
+        if not universe.issuperset(orbit):
+            ray = next(r for r in orbit if r in universe)
             raise ValueError(
                 f"set is not Clifford-closed: orbit of {ray.key()} leaves it"
             )
-        for r in orbit:
-            remaining.discard(r)
-        orbits.append(orbit)
     return orbits
 
 
@@ -394,32 +421,19 @@ def generate_states(
         step = start_step + k
         candidates, raw, deduped, skipped = interference_candidates(ss, rng=rng)
         kept, rejected = rationality_filter(candidates, ss)
-        # close the kept set under the Clifford action
-        new_states: set[Ray] = set()
-        new_orbits: list[list[Ray]] = []
-        pending = set(kept)
-        for ray in sorted(pending, key=Ray.key):
-            if ray in new_states:
-                continue
-            orbit = clifford_orbit(ray, n)
-            orbit_new = [r for r in orbit if r not in ss.states]
-            if len(orbit_new) != len(orbit):
-                # an orbit that meets the old set would have to be inside it
-                raise IntegrityError(
-                    "orbit of a kept candidate intersects the existing set "
-                    "without being contained in it"
-                )
-            fresh = [r for r in orbit_new if r not in new_states]
-            if len(fresh) != len(orbit_new):
-                raise AssertionError("orbits must not overlap")
-            new_states.update(orbit_new)
-            new_orbits.append(orbit)
+        new_orbits = clifford_orbits(kept, n)
+        new_states = [r for orbit in new_orbits for r in orbit]
+        if any(r in ss.states for r in new_states):
+            # an orbit that meets the old set would have to be inside it
+            raise IntegrityError(
+                "orbit of a kept candidate intersects the existing set "
+                "without being contained in it"
+            )
         _assert_pairwise_rational(
             sorted(new_states, key=Ray.key), ss.sorted_states(), f"step {step}"
         )
-        for orbit in new_orbits:
-            for r in orbit:
-                ss.states[r] = step
+        for r in new_states:
+            ss.states[r] = step
         ss.orbits.extend(new_orbits)
         ss.reports.append(
             StepReport(

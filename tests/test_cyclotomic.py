@@ -12,6 +12,7 @@ from hypothesis import given
 from conftest import cyclotomics, embed, nonzero_cyclotomics, rationals
 from finiteqm.cyclotomic import (
     Cyclotomic,
+    _factorize,
     FieldMismatchError,
     SqrtConstructionError,
     canonical_dumps,
@@ -22,6 +23,7 @@ from finiteqm.cyclotomic import (
     sqrt_rational,
     zeta,
 )
+from finiteqm.galois import is_prime
 
 M = 24  # shared working conductor for the property tests
 UNITS = [k for k in range(M) if math.gcd(k, M) == 1]
@@ -50,6 +52,13 @@ class TestReduction:
 
     def test_euler_phi(self):
         assert [euler_phi(m) for m in (1, 2, 8, 12, 24, 120)] == [1, 1, 4, 4, 8, 32]
+
+    @given(st.integers(1, 10**4))
+    def test_factorize(self, n):
+        factors = _factorize(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert all(is_prime(p) and e >= 1 for p, e in factors.items())
+        assert list(factors) == sorted(factors)
 
     @given(cyclotomics(M))
     def test_make_is_idempotent_on_canonical_coeffs(self, z):

@@ -33,6 +33,7 @@ from finiteqm.states import (
     StateSet,
     _assert_pairwise_rational,
     clifford_orbit,
+    clifford_orbits,
     generate_states,
     interference_candidates,
     rationality_filter,
@@ -189,19 +190,33 @@ class TestArrayRay:
 
     def test_orbit_equals_entrywise_bfs_in_dim3(self):
         gens = list(clifford_generators(3).values())
+
+        def reference_orbit(start):
+            seen = {start}
+            frontier = [start]
+            while frontier:
+                nxt = []
+                for amps in frontier:
+                    for g in gens:
+                        img = reference_image(g, amps)
+                        if img not in seen:
+                            seen.add(img)
+                            nxt.append(img)
+                frontier = nxt
+            return seen
+
         start = ontic_ray(3, 0, conductor_for(3))
-        seen = {start.amps}
-        frontier = [start.amps]
-        while frontier:
-            nxt = []
-            for amps in frontier:
-                for g in gens:
-                    img = reference_image(g, amps)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        assert {r.amps for r in clifford_orbit(start, 3)} == seen
+        assert {r.amps for r in clifford_orbit(start, 3)} == reference_orbit(start.amps)
+        # the kept candidates of step 1: one search for all of them
+        ss = generate_states(3, 0)
+        kept, _ = rationality_filter(interference_candidates(ss)[0], ss)
+        want = []
+        for ray in kept:
+            if not any(ray.amps in orbit for orbit in want):
+                want.append(reference_orbit(ray.amps))
+        got = [frozenset(r.amps for r in orbit) for orbit in clifford_orbits(kept, 3)]
+        assert sorted(map(len, want)) == [9, 36, 108]
+        assert len(got) == len(want) and set(got) == set(map(frozenset, want))
 
     def test_key_and_json_match_the_cyclotomic_view(self):
         big = Cyclotomic(M2, [(1 << 70) + 1, 3, 0, 0, 0, 0, 0, 1], 7)

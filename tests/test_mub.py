@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finiteqm.cyclotomic import conductor_for
+from finiteqm.cyclotomic import Cyclotomic, conductor_for, sqrt_embed
 from finiteqm.mub import (
     BasisSet,
     MubExtractionError,
@@ -110,6 +110,29 @@ class TestExtraction:
     def test_empty_input(self):
         with pytest.raises(MubExtractionError):
             extract_mubs_from_orbit([])
+
+    def test_biased_partition_fails_with_one_probability_matrix(self, monkeypatch):
+        import finiteqm.mub as mub
+        from finiteqm.rays import probabilities
+
+        calls = []
+
+        def counting(rows, cols):
+            calls.append(1)
+            return probabilities(rows, cols)
+
+        monkeypatch.setattr(mub, "probabilities", counting)
+        m = conductor_for(2)
+        one, root3 = Cyclotomic.one(m), sqrt_embed(3, m)
+        rays = ontic_basis(2) + [Ray([one, root3]), Ray([root3, -one])]
+        with pytest.raises(MubExtractionError) as exc:
+            extract_mubs_from_orbit(rays)
+        assert str(exc.value).startswith(
+            "partition found but unbiasedness fails: "
+            "bases 0,1: rays 0,0 have P=1/4, want 1/2; "
+        )
+        assert len(exc.value.bases) == 2
+        assert len(calls) == 1
 
 
 class TestSerialization:

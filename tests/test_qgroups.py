@@ -712,6 +712,15 @@ class TestResidueMembership:
         assert np.array_equal(_residues([cx], 73), _residues([x], 73))
         assert table.contains(x) and not table.contains(cx)
 
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_zero_matrix_is_absent(self, projective, exact_closure):
+        zero = UMatrix.identity(2, 24).scale(Cyclotomic.zero(24))
+        counted = clifford_group(2, projective=projective)
+        exact = exact_closure(clifford_group, 2, projective=projective)
+        assert counted.prime == 73 and exact.prime is None
+        assert not counted.contains(zero)
+        assert not exact.contains(zero)
+
     def test_denominator_divisible_by_p_is_absent(self):
         table = clifford_group(2)
         _, x, _ = wh_generators(2)

@@ -8,8 +8,10 @@ from finiteqm.cyclotomic import Cyclotomic, conductor_for, zeta
 from finiteqm.qgroups import clifford_group
 from finiteqm.rays import Ray, ontic_ray, transition_probability
 from finiteqm.states import (
+    IntegrityError,
     StateSet,
     clifford_orbit,
+    clifford_orbits,
     generate_states,
     interference_candidates,
     orbit_decompose,
@@ -189,6 +191,42 @@ class TestOrbitDecompose:
         new = [r for r, g in ss.states.items() if g == 1]
         orbits = orbit_decompose(new, 3)
         assert sorted(len(o) for o in orbits) == [9, 36, 108]
+
+
+class TestCliffordOrbits:
+    def test_seeds_in_one_orbit_give_one_orbit(self):
+        orbit = seed_orbit(2)
+        assert clifford_orbits([orbit[0], orbit[3], orbit[0]], 2) == [orbit]
+
+    def test_seeds_in_different_orbits_give_one_orbit_each(self):
+        ss = generate_states(2, 2)
+        seeds = [min(o, key=Ray.key) for o in ss.orbits]
+        assert len(seeds) == 18
+        want = sorted((clifford_orbit(r, 2) for r in seeds), key=lambda o: o[0].key())
+        assert clifford_orbits(seeds, 2) == want
+        assert sorted(len(o) for o in want) == [6] + [24] * 17
+
+    def test_shuffled_seeds_give_the_same_orbits(self):
+        ss = generate_states(3, 1)
+        seeds = [r for r, g in ss.states.items() if g == 1]
+        orbits = clifford_orbits(seeds, 3)
+        assert sorted(len(o) for o in orbits) == [9, 36, 108]
+        for k in range(3):
+            random.Random(k).shuffle(seeds)
+            assert clifford_orbits(seeds, 3) == orbits
+
+    def test_no_seeds_give_no_orbits(self):
+        assert clifford_orbits([], 2) == []
+
+    def test_kept_ray_of_the_existing_set_raises(self, monkeypatch):
+        import finiteqm.states as states
+
+        def keep_an_old_state(candidates, ss):
+            return ss.sorted_states()[:1], []
+
+        monkeypatch.setattr(states, "rationality_filter", keep_an_old_state)
+        with pytest.raises(IntegrityError, match="intersects the existing set"):
+            generate_states(2, 1)
 
 
 class TestSerialization:
