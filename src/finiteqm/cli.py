@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: group, cqs, mub, crt, verify, bloch-export, galois.  Every
+Subcommands: group, census, cqs, mub, crt, verify, bloch-export, galois.  Every
 command writes canonical JSON to stdout (byte-stable: sorted keys, sets
 ordered by serialized key, no timings) or a human summary with
 --format summary; timings and progress go to stderr.  The exit code is 0
@@ -27,6 +27,7 @@ from .decomposition import (
 from .galois import gf_build, gf_trace_int
 from .mub import MubExtractionError, extract_mubs_from_orbit, mub_complete_set, verify_mub
 from .qgroups import (
+    center_of,
     check_weyl_relation,
     clifford_group,
     displacement,
@@ -126,6 +127,48 @@ def cmd_group(args) -> int:
     if not _order_fits(which, args.dim, table.order):
         result["failures"].append({"check": "closed-form order", "actual": table.order})
     return _emit(result, args)
+
+
+# -- census ---------------------------------------------------------------------
+
+
+def cmd_census(args) -> int:
+    """Orders of WH, CL and PCL and the scalar subgroup of CL, per dimension.
+
+    Each order is checked against its closed form (``_order_fits``), and
+    the scalar subgroup, read from the residue table of CL, must have
+    |CL| / |PCL| elements.
+    """
+    closure = {"max_size": args.max_closure}
+    rows = []
+    failures = []
+    for n in args.dims:
+        t0 = time.time()
+        cl_table = clifford_group(n, **closure)
+        orders = {
+            "wh": wh_group(n, **closure).order,
+            "clifford": cl_table.order,
+            "projective": clifford_group(n, projective=True, **closure).order,
+        }
+        scalars = len(center_of(cl_table))
+        print(f"dim {n} in {time.time() - t0:.2f}s", file=sys.stderr)
+        rows.append({"dim": n, "scalars": scalars, **orders})
+        quotient = orders["clifford"] // orders["projective"]
+        if scalars != quotient:
+            failures.append(
+                {
+                    "check": "scalar subgroup",
+                    "dim": n,
+                    "expected": quotient,
+                    "actual": scalars,
+                }
+            )
+        failures.extend(
+            {"check": f"closed-form order {which}", "dim": n, "actual": order}
+            for which, order in orders.items()
+            if not _order_fits(which, n, order)
+        )
+    return _emit({"rows": rows, "failures": failures}, args)
 
 
 # -- cqs ----------------------------------------------------------------------
@@ -418,6 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["wh", "clifford", "projective"], required=True)
     p.add_argument("--elements", action="store_true", help="include element bodies")
     p.set_defaults(func=cmd_group)
+
+    p = sub.add_parser("census", help="group orders checked against closed forms")
+    common(p, dim=False)
+    closure_flags(p)
+    p.add_argument("--dims", type=_dimension, nargs="+", default=[2, 3, 4, 5, 6])
+    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("cqs", help="generate the rational-probability state set")
     common(p)

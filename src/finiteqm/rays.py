@@ -24,6 +24,15 @@ against ``_multiplier`` outputs, with its one float64 exactness check.
   In the power basis a pair is rational exactly when coefficients
   1..phi(m)-1 vanish.  Tiles are sized by a fixed budget of multiplier
   entries, so memory does not grow with the number of pairs.
+* The probability is symmetric in a and b.  When the column set is the
+  row set itself (the same object), a tile whose rows start at i0 keeps
+  only its columns j >= i0, trimmed inside the column block, and the
+  results mirror the upper triangle.  That forms about half the pairs of
+  the square: ``verify_requirements``, ``verify_mub`` and the orbit MUB
+  extraction pass one list twice.
+* ``_norm_sq`` gives |x|^2 for a batch of numerator arrays: the conjugate
+  against the multiplier stack.  It serves the Gram weights and the
+  commensurability test of the generation step.
 
 The scalar functions ``inner``, ``transition_probability`` and
 ``prob_rational`` work on ``Ray.amps`` in ``Cyclotomic`` arithmetic and
@@ -265,6 +274,16 @@ def apply(mat: UMatrix, ray: Ray) -> Ray:
 # -- Gram kernel -------------------------------------------------------------------
 
 
+def _norm_sq(nums: np.ndarray, ctx) -> np.ndarray:
+    """Coefficients (b, d) of sum_i conj(x_i) x_i for each array of a batch
+    (b, n, d): the conjugate of the flat array against its multiplier stack.
+    """
+    b, n, d = nums.shape
+    conj = _exact_matmul(nums, ctx.conj_np).reshape(b, 1, n * d)
+    mults = _multiplier(nums, ctx).reshape(b, n * d, d)
+    return _exact_matmul(conj, mults)[:, 0]
+
+
 def _fill_weights(rays, ctx):
     """Cache w = 1 / |num|^2 on each ray as (multiplier or None, Fraction).
 
@@ -280,10 +299,8 @@ def _fill_weights(rays, ctx):
     cache: dict[tuple, tuple] = {}
     for lo in range(0, len(todo), step):
         chunk = todo[lo : lo + step]
-        nums = np.stack([ray.num for ray in chunk])
-        conj = _exact_matmul(nums, ctx.conj_np).reshape(len(chunk), 1, n * d)
-        mults = _multiplier(nums, ctx).reshape(len(chunk), n * d, d)
-        for ray, row in zip(chunk, _exact_matmul(conj, mults)[:, 0].tolist()):
+        rows = _norm_sq(np.stack([ray.num for ray in chunk]), ctx).tolist()
+        for ray, row in zip(chunk, rows):
             key = tuple(row)
             weight = cache.get(key)
             if weight is None:
@@ -323,16 +340,21 @@ def _gram_tiles(rows, cols):
     weights of a = rows[i0 + i] and b = cols[j0 + j], all on numerators;
     the probability is prod[i, j, 0] times the weights' Fractions when
     coefficients 1.. vanish, and irrational otherwise.
+
+    When cols is rows the pairs are symmetric, and a tile whose rows start
+    at i0 keeps only its columns j >= i0.  Every pair with j >= i is then
+    yielded once, and the pairs below the diagonal mostly are not.
     """
     if not rows or not cols:
         return
+    symmetric = cols is rows
     n, m = rows[0].dim, rows[0].m
-    for ray in rows + cols:
+    for ray in rows if symmetric else rows + cols:
         if ray.dim != n or ray.m != m:
             raise FieldMismatchError("rays of different dimension or conductor")
     ctx = _context(m)
     d = ctx.degree
-    _fill_weights(rows + cols, ctx)
+    _fill_weights(rows if symmetric else rows + cols, ctx)
     conj_rows = _exact_matmul(np.stack([r.num for r in rows]), ctx.conj_np)
     conj_rows = conj_rows.reshape(len(rows), n * d)
     col_nums = np.stack([c.num for c in cols])
@@ -343,37 +365,57 @@ def _gram_tiles(rows, cols):
         # right[(i, a), (j, e)] is entry [a, e] of the multiplier of b_j[i]
         right = _multiplier(block, ctx).transpose(1, 2, 0, 3).reshape(n * d, c * d)
         row_block = max(1, _GRAM_BUDGET // (c * d * d))
-        for i0 in range(0, len(rows), row_block):
-            ip = _exact_matmul(conj_rows[i0 : i0 + row_block], right).reshape(-1, d)
+        row_end = min(len(rows), j0 + c) if symmetric else len(rows)
+        for i0 in range(0, row_end, row_block):
+            lo = max(0, i0 - j0) if symmetric else 0
+            ip = _exact_matmul(conj_rows[i0 : i0 + row_block], right[:, lo * d :])
+            ip = ip.reshape(-1, d)
             conj_ip = _exact_matmul(ip, ctx.conj_np)
             prod = _exact_matmul(ip[:, None, :], _multiplier(conj_ip, ctx))
-            prod = prod.reshape(-1, c, d)
+            prod = prod.reshape(-1, c - lo, d)
             prod = _fold_weights(prod, rows[i0 : i0 + row_block], 0)
-            prod = _fold_weights(prod, cols[j0 : j0 + c], 1)
-            yield i0, j0, prod
+            prod = _fold_weights(prod, cols[j0 + lo : j0 + c], 1)
+            yield i0, j0 + lo, prod
 
 
 def rational_pairs(rows, cols) -> np.ndarray:
     """Boolean matrix: entry (i, j) tells whether prob_rational(rows[i],
     cols[j]) is a Fraction, computed by the Gram kernel.
+
+    Passing the same object as rows and cols computes the upper triangle
+    only and mirrors it.
     """
-    rows, cols = list(rows), list(cols)
+    symmetric = cols is rows
+    rows = list(rows)
+    cols = rows if symmetric else list(cols)
     mask = np.ones((len(rows), len(cols)), dtype=bool)
     for i0, j0, prod in _gram_tiles(rows, cols):
         r, c = prod.shape[:2]
-        mask[i0 : i0 + r, j0 : j0 + c] = ~(prod[..., 1:] != 0).any(axis=2)
+        tile = ~(prod[..., 1:] != 0).any(axis=2)
+        mask[i0 : i0 + r, j0 : j0 + c] = tile
+        if symmetric:
+            # every tile entry is a correct verdict, so its mirror is too
+            mask[j0 : j0 + c, i0 : i0 + r] = tile.T
     return mask
 
 
 def probabilities(rows, cols) -> list[list[Fraction | None]]:
     """prob_rational(a, b) for every a in rows and b in cols, as a nested
     list, computed by the Gram kernel.
+
+    Passing the same object as rows and cols computes the upper triangle
+    only and mirrors it.
     """
-    rows, cols = list(rows), list(cols)
+    symmetric = cols is rows
+    rows = list(rows)
+    cols = rows if symmetric else list(cols)
     out: list[list[Fraction | None]] = [[None] * len(cols) for _ in rows]
     for i0, j0, prod in _gram_tiles(rows, cols):
         lead = prod[..., 0].tolist()
         for i, j in zip(*np.nonzero(~(prod[..., 1:] != 0).any(axis=2))):
             a, b = rows[i0 + i], cols[j0 + j]
-            out[i0 + i][j0 + j] = lead[i][j] * a._weight[1] * b._weight[1]
+            p = lead[i][j] * a._weight[1] * b._weight[1]
+            out[i0 + i][j0 + j] = p
+            if symmetric:
+                out[j0 + j][i0 + i] = p
     return out

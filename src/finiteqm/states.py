@@ -11,6 +11,22 @@ Every orbit, of the seed, of a closed set or of a step's kept states,
 comes from one search, `clifford_orbits`: a single breadth-first search
 from all seeds at once, split into orbits by a union-find.
 
+The re-check needs one representative per new orbit.  Each generator
+X, F, S is a scalar times a unitary, so the transition probability
+P(a, b) = |<a|b>|^2 / (|a|^2 |b|^2) satisfies P(g a, g b) = P(a, b).  The
+union is closed under the generators, and the group is finite, so it is
+closed under their inverses too; hence P(g r, b) = P(r, g^-1 b) with
+g^-1 b in the union, and checking each representative r against the
+whole union checks every pair with a new state.  A fresh run is closed
+by construction; a resumed set is checked for closure once.  On a
+failure the literal pair-by-pair check runs, so the error names the same
+pair as before.  `verify_requirements` stays the literal all-pairs check.
+
+A step runs on coefficient arrays: the candidates of a whole group of
+pairs and all phases come from one exact kernel product per chunk (see
+`interference_candidates`), the filter and the re-check are Gram kernel
+calls, and the orbit closure maps whole frontiers.
+
 Superpositions are taken between unit representatives, with equal weight
 and a scalar-subgroup relative phase.  Two refinements pin down which
 emissions count as formed candidates, both validated against the known
@@ -32,6 +48,7 @@ assumed; callers that expect specific counts must check the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,18 +58,28 @@ import numpy as np
 from .cyclotomic import (
     Cyclotomic,
     SqrtConstructionError,
+    _context,
     canonical_dumps,
     conductor_for,
     sqrt_rational,
 )
-from .qgroups import center_of, clifford_generators, clifford_group
+from .qgroups import (
+    _exact_matmul,
+    _int_array,
+    _multiplier,
+    center_of,
+    clifford_generators,
+    clifford_group,
+)
 from .rays import (
+    _GRAM_BUDGET,
     Ray,
+    _canonical_rays,
+    _norm_sq,
     apply_all,
-    inner,
     ontic_ray,
+    probabilities,
     rational_pairs,
-    rays_of,
     transition_probability,
 )
 
@@ -243,14 +270,31 @@ def seed_orbit(n: int) -> list[Ray]:
     return clifford_orbit(ontic_ray(n, 0, conductor_for(n)), n)
 
 
-def _rational_norm(ray: Ray) -> Fraction:
-    r = ray.norm_sq().rational()
-    if r is None:
-        raise IntegrityError(
-            "state has irrational squared norm; cannot form unit superpositions: "
-            + ray.key()
-        )
-    return r
+def _rational_norms(states, ctx) -> list[Fraction]:
+    """|ray|^2 of each state, which must be rational, from one batch."""
+    rows = _norm_sq(np.stack([ray.num for ray in states]), ctx)
+    out = []
+    for ray, row in zip(states, rows.tolist()):
+        if any(row[1:]):
+            raise IntegrityError(
+                "state has irrational squared norm; cannot form unit "
+                "superpositions: " + ray.key()
+            )
+        out.append(Fraction(row[0], ray.den * ray.den))
+    return out
+
+
+def _emission_operator(phases, r: Cyclotomic, ctx) -> np.ndarray:
+    """Right operator (2d, P d): a row [x | y] maps to the coefficients of
+    den * x + num * y for each phase, where phase * r = num / den.
+    """
+    coeffs = []
+    for phi in phases:
+        s = phi * r
+        coeffs.append(([s.den] + [0] * (ctx.degree - 1), list(s.num)))
+    mults = _multiplier(_int_array(coeffs), ctx)  # (P, 2, d, d)
+    d = ctx.degree
+    return mults.transpose(1, 2, 0, 3).reshape(2 * d, len(phases) * d)
 
 
 def interference_candidates(stateset: StateSet, rng=None):
@@ -267,50 +311,73 @@ def interference_candidates(stateset: StateSet, rng=None):
     kept.  Returns (candidates, raw_count, deduped_count, skipped_pairs);
     raw counts every (pair, phase) emission before the commensurability
     cut and deduplication.
+
+    The emissions are formed on arrays.  Every state is brought to one
+    common denominator L, so a = A / L and b = B / L.  The pairs are
+    grouped by r = sqrt(|a|^2 / |b|^2), and within a group the emission
+    a + phi r b for phase phi r = S / e is L e times e A + S B.  That is
+    the row [A | B] of each amplitude against the stacked multipliers of
+    e and S, one kernel product for every pair and phase of a chunk.  Its
+    squared norm is one more batch, and canonicalization cancels the
+    factor L e.
     """
     states = stateset.sorted_states()
     phases = list(center_phases(stateset.dim))
     if rng is not None:
         rng.shuffle(states)
         rng.shuffle(phases)
-    existing = set(stateset.states)
-    norms = {ray: _rational_norm(ray) for ray in states}
-    ratio_cache: dict[Fraction, Cyclotomic | None] = {}
     m = stateset.conductor
+    ctx = _context(m)
+    n, d = stateset.dim, ctx.degree
+    pairs = np.triu_indices(len(states), 1)
+    if n == 2:
+        probs = probabilities(states, states)
+        proper = np.array([[p != 0 for p in row] for row in probs], dtype=bool)
+        pairs = tuple(ix[proper[pairs]] for ix in pairs)
+    # norm classes of the states, then one ratio group per pair of classes
+    norms = _rational_norms(states, ctx)
+    classes: dict[Fraction, int] = {}
+    cls = np.array([classes.setdefault(x, len(classes)) for x in norms])
+    ratios: dict[Fraction, int] = {}
+    group_of = np.array(
+        [[ratios.setdefault(x / y, len(ratios)) for y in classes] for x in classes]
+    )
+    group = group_of[cls[pairs[0]], cls[pairs[1]]]
+    den = 1
+    for ray in states:
+        den = math.lcm(den, ray.den)
+    scale = _int_array([den // ray.den for ray in states]).reshape(-1, 1, 1)
+    flat = np.stack([ray.num for ray in states]).reshape(len(states), 1, n * d)
+    nums = _exact_matmul(scale, flat).reshape(len(states), n, d)
+    chunk = max(1, _GRAM_BUDGET // (len(phases) * n * d * d))
     raw = 0
     skipped = 0
-    emissions = []
-    for i, a in enumerate(states):
-        for b in states[i + 1 :]:
-            if stateset.dim == 2 and inner(a, b).is_zero():
-                continue
-            ratio = norms[a] / norms[b]
-            if ratio in ratio_cache:
-                r = ratio_cache[ratio]
-            else:
-                try:
-                    r = sqrt_rational(ratio, m)
-                except SqrtConstructionError:
-                    r = None
-                ratio_cache[ratio] = r
-            if r is None:
-                skipped += 1
-                continue
-            rb = [amp if amp.is_zero() else amp * r for amp in b.amps]
-            for phi in phases:
-                raw += 1
-                amps = [
-                    x + (phi * y if not y.is_zero() else y)
-                    for x, y in zip(a.amps, rb)
-                ]
-                norm_sq = Cyclotomic.zero(m)
-                for v in amps:
-                    if not v.is_zero():
-                        norm_sq = norm_sq + v.conj() * v
-                if norm_sq.is_zero() or norm_sq.rational() is None:
-                    continue
-                emissions.append(amps)
-    found = set(rays_of(emissions)) - existing
+    kept = []
+    for ratio, g in ratios.items():
+        members = np.flatnonzero(group == g)
+        if not len(members):
+            continue
+        try:
+            r = sqrt_rational(ratio, m)
+        except SqrtConstructionError:
+            skipped += len(members)
+            continue
+        raw += len(members) * len(phases)
+        op = _emission_operator(phases, r, ctx)
+        for lo in range(0, len(members), chunk):
+            sel = members[lo : lo + chunk]
+            rows = np.concatenate(
+                (nums[pairs[0][sel]], nums[pairs[1][sel]]), axis=2
+            ).reshape(len(sel) * n, 2 * d)
+            emit = _exact_matmul(rows, op).reshape(len(sel), n, len(phases), d)
+            emit = emit.transpose(0, 2, 1, 3).reshape(-1, n, d)
+            norm = _norm_sq(emit, ctx)
+            ok = ~(norm[:, 1:] != 0).any(axis=1) & (norm[:, 0] != 0)
+            if ok.any():
+                kept.append(emit[ok])
+    found = set()
+    if kept:
+        found = set(_canonical_rays(np.concatenate(kept), m)) - set(stateset.states)
     return sorted(found, key=Ray.key), raw, len(found), skipped
 
 
@@ -373,6 +440,48 @@ def _assert_pairwise_rational(new_states, old_states, context: str):
     )
 
 
+def _assert_orbits_rational(new_orbits, old_states, context: str):
+    """Check every pair that involves a new state through one representative
+    per new orbit, and raise as ``_assert_pairwise_rational`` does.
+
+    The argument: each generator X, F, S is a scalar times a unitary, so
+    P(g a, g b) = P(a, b) for the transition probability
+    P(a, b) = |<a|b>|^2 / (|a|^2 |b|^2).  The union U of the new orbits
+    and the old states is closed under the generators (the old set is
+    closed by construction, or checked once when resumed), and the group
+    they generate is finite, so U is also closed under their inverses.
+    A new state is g r for the representative r of its orbit and some g,
+    so for every b in U, P(g r, b) = P(r, g^-1 b) with g^-1 b in U.
+    Checking each representative against all of U therefore checks every
+    pair the literal lower triangle checks.  On a failure the literal
+    check runs, so the pair it names and its message are the literal ones.
+    """
+    new = sorted((ray for orbit in new_orbits for ray in orbit), key=Ray.key)
+    old = list(old_states)
+    reps = [orbit[0] for orbit in new_orbits]
+    if rational_pairs(reps, new + old).all():
+        return
+    _assert_pairwise_rational(new, old, context)
+    # a failing representative pair is one of the pairs checked literally
+    raise AssertionError(f"{context}: representative and literal checks disagree")
+
+
+def _assert_closed(ss: StateSet):
+    """Raise unless the states are closed under X, F and S, naming the
+    first state, in sorted order, with an image outside the set.
+    """
+    states = ss.sorted_states()
+    leaves = np.zeros(len(states), dtype=bool)
+    for g in clifford_generators(ss.dim).values():
+        leaves |= [img not in ss.states for img in apply_all(g, states)]
+    if leaves.any():
+        ray = states[int(np.argmax(leaves))]
+        raise IntegrityError(
+            f"initial state set is not Clifford-closed: an image of {ray.key()} "
+            "leaves it"
+        )
+
+
 def generate_states(
     n: int,
     steps: int,
@@ -393,6 +502,7 @@ def generate_states(
     if initial is not None:
         if initial.dim != n or initial.conductor != m:
             raise ValueError("initial state set has wrong dimension or conductor")
+        _assert_closed(initial)
         ss = initial
         start_step = max(ss.states.values()) + 1 if ss.states else 0
     else:
@@ -404,7 +514,7 @@ def generate_states(
         for k in range(n):
             if ontic_ray(n, k, m) not in ss.states:
                 raise AssertionError("seed orbit must contain every basis state")
-        _assert_pairwise_rational(orbit0, [], "seed orbit")
+        _assert_orbits_rational([orbit0], [], "seed orbit")
         ss.reports.append(
             StepReport(
                 step=0,
@@ -429,9 +539,7 @@ def generate_states(
                 "orbit of a kept candidate intersects the existing set "
                 "without being contained in it"
             )
-        _assert_pairwise_rational(
-            sorted(new_states, key=Ray.key), ss.sorted_states(), f"step {step}"
-        )
+        _assert_orbits_rational(new_orbits, ss.sorted_states(), f"step {step}")
         for r in new_states:
             ss.states[r] = step
         ss.orbits.extend(new_orbits)

@@ -131,6 +131,54 @@ class TestGroup:
         assert not cli._order_fits("clifford", 2, "192")
 
 
+class TestCensus:
+    def test_census_matches_closed_forms(self, capsys):
+        code, out = run(capsys, "census", "--dims", "2", "3", "4", "5", "6")
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["failures"] == []
+        assert [
+            [row["dim"], row["wh"], row["clifford"], row["scalars"], row["projective"]]
+            for row in data["rows"]
+        ] == [
+            [2, 16, 192, 8, 24],
+            [3, 27, 2592, 12, 216],
+            [4, 128, 6144, 8, 768],
+            [5, 125, 30000, 10, 3000],
+            [6, 432, 124416, 24, 5184],
+        ]
+
+    def test_timings_go_to_stderr(self, capsys):
+        code = cli.main(["census", "--dims", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert re.fullmatch(r"dim 2 in \d+\.\d\ds\n", captured.err)
+        assert "in " not in captured.out
+
+    def test_scalar_count_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "center_of", lambda table: [])
+        code, out = run(capsys, "census", "--dims", "2")
+        assert code == 1
+        data = json.loads(out)
+        assert data["failures"] == [
+            {"check": "scalar subgroup", "dim": 2, "expected": 8, "actual": 0}
+        ]
+
+    def test_flags(self):
+        args = cli.build_parser().parse_args(["census", "--max-closure", "9"])
+        assert args.max_closure == 9 and args.dims == [2, 3, 4, 5, 6]
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["census", "--dims", "1"])
+
+    def test_order_off_the_closed_forms_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_order_fits", lambda which, n, order: which != "wh")
+        code, out = run(capsys, "census", "--dims", "3")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            {"check": "closed-form order wh", "dim": 3, "actual": 27}
+        ]
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -7,6 +7,7 @@ pairwise and MUB checks.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,22 +17,33 @@ import hypothesis.strategies as st
 
 import finiteqm.rays as rays_mod
 from conftest import rays
-from finiteqm.cyclotomic import Cyclotomic, canonical_dumps, conductor_for, zeta
+from finiteqm.cyclotomic import (
+    Cyclotomic,
+    SqrtConstructionError,
+    canonical_dumps,
+    conductor_for,
+    sqrt_rational,
+    zeta,
+)
 from finiteqm.mub import BasisSet, mub_complete_set, verify_mub
 from finiteqm.qgroups import clifford_generators
 from finiteqm.rays import (
     Ray,
     apply_all,
+    inner,
     ontic_ray,
     prob_rational,
     probabilities,
     rational_pairs,
+    rays_of,
     transition_probability,
 )
 from finiteqm.states import (
     IntegrityError,
     StateSet,
+    _assert_orbits_rational,
     _assert_pairwise_rational,
+    center_phases,
     clifford_orbit,
     clifford_orbits,
     generate_states,
@@ -308,3 +320,245 @@ class TestPlantedIrrationalPair:
                             )
         assert report.violations == want
         assert any("P=None" in v for v in want)
+
+
+def scalar_candidates(stateset, rng=None):
+    """The scalar Cyclotomic loop that interference_candidates replaced."""
+    states = stateset.sorted_states()
+    phases = list(center_phases(stateset.dim))
+    if rng is not None:
+        rng.shuffle(states)
+        rng.shuffle(phases)
+    norms = {ray: ray.norm_sq().rational() for ray in states}
+    roots = {}
+    m = stateset.conductor
+    raw = skipped = 0
+    emissions = []
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            if stateset.dim == 2 and inner(a, b).is_zero():
+                continue
+            ratio = norms[a] / norms[b]
+            if ratio not in roots:
+                try:
+                    roots[ratio] = sqrt_rational(ratio, m)
+                except SqrtConstructionError:
+                    roots[ratio] = None
+            r = roots[ratio]
+            if r is None:
+                skipped += 1
+                continue
+            rb = [amp if amp.is_zero() else amp * r for amp in b.amps]
+            for phi in phases:
+                raw += 1
+                amps = [x + (phi * y if not y.is_zero() else y)
+                        for x, y in zip(a.amps, rb)]
+                norm_sq = Cyclotomic.zero(m)
+                for v in amps:
+                    if not v.is_zero():
+                        norm_sq = norm_sq + v.conj() * v
+                if norm_sq.is_zero() or norm_sq.rational() is None:
+                    continue
+                emissions.append(amps)
+    found = set(rays_of(emissions)) - set(stateset.states)
+    return sorted(found, key=Ray.key), raw, len(found), skipped
+
+
+class TestCandidateOracle:
+    """The batched candidates against the scalar loop they replaced."""
+
+    @pytest.mark.parametrize("n,step", [(2, 1), (2, 2), (3, 1), (4, 1), (5, 1)])
+    def test_batched_equals_scalar_loop(self, n, step):
+        ss = generate_states(n, step - 1)
+        got = interference_candidates(ss)
+        want = scalar_candidates(ss)
+        assert got[1:] == want[1:]
+        assert got[0] == want[0]
+
+    def test_dim2_step2_skips_pairs(self):
+        # the norm ratios 2 and 1/2 have no square root in Q(zeta_8)
+        cands, raw, deduped, skipped = interference_candidates(generate_states(2, 1))
+        assert (raw, deduped, skipped) == (2016, 388, 168)
+        assert len(cands) == deduped
+
+    def test_rng_draws_match_the_scalar_loop(self):
+        ss = generate_states(3, 0)
+        batched, scalar = random.Random(7), random.Random(7)
+        got = interference_candidates(ss, rng=batched)
+        want = scalar_candidates(ss, rng=scalar)
+        assert got == want == interference_candidates(ss)
+        assert batched.getstate() == scalar.getstate()
+
+    def test_object_coefficients_take_the_exact_path(self, monkeypatch):
+        # with the float bound forced off every product runs on Python ints
+        import finiteqm.qgroups as qgroups
+
+        ss = generate_states(2, 1)
+        want = interference_candidates(ss)
+        monkeypatch.setattr(qgroups, "_FLOAT_EXACT", 0)
+        assert interference_candidates(ss) == want
+
+
+def new_and_old(ss, step):
+    orbits = [o for o in ss.orbits if ss.states[o[0]] == step]
+    old = sorted((r for r, g in ss.states.items() if g < step), key=Ray.key)
+    return orbits, old
+
+
+def literal_verdict(new_orbits, old, context):
+    new = sorted((r for o in new_orbits for r in o), key=Ray.key)
+    try:
+        _assert_pairwise_rational(new, old, context)
+    except IntegrityError as exc:
+        return str(exc)
+    return None
+
+
+def orbit_verdict(new_orbits, old, context):
+    try:
+        _assert_orbits_rational(new_orbits, old, context)
+    except IntegrityError as exc:
+        return str(exc)
+    return None
+
+
+def planted_ray(n):
+    """(1, zeta_8, 0, ...): P against (1, 1, 0, ...) is (2 + sqrt 2) / 4."""
+    m = conductor_for(n)
+    return Ray([Cyclotomic.one(m), zeta(m, m // 8)] + [Cyclotomic.zero(m)] * (n - 2))
+
+
+class TestOrbitPairwiseCheck:
+    """One representative per orbit against the literal lower triangle."""
+
+    @pytest.mark.parametrize("n,step", [(2, 2), (3, 1)])
+    def test_routes_agree_on_generated_sets(self, n, step):
+        orbits, old = new_and_old(generate_states(n, step), step)
+        assert orbit_verdict(orbits, old, "s") is None
+        assert literal_verdict(orbits, old, "s") is None
+
+    @pytest.mark.parametrize("n,step", [(2, 2), (3, 1)])
+    def test_routes_name_the_same_planted_pair(self, n, step):
+        ss = generate_states(n, step)
+        orbits, old = new_and_old(ss, step)
+        planted = planted_ray(n)
+        orbits = orbits + clifford_orbits([planted], n)
+        new = sorted((r for o in orbits for r in o), key=Ray.key)
+        want = scalar_pairwise_message(new, old, "s")
+        assert want is not None
+        assert literal_verdict(orbits, old, "s") == want
+        assert orbit_verdict(orbits, old, "s") == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_planted_orbit_raises_the_literal_message(self, n, monkeypatch):
+        import finiteqm.states as states
+
+        planted = planted_ray(n)
+        real_filter = states.rationality_filter
+
+        def keep_a_bad_ray(candidates, ss):
+            kept, rejected = real_filter(candidates, ss)
+            return kept + [planted], rejected
+
+        monkeypatch.setattr(states, "rationality_filter", keep_a_bad_ray)
+        old = generate_states(n, 0).sorted_states()
+        ss = generate_states(n, 0)
+        kept, _ = real_filter(interference_candidates(ss)[0], ss)
+        new = sorted(
+            (r for o in clifford_orbits(kept + [planted], n) for r in o), key=Ray.key
+        )
+        want = scalar_pairwise_message(new, old, "step 1")
+        assert want is not None
+        with pytest.raises(IntegrityError) as info:
+            generate_states(n, 1)
+        assert str(info.value) == want
+
+    def test_seed_orbit_is_checked_by_its_representative(self, monkeypatch):
+        import finiteqm.states as states
+
+        calls = []
+        real = states.rational_pairs
+
+        def recording(rows, cols):
+            calls.append((len(list(rows)), len(list(cols))))
+            return real(rows, cols)
+
+        monkeypatch.setattr(states, "rational_pairs", recording)
+        ss = generate_states(3, 1)
+        # the seed orbit, the filter, then the three new orbits against all
+        assert calls == [(1, 12), (225, 12), (3, 165)]
+        assert len(ss) == 165
+
+
+class TestResumeClosure:
+    def test_set_missing_a_ray_raises(self):
+        ss = StateSet.from_json(generate_states(2, 1).to_json())
+        gone = ss.sorted_states()[7]
+        del ss.states[gone]
+        states = ss.sorted_states()
+        gens = list(clifford_generators(2).values())
+        first = next(
+            r for r in states
+            if any(apply_all(g, [r])[0] not in ss.states for g in gens)
+        )
+        with pytest.raises(IntegrityError) as info:
+            generate_states(2, 1, initial=ss)
+        assert str(info.value) == (
+            f"initial state set is not Clifford-closed: an image of {first.key()} "
+            "leaves it"
+        )
+
+    def test_closed_set_resumes(self):
+        ss = StateSet.from_json(generate_states(3, 0).to_json())
+        assert len(generate_states(3, 1, initial=ss)) == 165
+
+
+def scalar_upper_mirrored(rays):
+    """prob_rational on i <= j, mirrored: P(a, b) = P(b, a) exactly."""
+    out = [[None] * len(rays) for _ in rays]
+    for i, a in enumerate(rays):
+        for j in range(i, len(rays)):
+            out[i][j] = out[j][i] = prob_rational(a, rays[j])
+    return out
+
+
+class TestSymmetricGram:
+    """Passing one list twice forms the upper triangle and mirrors it."""
+
+    @pytest.mark.parametrize("source", ["d3s1", "d7orbit"])
+    def test_half_square_equals_full_square_and_scalar(self, source):
+        if source == "d3s1":
+            n, rays = 3, generate_states(3, 1).sorted_states()
+        else:
+            n, rays = 7, seed_orbit(7)
+            # 4-ray column blocks and 7-ray row blocks: trimming crosses blocks
+            assert rays_mod._GRAM_BUDGET // (n * 48 * 48) == 4
+        # the last row's pairs lie below the diagonal, where tiles are trimmed
+        rays = rays + [planted_ray(n)]
+        want = scalar_upper_mirrored(rays)
+        assert any(p is None for p in want[-1])
+        full = list(rays)
+        assert full is not rays
+        assert probabilities(rays, rays) == probabilities(rays, full) == want
+        mask = rational_pairs(rays, rays)
+        assert mask.tolist() == rational_pairs(rays, full).tolist()
+        assert mask.tolist() == [[p is not None for p in row] for row in want]
+
+    def test_half_square_forms_about_half_the_pairs(self, monkeypatch):
+        rays = generate_states(2, 2).sorted_states()
+        assert len(rays) == 414  # one column block
+        sizes = {}
+        real = rays_mod._gram_tiles
+
+        def counting(rows, cols):
+            total = 0
+            for tile in real(rows, cols):
+                total += tile[2].shape[0] * tile[2].shape[1]
+                yield tile
+            sizes[rows is cols] = total
+
+        monkeypatch.setattr(rays_mod, "_gram_tiles", counting)
+        assert rational_pairs(rays, rays).all()
+        assert rational_pairs(rays, list(rays)).all()
+        assert sizes[False] == 414 * 414
+        assert 414 * 415 // 2 <= sizes[True] < 414 * 415 // 2 + 414

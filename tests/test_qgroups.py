@@ -585,6 +585,12 @@ class TestOrderOnlyModP:
         assert table.prime is not None
         assert table.order == n * n * sl2_order(n)
 
+    @pytest.mark.parametrize("n,order", [(11, 159720), (12, 165888)])
+    def test_projective_order_is_appleby_past_ten(self, n, order):
+        table = clifford_group(n, projective=True)
+        assert table.prime is not None
+        assert table.order == n * n * sl2_order(n) == order
+
     def test_dim6_order_only(self):
         table = clifford_group(6)
         assert table.prime == 73
