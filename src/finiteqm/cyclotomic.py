@@ -133,7 +133,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-conductor reduction tables, built once and shared."""
+    """Per-conductor reduction tables and inverses, built once and shared."""
 
     __slots__ = (
         "m",
@@ -141,6 +141,7 @@ class _Context:
         "phi_poly",
         "rows",
         "_galois",
+        "_inverses",
         "_lock",
         "_mult_np",
         "_conj_np",
@@ -169,6 +170,7 @@ class _Context:
             rows.append(tuple(cur))
         self.rows = tuple(rows)
         self._galois: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._inverses: dict[tuple[int, ...], Cyclotomic] = {}  # see inverse()
         self._lock = threading.Lock()
         self._mult_np = None
         self._conj_np = None
@@ -184,6 +186,13 @@ class _Context:
             rows = tuple(self.rows[j * k % self.m] for j in range(self.degree))
             self._galois[k] = rows
         return rows
+
+    def inverse(self, coeffs: tuple[int, ...]) -> "Cyclotomic":
+        """1 / a for integer coefficients a (over 1), by Cyclotomic.inv once."""
+        inv = self._inverses.get(coeffs)
+        if inv is None:
+            inv = self._inverses[coeffs] = Cyclotomic(self.m, coeffs, 1).inv()
+        return inv
 
     @property
     def mult_np(self) -> np.ndarray:

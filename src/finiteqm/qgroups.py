@@ -390,7 +390,7 @@ class UMatrix:
 
     def scalar_canonical(self) -> "UMatrix":
         """Divide by the first nonzero entry; canonical projective form."""
-        nums, dens = _scalar_canonical_batch(self.num[None], _context(self.m), {})
+        nums, dens = _scalar_canonical_batch(self.num[None], _context(self.m))
         return UMatrix(self.dim, self.m, nums[0], int(dens[0]))
 
     def trace(self) -> Cyclotomic:
@@ -559,7 +559,6 @@ class GroupTable:
         parents: np.ndarray,
         gen_idx: np.ndarray,
         prime: int | None,
-        compute=None,
     ):
         self.dim = generators[0].dim
         self.conductor = generators[0].m
@@ -571,7 +570,6 @@ class GroupTable:
         self._parents = parents
         self._gen_idx = gen_idx
         self._prime = prime
-        self._compute = compute
 
     @property
     def prime(self) -> int | None:
@@ -583,7 +581,7 @@ class GroupTable:
 
     @cached_property
     def _sorted_bodies(self):
-        compute = self._compute or _exact_products(self._generators, self.projective)
+        compute = _exact_products(self._generators, self.projective)
         start = _exact_rows(UMatrix.identity(self.dim, self.conductor).num[None], 1)
         rows, words = _bodies(
             start, compute, self._parents, self._gen_idx, self.generator_names
@@ -672,28 +670,26 @@ def center_of(table: GroupTable) -> list[Cyclotomic]:
     return out
 
 
-def _scalar_canonical_batch(nums: np.ndarray, ctx, inv_cache: dict):
+def _scalar_canonical_batch(nums: np.ndarray, ctx):
     """Divide each array of a batch (b, ..., d) by its first nonzero entry.
 
     Any denominator cancels, so only the numerators are read.  Returns the
-    quotient numerators and the denominators of the lead inverses, whose
-    multipliers inv_cache keeps by lead.
+    quotient numerators and the denominators of the lead inverses.  Each
+    distinct lead is inverted through the conductor's inverse table, and
+    their multipliers are built in one call.
     """
     b, d = nums.shape[0], nums.shape[-1]
     flat = nums.reshape(b, -1, d)
     first = np.argmax(np.any(flat != 0, axis=2), axis=1)
-    entries = flat[np.arange(b), first]
-    invs = []
-    for entry in entries:
-        key = tuple(entry.tolist()) if entry.dtype == object else entry.tobytes()
-        cached = inv_cache.get(key)
-        if cached is None:
-            inv = Cyclotomic(ctx.m, entry.tolist(), 1).inv()
-            cached = (_multiplier(_int_array(inv.num), ctx), inv.den)
-            inv_cache[key] = cached
-        invs.append(cached)
-    out = _exact_matmul(flat, np.stack([w for w, _ in invs]))
-    return out.reshape(nums.shape), _int_array([den for _, den in invs])
+    slots: dict[tuple, int] = {}
+    which = [
+        slots.setdefault(tuple(lead), len(slots))
+        for lead in flat[np.arange(b), first].tolist()
+    ]
+    invs = [ctx.inverse(lead) for lead in slots]
+    mults = _multiplier(_int_array([inv.num for inv in invs]), ctx)
+    out = _exact_matmul(flat, mults[which])
+    return out.reshape(nums.shape), _int_array([inv.den for inv in invs])[which]
 
 
 def _weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
@@ -912,11 +908,11 @@ def _mod_p_closure(gens, projective, max_size):
 def _exact_products(gens: list[UMatrix], projective: bool):
     """compute(rows, gi): canonical exact rows of a chunk's products with gens[gi].
 
-    Projectively each product is divided by its first nonzero entry.
+    Projectively each product is divided by its first nonzero entry, whose
+    inverse comes from the conductor's inverse table.
     """
     dim, ctx = gens[0].dim, _context(gens[0].m)
     d = ctx.degree
-    inv_cache: dict = {}
     if projective:
         gens = [g.scalar_canonical() for g in gens]
     right_ops = [_right_operator(g.num, ctx) for g in gens]
@@ -927,7 +923,7 @@ def _exact_products(gens: list[UMatrix], projective: bool):
         flat = rows[:, :-1].reshape(b * dim, dim * d)
         out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
         if projective:
-            out, dens = _scalar_canonical_batch(out, ctx, inv_cache)
+            out, dens = _scalar_canonical_batch(out, ctx)
         else:
             # a 1 x 1 product: the denominators multiply exactly too
             dens = _exact_matmul(rows[:, -1:], gen_dens[gi])[:, 0]
@@ -1015,7 +1011,7 @@ def group_closure(
     compute = _exact_products(gens, projective)
     start = _exact_rows(UMatrix.identity(dim, m).num[None], 1)
     seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
-    return GroupTable(gens, names, projective, seen, parents, gen_idx, None, compute)
+    return GroupTable(gens, names, projective, seen, parents, gen_idx, None)
 
 
 def wh_group(n: int, **kwargs) -> GroupTable:

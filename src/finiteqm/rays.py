@@ -11,9 +11,10 @@ against ``_multiplier`` outputs, with its one float64 exactness check.
 
 * ``apply_all`` maps a whole list of rays through one matrix as one
   product, then canonicalizes every image at once by dividing it by its
-  lead amplitude (``_scalar_canonical_batch``, with the lead inverses
-  cached), so the denominators cancel.
-* ``rational_pairs`` and ``probabilities`` run one blocked Gram kernel
+  lead amplitude (``_scalar_canonical_batch``), so the denominators
+  cancel.  Each lead, like each irrational Gram weight, is inverted once
+  per conductor (``_Context.inverse``).
+* ``first_irrational`` and ``probabilities`` run one blocked Gram kernel
   over a row set and a column set.  A transition probability is
   |<a|b>|^2 / (|a|^2 |b|^2); on the numerator arrays the denominators
   cancel and it is |<a|b>|^2 * w_a * w_b with w = 1 / |num|^2.  Per tile
@@ -66,7 +67,7 @@ __all__ = [
     "ontic_ray",
     "prob_rational",
     "probabilities",
-    "rational_pairs",
+    "first_irrational",
     "rays_of",
     "transition_probability",
 ]
@@ -80,10 +81,9 @@ def _canonical_rays(nums: np.ndarray, m: int) -> list["Ray"]:
     """Rays of a batch (b, n, d) of nonzero numerators over Q(zeta_m).
 
     Each array is divided by its lead amplitude, which cancels any scalar
-    factor and denominator, and then content-reduced.  Leads that repeat
-    within the batch are inverted once.
+    factor and denominator, and then content-reduced.
     """
-    out, dens = _content_reduce(*_scalar_canonical_batch(nums, _context(m), {}))
+    out, dens = _content_reduce(*_scalar_canonical_batch(nums, _context(m)))
     return [Ray._from_canonical(m, num.copy(), int(den)) for num, den in zip(out, dens)]
 
 
@@ -296,22 +296,15 @@ def _fill_weights(rays, ctx):
         return
     n, d = todo[0].dim, ctx.degree
     step = max(1, _GRAM_BUDGET // (n * d * d))
-    cache: dict[tuple, tuple] = {}
     for lo in range(0, len(todo), step):
         chunk = todo[lo : lo + step]
         rows = _norm_sq(np.stack([ray.num for ray in chunk]), ctx).tolist()
-        for ray, row in zip(chunk, rows):
-            key = tuple(row)
-            weight = cache.get(key)
-            if weight is None:
-                if any(row[1:]):
-                    inv = Cyclotomic(ctx.m, row, 1).inv()
-                    mult = _multiplier(_int_array(inv.num), ctx)
-                    weight = (mult, Fraction(1, inv.den))
-                else:
-                    weight = (None, Fraction(1, row[0]))
-                cache[key] = weight
-            ray._weight = weight
+        odd = [k for k, row in enumerate(rows) if any(row[1:])]
+        invs = [ctx.inverse(tuple(rows[k])) for k in odd]
+        mults = _multiplier(_int_array([inv.num for inv in invs]).reshape(-1, d), ctx)
+        weights = {k: (w, Fraction(1, inv.den)) for k, inv, w in zip(odd, invs, mults)}
+        for k, (ray, row) in enumerate(zip(chunk, rows)):
+            ray._weight = weights[k] if k in weights else (None, Fraction(1, row[0]))
 
 
 def _fold_weights(prod: np.ndarray, rays, axis: int) -> np.ndarray:
@@ -378,25 +371,27 @@ def _gram_tiles(rows, cols):
             yield i0, j0 + lo, prod
 
 
-def rational_pairs(rows, cols) -> np.ndarray:
-    """Boolean matrix: entry (i, j) tells whether prob_rational(rows[i],
-    cols[j]) is a Fraction, computed by the Gram kernel.
+def first_irrational(rows, cols) -> np.ndarray:
+    """For each a in rows, the index of the first b in cols for which
+    prob_rational(a, b) is None, or -1; computed by the Gram kernel.
 
     Passing the same object as rows and cols computes the upper triangle
-    only and mirrors it.
+    only, and each tile also updates the rows of its mirror.
     """
     symmetric = cols is rows
     rows = list(rows)
     cols = rows if symmetric else list(cols)
-    mask = np.ones((len(rows), len(cols)), dtype=bool)
+    first = np.full(len(rows), len(cols), dtype=np.int64)
     for i0, j0, prod in _gram_tiles(rows, cols):
-        r, c = prod.shape[:2]
-        tile = ~(prod[..., 1:] != 0).any(axis=2)
-        mask[i0 : i0 + r, j0 : j0 + c] = tile
-        if symmetric:
-            # every tile entry is a correct verdict, so its mirror is too
-            mask[j0 : j0 + c, i0 : i0 + r] = tile.T
-    return mask
+        bad = (prod[..., 1:] != 0).any(axis=2)
+        # every tile entry is a correct verdict, so its mirror is too
+        spans = [(i0, j0, bad), (j0, i0, bad.T)] if symmetric else [(i0, j0, bad)]
+        for r0, c0, tile in spans:
+            hit = np.where(tile.any(axis=1), c0 + tile.argmax(axis=1), len(cols))
+            part = first[r0 : r0 + len(tile)]
+            np.minimum(part, hit, out=part)
+    first[first == len(cols)] = -1
+    return first
 
 
 def probabilities(rows, cols) -> list[list[Fraction | None]]:

@@ -77,9 +77,9 @@ from .rays import (
     _canonical_rays,
     _norm_sq,
     apply_all,
+    first_irrational,
     ontic_ray,
     probabilities,
-    rational_pairs,
     transition_probability,
 )
 
@@ -392,11 +392,11 @@ def rationality_filter(candidates, stateset: StateSet):
     existing = stateset.sorted_states()
     kept: list[Ray] = []
     rejected: list[RejectedCandidate] = []
-    for cand, row in zip(candidates, rational_pairs(candidates, existing)):
-        if row.all():
+    for cand, j in zip(candidates, first_irrational(candidates, existing)):
+        if j < 0:
             kept.append(cand)
         else:
-            rejected.append(RejectedCandidate(cand, existing[int(np.argmin(row))]))
+            rejected.append(RejectedCandidate(cand, existing[j]))
     return kept, rejected
 
 
@@ -419,16 +419,18 @@ def orbit_decompose(rays, n: int) -> list[list[Ray]]:
 def _assert_pairwise_rational(new_states, old_states, context: str):
     """Raise on the first irrational pair: for each new state in order, the
     later new states first, then the old ones.
+
+    That pair is the first irrational pair of the first row of
+    ``first_irrational(new, new + old)`` that has one.  Its column j is
+    after the row i: P(a, a) = 1, and an irrational pair at an earlier new
+    column j would, since P(a, b) = P(b, a), make row j the first.
     """
     new, old = list(new_states), list(old_states)
-    mask = rational_pairs(new, new + old)
-    # row i checks only the new states after i
-    mask[:, : len(new)] |= np.tri(len(new), dtype=bool)
-    bad = np.argwhere(~mask)
-    if not len(bad):
+    first = first_irrational(new, new + old).tolist()
+    i = next((i for i, j in enumerate(first) if j >= 0), None)
+    if i is None:
         return
-    i, j = bad[0]
-    a = new[i]
+    a, j = new[i], first[i]
     if j < len(new):
         raise IntegrityError(
             f"{context}: irrational probability between new states "
@@ -459,27 +461,23 @@ def _assert_orbits_rational(new_orbits, old_states, context: str):
     new = sorted((ray for orbit in new_orbits for ray in orbit), key=Ray.key)
     old = list(old_states)
     reps = [orbit[0] for orbit in new_orbits]
-    if rational_pairs(reps, new + old).all():
+    if (first_irrational(reps, new + old) < 0).all():
         return
     _assert_pairwise_rational(new, old, context)
     # a failing representative pair is one of the pairs checked literally
     raise AssertionError(f"{context}: representative and literal checks disagree")
 
 
-def _assert_closed(ss: StateSet):
-    """Raise unless the states are closed under X, F and S, naming the
-    first state, in sorted order, with an image outside the set.
+def _first_escaping(ss: StateSet) -> Ray | None:
+    """The first state, in sorted order, with an X, F or S image outside
+    the set, or None when the set is closed under them.
     """
     states = ss.sorted_states()
-    leaves = np.zeros(len(states), dtype=bool)
+    escaping = set()
     for g in clifford_generators(ss.dim).values():
-        leaves |= [img not in ss.states for img in apply_all(g, states)]
-    if leaves.any():
-        ray = states[int(np.argmax(leaves))]
-        raise IntegrityError(
-            f"initial state set is not Clifford-closed: an image of {ray.key()} "
-            "leaves it"
-        )
+        images = apply_all(g, states)
+        escaping.update(i for i, img in enumerate(images) if img not in ss.states)
+    return states[min(escaping)] if escaping else None
 
 
 def generate_states(
@@ -502,9 +500,15 @@ def generate_states(
     if initial is not None:
         if initial.dim != n or initial.conductor != m:
             raise ValueError("initial state set has wrong dimension or conductor")
-        _assert_closed(initial)
+        if not initial.states:
+            raise ValueError("initial state set is empty")
+        if (ray := _first_escaping(initial)) is not None:
+            raise IntegrityError(
+                f"initial state set is not Clifford-closed: an image of {ray.key()} "
+                "leaves it"
+            )
         ss = initial
-        start_step = max(ss.states.values()) + 1 if ss.states else 0
+        start_step = max(ss.states.values()) + 1
     else:
         orbit0 = seed_orbit(n)
         ss = StateSet(dim=n, conductor=m)
@@ -560,16 +564,12 @@ def generate_states(
 
 def verify_requirements(ss: StateSet) -> dict:
     """Literal checks of the three defining requirements of the set."""
-    gens = list(clifford_generators(ss.dim).values())
     states = ss.sorted_states()
-    invariant = all(
-        img in ss.states for g in gens for img in apply_all(g, states)
-    )
     ontic = all(
         ontic_ray(ss.dim, k, ss.conductor) in ss.states for k in range(ss.dim)
     )
     return {
-        "clifford_invariant": invariant,
+        "clifford_invariant": _first_escaping(ss) is None,
         "contains_ontic": ontic,
-        "pairwise_rational": bool(rational_pairs(states, states).all()),
+        "pairwise_rational": bool((first_irrational(states, states) < 0).all()),
     }

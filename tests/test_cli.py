@@ -7,6 +7,8 @@ import re
 import pytest
 
 import finiteqm.cli as cli
+from finiteqm.cyclotomic import conductor_for
+from finiteqm.states import StateSet
 
 
 def run(capsys, *argv):
@@ -241,6 +243,17 @@ class TestCqs:
         )
         assert code == 0
         assert json.loads(out)["count"] == 414
+
+    def test_resume_from_empty_set(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        ss = StateSet(dim=3, conductor=conductor_for(3))
+        empty.write_text(json.dumps(ss.to_json()))
+        code, out = run(
+            capsys, "cqs", "--dim", "3", "--steps", "1", "--resume", str(empty)
+        )
+        assert code == 2
+        (failure,) = json.loads(out)["failures"]
+        assert failure["error"] == "ValueError: initial state set is empty"
 
 
 class TestMub:

@@ -33,8 +33,8 @@ from finiteqm.rays import (
     inner,
     ontic_ray,
     prob_rational,
+    first_irrational,
     probabilities,
-    rational_pairs,
     rays_of,
     transition_probability,
 )
@@ -60,11 +60,15 @@ def scalar_probabilities(rows, cols):
     return [[prob_rational(a, b) for b in cols] for a in rows]
 
 
+def scalar_first_irrational(want):
+    """Index of the first None in each row of a scalar probability table."""
+    return [next((j for j, p in enumerate(row) if p is None), -1) for row in want]
+
+
 def assert_gram_matches(rows, cols):
     want = scalar_probabilities(rows, cols)
     assert probabilities(rows, cols) == want
-    mask = rational_pairs(rows, cols)
-    assert mask.tolist() == [[p is not None for p in row] for row in want]
+    assert first_irrational(rows, cols).tolist() == scalar_first_irrational(want)
     return want
 
 
@@ -137,7 +141,7 @@ class TestGramOracle:
 
     def test_mismatched_fields_raise(self):
         with pytest.raises(ValueError):
-            rational_pairs([ontic_ray(2, 0, M2)], [ontic_ray(3, 0, conductor_for(3))])
+            first_irrational([ontic_ray(2, 0, M2)], [ontic_ray(3, 0, conductor_for(3))])
 
 
 def reference_filter(candidates, ss):
@@ -477,13 +481,13 @@ class TestOrbitPairwiseCheck:
         import finiteqm.states as states
 
         calls = []
-        real = states.rational_pairs
+        real = states.first_irrational
 
         def recording(rows, cols):
             calls.append((len(list(rows)), len(list(cols))))
             return real(rows, cols)
 
-        monkeypatch.setattr(states, "rational_pairs", recording)
+        monkeypatch.setattr(states, "first_irrational", recording)
         ss = generate_states(3, 1)
         # the seed orbit, the filter, then the three new orbits against all
         assert calls == [(1, 12), (225, 12), (3, 165)]
@@ -491,6 +495,10 @@ class TestOrbitPairwiseCheck:
 
 
 class TestResumeClosure:
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError, match="^initial state set is empty$"):
+            generate_states(2, 1, initial=StateSet(dim=2, conductor=M2))
+
     def test_set_missing_a_ray_raises(self):
         ss = StateSet.from_json(generate_states(2, 1).to_json())
         gone = ss.sorted_states()[7]
@@ -540,9 +548,11 @@ class TestSymmetricGram:
         full = list(rays)
         assert full is not rays
         assert probabilities(rays, rays) == probabilities(rays, full) == want
-        mask = rational_pairs(rays, rays)
-        assert mask.tolist() == rational_pairs(rays, full).tolist()
-        assert mask.tolist() == [[p is not None for p in row] for row in want]
+        first = first_irrational(rays, rays).tolist()
+        assert first == first_irrational(rays, full).tolist()
+        assert first == scalar_first_irrational(want)
+        # rows before the planted ray see it through mirrored tiles only
+        assert first[-1] >= 0 and first[first[-1]] == len(rays) - 1
 
     def test_half_square_forms_about_half_the_pairs(self, monkeypatch):
         rays = generate_states(2, 2).sorted_states()
@@ -558,7 +568,25 @@ class TestSymmetricGram:
             sizes[rows is cols] = total
 
         monkeypatch.setattr(rays_mod, "_gram_tiles", counting)
-        assert rational_pairs(rays, rays).all()
-        assert rational_pairs(rays, list(rays)).all()
+        assert (first_irrational(rays, rays) < 0).all()
+        assert (first_irrational(rays, list(rays)) < 0).all()
         assert sizes[False] == 414 * 414
         assert 414 * 415 // 2 <= sizes[True] < 414 * 415 // 2 + 414
+
+
+class TestInverseTable:
+    """Every batch layer inverts through one table per conductor."""
+
+    def test_canonicalizing_the_same_rays_again_inverts_nothing(self, monkeypatch):
+        seeds = seed_orbit(7)
+        orbits = clifford_orbits(seeds, 7)
+        calls = []
+        real = Cyclotomic.inv
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Cyclotomic, "inv", counting)
+        assert clifford_orbits(seeds, 7) == orbits
+        assert calls == []

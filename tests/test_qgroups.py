@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 
 from conftest import nonzero_cyclotomics
-from finiteqm.cyclotomic import Cyclotomic, conductor_for, sqrt_embed, zeta
+from finiteqm.cyclotomic import Cyclotomic, _context, conductor_for, sqrt_embed, zeta
 from finiteqm.galois import gf_build
 from finiteqm.qgroups import (
     ClosureCapError,
@@ -32,6 +32,8 @@ from finiteqm.qgroups import (
     wh_generators,
     wh_group,
     _exact_matmul,
+    _int_array,
+    _scalar_canonical_batch,
 )
 
 
@@ -288,6 +290,31 @@ class TestScalarCanonical:
         s = s_matrix(3)
         once = s.scalar_canonical()
         assert once.scalar_canonical() == once
+
+    @pytest.mark.parametrize("scale", [1, 1 << 64], ids=["int64", "object"])
+    def test_batch_divides_by_the_lead_entrywise(self, scale):
+        m, d = 24, 8
+        rng = random.Random(scale)
+
+        def entry():
+            return [rng.randint(-5, 5) * scale + rng.randint(-5, 5) for _ in range(d)]
+
+        leads = [entry() for _ in range(3)]
+        for lead in leads:
+            lead[0] = scale + 3
+        # seven arrays over three leads, some after a zero entry
+        batch = [
+            [[0] * d] * (k % 2) + [leads[k % 3]] + [entry() for _ in range(2 - k % 2)]
+            for k in range(7)
+        ]
+        nums = _int_array(batch)
+        assert nums.dtype == (np.int64 if scale == 1 else object)
+        out, dens = _scalar_canonical_batch(nums, _context(m))
+        for k, arrays in enumerate(batch):
+            lead = Cyclotomic(m, leads[k % 3], 1)
+            for i, row in enumerate(arrays):
+                got = Cyclotomic(m, out[k, i].tolist(), int(dens[k]))
+                assert got == Cyclotomic(m, row, 1) / lead
 
 
 class TestOperators:
