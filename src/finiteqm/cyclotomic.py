@@ -9,7 +9,14 @@ serialization are exact and byte-stable.
 The Galois action sigma_k: zeta -> zeta^k (gcd(k, m) = 1) sends power
 z^j to the reduced power z^(jk).  Complex conjugation is sigma_(m-1), and
 the inverse of a is the product of its other conjugates over the rational
-norm N(a) = prod_k sigma_k(a).
+norm N(a) = prod_k sigma_k(a), gathered along a chain of subgroups of
+(Z/m)^x of prime index.  That takes a few products per prime factor of
+phi(m) instead of phi(m) - 1 products (10 instead of 47 at m = 168).
+
+Each conductor's tables are built once and shared (``_Context``): the
+reduction rows, the Galois rows, the subgroup chain, the float64
+multiplication table with its bound, and the inverses of integer
+coefficient vectors, keyed by their primitive part.
 
 Square roots of integers are embedded through quadratic Gauss sums, which
 is what makes Fourier matrices with 1/sqrt(N) entries representable.
@@ -132,6 +139,29 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return poly
 
 
+def _unit_chain(m: int) -> tuple[tuple[int, int], ...]:
+    """Steps (g_i, e_i) of a subgroup chain 1 = H_0 < ... < H_r = (Z/m)^x.
+
+    H_i = H_(i-1) <g_i>, and e_i, the least e > 0 with g_i^e in H_(i-1),
+    is prime, so sum(e_i - 1) is as small as any chain allows.  Every unit
+    mod m is g_1^(j_1) ... g_r^(j_r) with 0 <= j_i < e_i in exactly one way.
+    """
+    group = {1 % m}
+    chain = []
+    for k in range(1, m):
+        if math.gcd(k, m) != 1:
+            continue
+        while k not in group:
+            e, power = 1, k
+            while power not in group:
+                power, e = power * k % m, e + 1
+            p = min(_factorize(e))
+            g = pow(k, e // p, m)
+            chain.append((g, p))
+            group = {h * pow(g, j, m) % m for h in group for j in range(p)}
+    return tuple(chain)
+
+
 class _Context:
     """Per-conductor reduction tables and inverses, built once and shared."""
 
@@ -141,9 +171,10 @@ class _Context:
         "phi_poly",
         "rows",
         "_galois",
+        "galois_chain",
         "_inverses",
         "_lock",
-        "_mult_np",
+        "_mult",
         "_conj_np",
         "_embed",
     )
@@ -170,9 +201,10 @@ class _Context:
             rows.append(tuple(cur))
         self.rows = tuple(rows)
         self._galois: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.galois_chain = _unit_chain(m)
         self._inverses: dict[tuple[int, ...], Cyclotomic] = {}  # see inverse()
         self._lock = threading.Lock()
-        self._mult_np = None
+        self._mult = None
         self._conj_np = None
         self._embed = None
 
@@ -188,26 +220,42 @@ class _Context:
         return rows
 
     def inverse(self, coeffs: tuple[int, ...]) -> "Cyclotomic":
-        """1 / a for integer coefficients a (over 1), by Cyclotomic.inv once."""
-        inv = self._inverses.get(coeffs)
+        """1 / a for integer coefficients a (over 1).
+
+        a = c * u, with c = +-gcd(a) signed so that the first nonzero
+        coefficient of u is positive.  The table holds 1 / u, computed once
+        by Cyclotomic.inv, and 1 / a = (1 / u) / c.
+        """
+        c = math.gcd(*coeffs)
+        if not c:
+            raise ZeroDivisionError("inversion of zero cyclotomic")
+        if next(v for v in coeffs if v) < 0:
+            c = -c
+        u = tuple(v // c for v in coeffs)
+        inv = self._inverses.get(u)
         if inv is None:
-            inv = self._inverses[coeffs] = Cyclotomic(self.m, coeffs, 1).inv()
-        return inv
+            inv = self._inverses[u] = Cyclotomic(self.m, u, 1).inv()
+        return inv if c == 1 else inv / c
 
     @property
-    def mult_np(self) -> np.ndarray:
-        """mult_np[a, b, :] = power-basis coefficients of z^a * z^b."""
-        if self._mult_np is None:
+    def mult(self) -> tuple[np.ndarray, int]:
+        """(table, bound) of the multiplication z^a * z^b in the power basis.
+
+        table[a, b*d + c] is coefficient c of z^(a+b), a read-only float64
+        (d, d*d) array of small integers; bound is its largest |entry|.
+        """
+        if self._mult is None:
             with self._lock:
-                if self._mult_np is None:
+                if self._mult is None:
                     d = self.degree
-                    t = np.zeros((d, d, d), dtype=np.int64)
-                    for a in range(d):
-                        for b in range(d):
-                            t[a, b, :] = self.rows[a + b]
+                    # every row z^0 .. z^(2d-2) appears in the table
+                    red = np.array(self.rows[: 2 * d - 1], dtype=np.int64)
+                    bound = max(int(np.abs(red).max()), 1)
+                    t = red.astype(np.float64)[np.add.outer(np.arange(d), np.arange(d))]
+                    t = t.reshape(d, d * d)
                     t.setflags(write=False)
-                    self._mult_np = t
-        return self._mult_np
+                    self._mult = (t, bound)
+        return self._mult
 
     @property
     def conj_np(self) -> np.ndarray:
@@ -435,23 +483,36 @@ class Cyclotomic:
     def inv(self) -> "Cyclotomic":
         """Multiplicative inverse: the other Galois conjugates over the norm.
 
-        For a not rational, a * prod(sigma_k(a) : 1 < k < m, gcd(k, m) = 1)
-        is the norm N(a), a nonzero rational, so that product over N(a) is
-        a^-1.  A rational a is inverted directly.
+        For a not rational, the cofactor prod(sigma_k(a) : k a unit mod m,
+        k != 1) times a is the norm N(a), a nonzero rational, so the
+        cofactor over N(a) is a^-1.  A rational a is inverted directly.
+
+        Both products run along the conductor's subgroup chain
+        1 = H_0 < ... < H_r = (Z/m)^x, H_i = H_(i-1) <g_i> of prime index
+        e_i.  If b = prod(sigma_h(a) : h in H), then the product over
+        H <g> is b * t with t = sigma_g(b) ... sigma_(g^(e-1))(b), because
+        the cosets g^j H (0 <= j < e) partition H <g>.  Multiplying the
+        same t's together gives the product over H <g> without sigma_1.
+        Each sigma_k is met exactly once, in sum(e_i - 1) + r - 1 products
+        instead of phi(m) - 1, and the last b is N(a).
         """
         r = self.rational()
         if r is not None:
             if r == 0:
                 raise ZeroDivisionError("inversion of zero cyclotomic")
             return Cyclotomic.from_rational(self.m, 1 / r)
-        cofactor = Cyclotomic.one(self.m)
-        for k in range(2, self.m):
-            if math.gcd(k, self.m) == 1:
-                cofactor = cofactor * self.galois(k)
-        norm = (self * cofactor).rational()
-        if not norm:
+        m = self.m
+        norm, cofactor = self, None
+        for g, e in _context(m).galois_chain:
+            t = norm.galois(g)
+            for j in range(2, e):
+                t = t * norm.galois(pow(g, j, m))
+            cofactor = t if cofactor is None else cofactor * t
+            norm = norm * t
+        n = norm.rational()
+        if not n:
             raise ArithmeticError(f"norm of {self!r} is not a nonzero rational")
-        return cofactor * (1 / norm)
+        return cofactor * (1 / n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -10,9 +10,13 @@ every partial sum stays below 2**53, and on Python integers otherwise.
 Field multiplication enters through ``_multiplier``, which turns a
 coefficient vector into its phi(m) x phi(m) multiplication matrix, so a
 matrix product, a scalar multiple, a conjugate or a tensor product is a
-single kernel call.  Results are content-reduced by one batch
-canonicalizer, the only place where coefficients are narrowed to int64; a
-coefficient that does not fit raises CoefficientOverflowError.
+single kernel call.  ``_multiplier`` applies the same bound a priori: its
+right operand is the conductor's multiplication table, kept once as
+float64 with its largest entry T, so max|w| * T * phi(m) < 2**53 is
+checked without converting or scanning the table.  Results are
+content-reduced by one batch canonicalizer, the only place where
+coefficients are narrowed to int64; a coefficient that does not fit
+raises CoefficientOverflowError.
 
 Breadth-first closure has one engine for generators that carry an exact
 finiteness certificate, and keeps exact enumeration only as the fallback
@@ -141,25 +145,38 @@ def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     2**53 all of them are exactly representable in float64, so the float64
     product never rounds and rint only fixes its dtype.  Otherwise the same
     product runs on Python integers.  The result is int64 on the float path
-    and an object array otherwise.
+    and an object array otherwise.  ``_multiplier`` checks the same bound a
+    priori, from the field table's cached maximum, and skips the scan.
     """
     bound = max(_max_abs(x), 1) * max(_max_abs(y), 1) * x.shape[-1]
     if bound < _FLOAT_EXACT:
-        prod = np.matmul(x.astype(np.float64), y.astype(np.float64))
-        return np.rint(prod, out=prod).astype(np.int64)
+        return _float_matmul(x, y)
     return np.matmul(x.astype(object), y.astype(object))
+
+
+def _float_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y in float64, rounded back to int64; exact only under a bound."""
+    prod = np.matmul(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False))
+    return np.rint(prod, out=prod).astype(np.int64)
 
 
 def _multiplier(w: np.ndarray, ctx) -> np.ndarray:
     """Multiplication matrices of coefficient vectors, (..., d) -> (..., d, d).
 
-    M[a, c] = sum_b w[b] * mult[a, b, c], so for a coefficient row vector x
-    the product x * w in the field is x @ M.
+    M[b, c] = sum_a w[a] * mult[a, b, c], so for a coefficient row vector
+    x the product x * w in the field is x @ M.  The conductor keeps the
+    table as float64 with its bound T = max|mult| (``_Context.mult``), so
+    the bound of ``_exact_matmul`` is known before the product:
+    max|w| * T * d < 2**53 makes the one float64 product exact.  Otherwise
+    the table is read back as integers, exactly, for the object product.
     """
     d = ctx.degree
-    # mult[a, b, c] == mult[b, a, c], so row b of this view is mult[:, b, :]
-    table = ctx.mult_np.reshape(d, d * d)
-    out = _exact_matmul(w.reshape(-1, d), table)
+    flat = w.reshape(-1, d)
+    table, bound = ctx.mult
+    if max(_max_abs(flat), 1) * bound * d < _FLOAT_EXACT:
+        out = _float_matmul(flat, table)
+    else:
+        out = np.matmul(flat.astype(object), table.astype(np.int64).astype(object))
     return out.reshape(w.shape[:-1] + (d, d))
 
 

@@ -7,13 +7,13 @@ byte equality is ray equality.  ``Ray.amps`` is a cached view of the
 amplitudes as ``Cyclotomic`` values.
 
 Batch work runs on the exact kernel of ``qgroups``: ``_exact_matmul``
-against ``_multiplier`` outputs, with its one float64 exactness check.
+against ``_multiplier`` outputs, each with its float64 exactness bound.
 
 * ``apply_all`` maps a whole list of rays through one matrix as one
   product, then canonicalizes every image at once by dividing it by its
   lead amplitude (``_scalar_canonical_batch``), so the denominators
   cancel.  Each lead, like each irrational Gram weight, is inverted once
-  per conductor (``_Context.inverse``).
+  per conductor and primitive part (``_Context.inverse``).
 * ``first_irrational`` and ``probabilities`` run one blocked Gram kernel
   over a row set and a column set.  A transition probability is
   |<a|b>|^2 / (|a|^2 |b|^2); on the numerator arrays the denominators
@@ -22,6 +22,8 @@ against ``_multiplier`` outputs, with its one float64 exactness check.
   multiplies it by its conjugate, and folds in the multiplier of each
   irrational weight (a canonical ray can have an irrational squared
   norm); a rational weight only scales the value and is applied last.
+  The irrational weights are indexed once per call, and each tile slices
+  its rows and columns from that index.
   In the power basis a pair is rational exactly when coefficients
   1..phi(m)-1 vanish.  Tiles are sized by a fixed budget of multiplier
   entries, so memory does not grow with the number of pairs.
@@ -307,22 +309,35 @@ def _fill_weights(rays, ctx):
             ray._weight = weights[k] if k in weights else (None, Fraction(1, row[0]))
 
 
-def _fold_weights(prod: np.ndarray, rays, axis: int) -> np.ndarray:
-    """Multiply prod (r, c, d) by the irrational weights of the rays on axis."""
-    idx = [k for k, ray in enumerate(rays) if ray._weight[0] is not None]
-    if not idx:
+def _weight_index(rays) -> tuple[np.ndarray, np.ndarray | None]:
+    """Positions of the rays with an irrational weight, ascending, and
+    those weights' multipliers stacked (k, d, d), or None if there are none.
+    """
+    idx = np.array(
+        [k for k, ray in enumerate(rays) if ray._weight[0] is not None], dtype=np.intp
+    )
+    return idx, (np.stack([rays[k]._weight[0] for k in idx]) if len(idx) else None)
+
+
+def _fold_weights(prod: np.ndarray, index, lo: int, axis: int) -> np.ndarray:
+    """Multiply prod (r, c, d), whose axis covers the rays lo, lo + 1, ...,
+    by their irrational weights, sliced from the index of ``_weight_index``.
+    """
+    idx, mults = index
+    a, b = np.searchsorted(idx, (lo, lo + prod.shape[axis]))
+    if a == b:
         return prod
-    mults = np.stack([rays[k]._weight[0] for k in idx])
+    sel, mults = idx[a:b] - lo, mults[a:b]
     if axis == 0:
-        part = _exact_matmul(prod[idx], mults)
+        part = _exact_matmul(prod[sel], mults)
     else:
-        part = _exact_matmul(prod[:, idx][:, :, None, :], mults)[:, :, 0, :]
+        part = _exact_matmul(prod[:, sel][:, :, None, :], mults)[:, :, 0, :]
     if part.dtype != prod.dtype:
         prod = prod.astype(object)
     if axis == 0:
-        prod[idx] = part
+        prod[sel] = part
     else:
-        prod[:, idx] = part
+        prod[:, sel] = part
     return prod
 
 
@@ -348,6 +363,8 @@ def _gram_tiles(rows, cols):
     ctx = _context(m)
     d = ctx.degree
     _fill_weights(rows if symmetric else rows + cols, ctx)
+    row_weights = _weight_index(rows)
+    col_weights = row_weights if symmetric else _weight_index(cols)
     conj_rows = _exact_matmul(np.stack([r.num for r in rows]), ctx.conj_np)
     conj_rows = conj_rows.reshape(len(rows), n * d)
     col_nums = np.stack([c.num for c in cols])
@@ -366,8 +383,8 @@ def _gram_tiles(rows, cols):
             conj_ip = _exact_matmul(ip, ctx.conj_np)
             prod = _exact_matmul(ip[:, None, :], _multiplier(conj_ip, ctx))
             prod = prod.reshape(-1, c - lo, d)
-            prod = _fold_weights(prod, rows[i0 : i0 + row_block], 0)
-            prod = _fold_weights(prod, cols[j0 + lo : j0 + c], 1)
+            prod = _fold_weights(prod, row_weights, i0, 0)
+            prod = _fold_weights(prod, col_weights, j0 + lo, 1)
             yield i0, j0 + lo, prod
 
 

@@ -7,11 +7,13 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import cyclotomics, embed, nonzero_cyclotomics, rationals
 from finiteqm.cyclotomic import (
     Cyclotomic,
+    _Context,
+    _context,
     _factorize,
     FieldMismatchError,
     SqrtConstructionError,
@@ -27,6 +29,25 @@ from finiteqm.galois import is_prime
 
 M = 24  # shared working conductor for the property tests
 UNITS = [k for k in range(M) if math.gcd(k, M) == 1]
+
+
+def all_conjugates_inverse(a: Cyclotomic) -> Cyclotomic:
+    """1 / a as the product of all phi(m) - 1 other conjugates over the norm."""
+    cofactor = Cyclotomic.one(a.m)
+    for k in range(2, a.m):
+        if math.gcd(k, a.m) == 1:
+            cofactor = cofactor * a.galois(k)
+    return cofactor * (1 / (a * cofactor).rational())
+
+
+def sparse_cyclotomics(m: int):
+    """A few roots of unity with small integer weights, over a small denominator."""
+    term = st.tuples(st.integers(0, m - 1), st.integers(-3, 3).filter(bool))
+    return st.builds(
+        lambda terms, den: sum((zeta(m, k) * c for k, c in terms), Cyclotomic.zero(m)) / den,
+        st.lists(term, min_size=1, max_size=4),
+        st.integers(1, 6),
+    ).filter(lambda z: not z.is_zero())
 
 
 class TestReduction:
@@ -106,6 +127,43 @@ class TestArithmetic:
                 assert (a * a.inv()).is_one()
             assert root.inv() == zeta(m, -k)
             assert Cyclotomic.from_rational(m, q).inv() == 1 / q
+
+    @pytest.mark.parametrize("m", [24, 120, 168, 312])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_inverse_matches_all_conjugates_product(self, m, data):
+        q = data.draw(rationals().filter(bool))
+        operands = [
+            data.draw(sparse_cyclotomics(m)),
+            data.draw(nonzero_cyclotomics(m)),
+            zeta(m, data.draw(st.integers(0, m - 1))),
+            Cyclotomic.from_rational(m, q),
+        ]
+        for a in operands:
+            assert a.inv() == all_conjugates_inverse(a)
+
+    @pytest.mark.parametrize("m", list(range(1, 100)) + [120, 168, 312])
+    def test_subgroup_chain_meets_each_unit_once(self, m):
+        met = [1 % m]
+        for g, e in _context(m).galois_chain:
+            assert is_prime(e)
+            met = [h * pow(g, j, m) % m for j in range(e) for h in met]
+        assert sorted(met) == [k for k in range(m) if math.gcd(k, m) == 1]
+
+    @given(st.lists(st.integers(-9, 9), min_size=8, max_size=8).filter(any))
+    def test_inverse_table_keys_the_primitive_part(self, coeffs):
+        g = math.gcd(*coeffs)
+        if next(v for v in coeffs if v) < 0:
+            g = -g
+        u = tuple(v // g for v in coeffs)
+        ctx = _Context(M)  # a fresh, empty table
+        for c in (-3, 2, 6):
+            assert ctx.inverse(tuple(c * v for v in u)) == Cyclotomic(M, u).inv() / c
+        assert list(ctx._inverses) == [u]
+
+    def test_inverse_table_rejects_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            _Context(M).inverse((0,) * 8)
 
     @given(cyclotomics(M), cyclotomics(M))
     def test_conj_is_ring_homomorphism(self, a, b):

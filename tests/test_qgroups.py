@@ -33,6 +33,7 @@ from finiteqm.qgroups import (
     wh_group,
     _exact_matmul,
     _int_array,
+    _multiplier,
     _scalar_canonical_batch,
 )
 
@@ -425,7 +426,53 @@ class TestHigherDimensions:
         assert len(center_of(cl4)) == 8
 
 
+def reference_multiplier(w: np.ndarray, m: int) -> np.ndarray:
+    """M[..., b, c] = sum_a w[..., a] * (coefficient c of z^(a+b)), on Python
+    integers, from the reduction rows rather than the cached table."""
+    ctx = _context(m)
+    d = ctx.degree
+    rows = np.array(ctx.rows[: 2 * d - 1], dtype=object)
+    powers = rows[np.add.outer(np.arange(d), np.arange(d))]
+    return np.tensordot(w.astype(object), powers, axes=([-1], [0]))
+
+
 class TestExactFallback:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.integers(-2, 2),
+        m=st.sampled_from([24, 168]),
+        huge=st.booleans(),
+    )
+    def test_multiplier_past_the_bound_matches_object_reference(
+        self, seed, shift, m, huge
+    ):
+        ctx = _context(m)
+        d = ctx.degree
+        bound = ctx.mult[1]
+        wmax = (1 << 80) if huge else 2**53 // (bound * d) + shift
+        rng = random.Random(seed)
+        w = [[rng.randint(-wmax, wmax) for _ in range(d)] for _ in range(2)]
+        w[1][rng.randrange(d)] = -wmax
+        w = _int_array(w).reshape(2, 1, d)
+        out = _multiplier(w, ctx)
+        assert (out.dtype == object) == (wmax * bound * d >= 2**53)
+        assert out.shape == (2, 1, d, d)
+        assert np.array_equal(out.astype(object), reference_multiplier(w, m))
+
+    def test_field_table_is_cached_and_read_only(self):
+        ctx = _context(168)
+        table, bound = ctx.mult
+        assert ctx.mult[0] is table
+        assert table.dtype == np.float64 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+        d = ctx.degree
+        identity = np.eye(d, dtype=np.int64)
+        assert np.array_equal(
+            table.reshape(d, d, d), reference_multiplier(identity, 168).astype(float)
+        )
+        assert bound == max(abs(v) for row in ctx.rows[: 2 * d - 1] for v in row)
+
     def test_exact_matmul_big_coefficients_match_reference(self):
         rng = np.random.default_rng(11)
         n, d, b = 2, 3, 4
