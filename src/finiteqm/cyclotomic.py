@@ -175,8 +175,8 @@ class _Context:
         "_inverses",
         "_lock",
         "_mult",
-        "_conj_np",
-        "_embed",
+        "conj_np",
+        "embed",
     )
 
     def __init__(self, m: int):
@@ -205,8 +205,10 @@ class _Context:
         self._inverses: dict[tuple[int, ...], Cyclotomic] = {}  # see inverse()
         self._lock = threading.Lock()
         self._mult = None
-        self._conj_np = None
-        self._embed = None
+        self.conj_np = np.array(self.galois_rows(-1), dtype=np.int64)
+        self.conj_np.setflags(write=False)
+        # complex embedding of the power basis, z -> exp(2*pi*i/m)
+        self.embed = np.exp(2j * math.pi * np.arange(d) / m)
 
     def galois_rows(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Rows of sigma_k: row j holds z^(j k) mod Phi_m; needs gcd(k, m) = 1."""
@@ -248,34 +250,16 @@ class _Context:
             with self._lock:
                 if self._mult is None:
                     d = self.degree
-                    # every row z^0 .. z^(2d-2) appears in the table
-                    red = np.array(self.rows[: 2 * d - 1], dtype=np.int64)
+                    # every row z^0 .. z^(2d-2) appears in the table; when
+                    # 2d - 1 > m, z^k is the row of k mod m, since z^m = 1
+                    red = [self.rows[k % self.m] for k in range(2 * d - 1)]
+                    red = np.array(red, dtype=np.int64)
                     bound = max(int(np.abs(red).max()), 1)
                     t = red.astype(np.float64)[np.add.outer(np.arange(d), np.arange(d))]
                     t = t.reshape(d, d * d)
                     t.setflags(write=False)
                     self._mult = (t, bound)
         return self._mult
-
-    @property
-    def conj_np(self) -> np.ndarray:
-        if self._conj_np is None:
-            with self._lock:
-                if self._conj_np is None:
-                    t = np.array(self.galois_rows(-1), dtype=np.int64)
-                    t.setflags(write=False)
-                    self._conj_np = t
-        return self._conj_np
-
-    @property
-    def embed(self) -> np.ndarray:
-        """Complex embedding of the power basis, z -> exp(2*pi*i/m)."""
-        if self._embed is None:
-            with self._lock:
-                if self._embed is None:
-                    d = self.degree
-                    self._embed = np.exp(2j * math.pi * np.arange(d) / self.m)
-        return self._embed
 
 
 _CONTEXTS: dict[int, _Context] = {}
@@ -472,7 +456,7 @@ class Cyclotomic:
         for k in range(d, 2 * d - 1):
             c = conv[k]
             if c:
-                row = rows[k]
+                row = rows[k % self.m]  # 2d - 1 > m at odd prime powers
                 for t in range(d):
                     if row[t]:
                         out[t] += c * row[t]

@@ -7,16 +7,19 @@ of shape (N, N, phi(m)) plus one positive denominator, kept in canonical
 All coefficient arithmetic is one exact kernel, ``_exact_matmul``: an
 integer matrix product that runs in float64 BLAS when one bound shows that
 every partial sum stays below 2**53, and on Python integers otherwise.
-Field multiplication enters through ``_multiplier``, which turns a
-coefficient vector into its phi(m) x phi(m) multiplication matrix, so a
-matrix product, a scalar multiple, a conjugate or a tensor product is a
-single kernel call.  ``_multiplier`` applies the same bound a priori: its
-right operand is the conductor's multiplication table, kept once as
-float64 with its largest entry T, so max|w| * T * phi(m) < 2**53 is
-checked without converting or scanning the table.  Results are
-content-reduced by one batch canonicalizer, the only place where
-coefficients are narrowed to int64; a coefficient that does not fit
-raises CoefficientOverflowError.
+Every product of field arrays, (..., r, K, d) @ (..., K, c, d) with
+d = phi(m), is ``_field_matmul``: the flat left array against
+``_right_operator`` of the right one, a (K d, c d) integer matrix whose
+blocks are the multiplication matrices of its entries.  A matrix product,
+a scalar multiple, a tensor product, a ray image or a Gram tile is one
+kernel call; a caller that reuses an operator builds it once with
+``_right_operator``.  The blocks come from ``_multiplier``, which applies
+the kernel's bound a priori: its right operand is the conductor's
+multiplication table, kept once as float64 with its largest entry T, so
+max|w| * T * phi(m) < 2**53 is checked without converting or scanning the
+table.  Results are content-reduced by one batch canonicalizer, the only
+place where coefficients are narrowed to int64; a coefficient that does
+not fit raises CoefficientOverflowError.
 
 Breadth-first closure has one engine for generators that carry an exact
 finiteness certificate, and keeps exact enumeration only as the fallback
@@ -180,13 +183,23 @@ def _multiplier(w: np.ndarray, ctx) -> np.ndarray:
     return out.reshape(w.shape[:-1] + (d, d))
 
 
-def _right_operator(num: np.ndarray, ctx) -> np.ndarray:
-    """R with (a @ b).reshape(n, n*d) == a.reshape(n, n*d) @ R for b = num.
+def _right_operator(y: np.ndarray, ctx) -> np.ndarray:
+    """R with x.reshape(..., r, K*d) @ R == (x @ y).reshape(..., r, c*d)
+    for field arrays x (..., r, K, d) and y (..., K, c, d); R is
+    (..., K*d, c*d).
 
-    R[(k, a), (j, c)] is entry [a, c] of the multiplier of b[k, j].
+    R[..., (k, a), (j, e)] is entry [a, e] of the multiplier of y[..., k, j].
     """
-    n, d = num.shape[0], ctx.degree
-    return _multiplier(num, ctx).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    *lead, k, c, d = y.shape
+    return _multiplier(y, ctx).swapaxes(-3, -2).reshape(*lead, k * d, c * d)
+
+
+def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
+    """Exact field product of coefficient arrays (..., r, K, d) @ (..., K, c, d)
+    -> (..., r, c, d); the leading axes broadcast."""
+    *lead, r, k, d = x.shape
+    out = _exact_matmul(x.reshape(*lead, r, k * d), _right_operator(y, ctx))
+    return out.reshape(out.shape[:-1] + (-1, d))
 
 
 def _content_reduce(nums: np.ndarray, dens: np.ndarray):
@@ -359,11 +372,8 @@ class UMatrix:
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        n = self.dim
-        d = self.num.shape[2]
-        right = _right_operator(other.num, _context(self.m))
-        out = _exact_matmul(self.num.reshape(n, n * d), right)
-        return UMatrix(n, self.m, out.reshape(n, n, d), self.den * other.den)
+        out = _field_matmul(self.num, other.num, _context(self.m))
+        return UMatrix(self.dim, self.m, out, self.den * other.den)
 
     def matpow(self, k: int) -> "UMatrix":
         if k < 0:
@@ -385,12 +395,10 @@ class UMatrix:
     def scale(self, c: Cyclotomic) -> "UMatrix":
         if c.m != self.m:
             raise FieldMismatchError("scalar conductor mismatch")
-        return self._times(c.num, self.den * c.den)
-
-    def _times(self, coeffs, den: int) -> "UMatrix":
-        """Entrywise product of self.num with the scalar coeffs, over den."""
-        w = _multiplier(_int_array(coeffs), _context(self.m))
-        return UMatrix(self.dim, self.m, _exact_matmul(self.num, w), den)
+        n, d = self.dim, self.num.shape[2]
+        scalar = _int_array(c.num).reshape(1, 1, d)
+        out = _field_matmul(self.num.reshape(n * n, 1, d), scalar, _context(self.m))
+        return UMatrix(n, self.m, out.reshape(n, n, d), self.den * c.den)
 
     def is_unitary(self) -> bool:
         return (self @ self.dagger()) == UMatrix.identity(self.dim, self.m)
@@ -693,7 +701,7 @@ def _scalar_canonical_batch(nums: np.ndarray, ctx):
     Any denominator cancels, so only the numerators are read.  Returns the
     quotient numerators and the denominators of the lead inverses.  Each
     distinct lead is inverted through the conductor's inverse table, and
-    their multipliers are built in one call.
+    their operators are built in one call.
     """
     b, d = nums.shape[0], nums.shape[-1]
     flat = nums.reshape(b, -1, d)
@@ -704,8 +712,9 @@ def _scalar_canonical_batch(nums: np.ndarray, ctx):
         for lead in flat[np.arange(b), first].tolist()
     ]
     invs = [ctx.inverse(lead) for lead in slots]
-    mults = _multiplier(_int_array([inv.num for inv in invs]), ctx)
-    out = _exact_matmul(flat, mults[which])
+    inv_nums = _int_array([inv.num for inv in invs]).reshape(-1, 1, 1, d)
+    ops = _right_operator(inv_nums, ctx)
+    out = _exact_matmul(flat, ops[which])
     return out.reshape(nums.shape), _int_array([inv.den for inv in invs])[which]
 
 
@@ -1050,14 +1059,13 @@ def kron(a: UMatrix, b: UMatrix) -> UMatrix:
     """Tensor product; entry (i k, j l) = a[i,j] * b[k,l]."""
     if a.m != b.m:
         raise FieldMismatchError("tensor factors must share a conductor")
-    ctx = _context(a.m)
-    d = ctx.degree
-    # the field is commutative, so the multiplier can be built from the
-    # smaller factor, which keeps the operator small
+    d = a.num.shape[2]
+    # the field is commutative, so the operator can be built from the
+    # smaller factor, which keeps it small
     small, large = (a, b) if a.dim <= b.dim else (b, a)
     ns, nl = small.dim, large.dim
-    right = _multiplier(small.num, ctx).transpose(2, 0, 1, 3).reshape(d, ns * ns * d)
-    t = _exact_matmul(large.num.reshape(nl * nl, d), right)
+    x, y = large.num.reshape(nl * nl, 1, d), small.num.reshape(1, ns * ns, d)
+    t = _field_matmul(x, y, _context(a.m))
     # t[k, l, i, j] = large[k, l] * small[i, j]
     t = t.reshape(nl, nl, ns, ns, d)
     t = t.transpose(2, 0, 3, 1, 4) if small is a else t.transpose(0, 2, 1, 3, 4)

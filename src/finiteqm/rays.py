@@ -6,8 +6,10 @@ first nonzero amplitude is exactly 1 and the array is content-reduced, so
 byte equality is ray equality.  ``Ray.amps`` is a cached view of the
 amplitudes as ``Cyclotomic`` values.
 
-Batch work runs on the exact kernel of ``qgroups``: ``_exact_matmul``
-against ``_multiplier`` outputs, each with its float64 exactness bound.
+Batch work runs on the exact kernel of ``qgroups``: every field product
+is ``_field_matmul``, or ``_exact_matmul`` against an operator of
+``_right_operator`` where one operator serves many products, each with
+its float64 exactness bound.
 
 * ``apply_all`` maps a whole list of rays through one matrix as one
   product, then canonicalizes every image at once by dividing it by its
@@ -18,12 +20,12 @@ against ``_multiplier`` outputs, each with its float64 exactness bound.
   over a row set and a column set.  A transition probability is
   |<a|b>|^2 / (|a|^2 |b|^2); on the numerator arrays the denominators
   cancel and it is |<a|b>|^2 * w_a * w_b with w = 1 / |num|^2.  Per tile
-  the kernel forms <a|b> as conj(A) against the multiplier stack of B,
-  multiplies it by its conjugate, and folds in the multiplier of each
+  the kernel forms <a|b> as conj(A) against the right operator of B,
+  multiplies it by its conjugate, and folds in the operator of each
   irrational weight (a canonical ray can have an irrational squared
-  norm); a rational weight only scales the value and is applied last.
-  The irrational weights are indexed once per call, and each tile slices
-  its rows and columns from that index.
+  norm); the weights' integer denominators are divided out last.
+  The weights are computed once per call (``_weights``), and each tile
+  slices its rows and columns from that index.
   In the power basis a pair is rational exactly when coefficients
   1..phi(m)-1 vanish.  Tiles are sized by a fixed budget of multiplier
   entries, so memory does not grow with the number of pairs.
@@ -33,9 +35,9 @@ against ``_multiplier`` outputs, each with its float64 exactness bound.
   results mirror the upper triangle.  That forms about half the pairs of
   the square: ``verify_requirements``, ``verify_mub`` and the orbit MUB
   extraction pass one list twice.
-* ``_norm_sq`` gives |x|^2 for a batch of numerator arrays: the conjugate
-  against the multiplier stack.  It serves the Gram weights and the
-  commensurability test of the generation step.
+* ``_norm_sq`` gives |x|^2 for a batch of numerator arrays: one field
+  product of the conjugate row against the column.  It serves the Gram
+  weights and the commensurability test of the generation step.
 
 The scalar functions ``inner``, ``transition_probability`` and
 ``prob_rational`` work on ``Ray.amps`` in ``Cyclotomic`` arithmetic and
@@ -55,8 +57,8 @@ from .qgroups import (
     _coeff_json,
     _content_reduce,
     _exact_matmul,
+    _field_matmul,
     _int_array,
-    _multiplier,
     _right_operator,
     _scalar_canonical_batch,
 )
@@ -122,9 +124,7 @@ class Ray:
     holds Python integers; which one follows from the ray alone.
     """
 
-    __slots__ = (
-        "dim", "m", "num", "den", "_amps", "_norm_inv", "_weight", "_hash", "_key"
-    )
+    __slots__ = ("dim", "m", "num", "den", "_amps", "_norm_inv", "_hash", "_key")
 
     def __init__(self, amps):
         (ray,) = rays_of([amps])
@@ -147,7 +147,6 @@ class Ray:
         self.den = den
         self._amps = None
         self._norm_inv = None
-        self._weight = None
         self._hash = None
         self._key = None
 
@@ -258,13 +257,9 @@ def apply_all(mat: UMatrix, rays) -> list[Ray]:
             raise FieldMismatchError("matrix and ray dimension or conductor mismatch")
     if not rays:
         return []
-    ctx = _context(mat.m)
-    n, d = mat.dim, ctx.degree
-    # op[(j, a), (i, c)] is entry [a, c] of the multiplier of mat[i, j], so
-    # a ray's flat numerator times op is the flat numerator of its image
-    op = _right_operator(mat.num.transpose(1, 0, 2), ctx)
-    flat = np.stack([ray.num for ray in rays]).reshape(len(rays), n * d)
-    images = _exact_matmul(flat, op).reshape(len(rays), n, d)
+    # a ray as a row times the transposed matrix is the row of its image
+    nums = np.stack([ray.num for ray in rays])
+    images = _field_matmul(nums, mat.num.transpose(1, 0, 2), _context(mat.m))
     return _canonical_rays(images, mat.m)
 
 
@@ -278,60 +273,51 @@ def apply(mat: UMatrix, ray: Ray) -> Ray:
 
 def _norm_sq(nums: np.ndarray, ctx) -> np.ndarray:
     """Coefficients (b, d) of sum_i conj(x_i) x_i for each array of a batch
-    (b, n, d): the conjugate of the flat array against its multiplier stack.
+    (b, n, d): one field product of the conjugate as a row against the
+    array as a column.
     """
-    b, n, d = nums.shape
-    conj = _exact_matmul(nums, ctx.conj_np).reshape(b, 1, n * d)
-    mults = _multiplier(nums, ctx).reshape(b, n * d, d)
-    return _exact_matmul(conj, mults)[:, 0]
+    # one (b n, d) @ (d, d) product, not b small ones
+    conj = _exact_matmul(nums.reshape(-1, ctx.degree), ctx.conj_np).reshape(nums.shape)
+    return _field_matmul(conj[:, None], nums[:, :, None], ctx)[:, 0, 0]
 
 
-def _fill_weights(rays, ctx):
-    """Cache w = 1 / |num|^2 on each ray as (multiplier or None, Fraction).
+def _weights(rays, ctx):
+    """The Gram weights w = 1 / |num|^2 of the rays, as (index, dens).
 
-    A rational w is kept as the Fraction alone.  An irrational one is kept
-    as the multiplier of the numerator of its inverse, with the Fraction
-    1 / denominator, so the kernel multiplies only by integers.
+    Each w is an integer numerator over the positive integer dens[k], so
+    the kernel multiplies only by integers.  A rational w has numerator 1
+    and is not indexed.  index holds the positions of the rays with an
+    irrational w, ascending, and the right operators (k, d, d) of their
+    numerators.  The squared norms are formed in chunks of the Gram budget.
     """
-    todo = [ray for ray in rays if ray._weight is None]
-    if not todo:
-        return
-    n, d = todo[0].dim, ctx.degree
+    n, d = rays[0].dim, ctx.degree
     step = max(1, _GRAM_BUDGET // (n * d * d))
-    for lo in range(0, len(todo), step):
-        chunk = todo[lo : lo + step]
-        rows = _norm_sq(np.stack([ray.num for ray in chunk]), ctx).tolist()
-        odd = [k for k, row in enumerate(rows) if any(row[1:])]
-        invs = [ctx.inverse(tuple(rows[k])) for k in odd]
-        mults = _multiplier(_int_array([inv.num for inv in invs]).reshape(-1, d), ctx)
-        weights = {k: (w, Fraction(1, inv.den)) for k, inv, w in zip(odd, invs, mults)}
-        for k, (ray, row) in enumerate(zip(chunk, rows)):
-            ray._weight = weights[k] if k in weights else (None, Fraction(1, row[0]))
-
-
-def _weight_index(rays) -> tuple[np.ndarray, np.ndarray | None]:
-    """Positions of the rays with an irrational weight, ascending, and
-    those weights' multipliers stacked (k, d, d), or None if there are none.
-    """
-    idx = np.array(
-        [k for k, ray in enumerate(rays) if ray._weight[0] is not None], dtype=np.intp
-    )
-    return idx, (np.stack([rays[k]._weight[0] for k in idx]) if len(idx) else None)
+    rows = []
+    for lo in range(0, len(rays), step):
+        chunk = np.stack([ray.num for ray in rays[lo : lo + step]])
+        rows += _norm_sq(chunk, ctx).tolist()
+    idx = [k for k, row in enumerate(rows) if any(row[1:])]
+    invs = [ctx.inverse(tuple(rows[k])) for k in idx]
+    dens = [row[0] for row in rows]
+    for k, inv in zip(idx, invs):
+        dens[k] = inv.den
+    inv_nums = _int_array([inv.num for inv in invs]).reshape(-1, 1, 1, d)
+    return (np.array(idx, dtype=np.intp), _right_operator(inv_nums, ctx)), dens
 
 
 def _fold_weights(prod: np.ndarray, index, lo: int, axis: int) -> np.ndarray:
     """Multiply prod (r, c, d), whose axis covers the rays lo, lo + 1, ...,
-    by their irrational weights, sliced from the index of ``_weight_index``.
+    by their irrational weights, sliced from the index of ``_weights``.
     """
-    idx, mults = index
+    idx, ops = index
     a, b = np.searchsorted(idx, (lo, lo + prod.shape[axis]))
     if a == b:
         return prod
-    sel, mults = idx[a:b] - lo, mults[a:b]
+    sel, ops = idx[a:b] - lo, ops[a:b]
     if axis == 0:
-        part = _exact_matmul(prod[sel], mults)
+        part = _exact_matmul(prod[sel], ops)
     else:
-        part = _exact_matmul(prod[:, sel][:, :, None, :], mults)[:, :, 0, :]
+        part = _exact_matmul(prod[:, sel][:, :, None, :], ops)[:, :, 0, :]
     if part.dtype != prod.dtype:
         prod = prod.astype(object)
     if axis == 0:
@@ -342,12 +328,14 @@ def _fold_weights(prod: np.ndarray, index, lo: int, axis: int) -> np.ndarray:
 
 
 def _gram_tiles(rows, cols):
-    """Yield (i0, j0, prod) over tiles of the pairs rows x cols.
+    """Yield (i0, j0, prod, row_dens, col_dens) over tiles of the pairs
+    rows x cols.
 
-    prod[i, j] holds the coefficients of |<a|b>|^2 times the irrational
-    weights of a = rows[i0 + i] and b = cols[j0 + j], all on numerators;
-    the probability is prod[i, j, 0] times the weights' Fractions when
-    coefficients 1.. vanish, and irrational otherwise.
+    prod[i, j] holds the coefficients of |<a|b>|^2 times the weight
+    numerators of a = rows[i0 + i] and b = cols[j0 + j], all on numerators;
+    the probability is prod[i, j, 0] / (row_dens[i0 + i] * col_dens[j0 + j])
+    when coefficients 1.. vanish, and irrational otherwise.  The weight
+    denominators (``_weights``) cover all rows and all columns.
 
     When cols is rows the pairs are symmetric, and a tile whose rows start
     at i0 keeps only its columns j >= i0.  Every pair with j >= i is then
@@ -362,9 +350,10 @@ def _gram_tiles(rows, cols):
             raise FieldMismatchError("rays of different dimension or conductor")
     ctx = _context(m)
     d = ctx.degree
-    _fill_weights(rows if symmetric else rows + cols, ctx)
-    row_weights = _weight_index(rows)
-    col_weights = row_weights if symmetric else _weight_index(cols)
+    row_weights, row_dens = _weights(rows, ctx)
+    col_weights, col_dens = (
+        (row_weights, row_dens) if symmetric else _weights(cols, ctx)
+    )
     conj_rows = _exact_matmul(np.stack([r.num for r in rows]), ctx.conj_np)
     conj_rows = conj_rows.reshape(len(rows), n * d)
     col_nums = np.stack([c.num for c in cols])
@@ -372,20 +361,21 @@ def _gram_tiles(rows, cols):
     for j0 in range(0, len(cols), col_block):
         block = col_nums[j0 : j0 + col_block]
         c = block.shape[0]
-        # right[(i, a), (j, e)] is entry [a, e] of the multiplier of b_j[i]
-        right = _multiplier(block, ctx).transpose(1, 2, 0, 3).reshape(n * d, c * d)
+        # conj(a) as a row times the columns b_j is the row of <a|b_j>
+        right = _right_operator(block.transpose(1, 0, 2), ctx)
         row_block = max(1, _GRAM_BUDGET // (c * d * d))
         row_end = min(len(rows), j0 + c) if symmetric else len(rows)
         for i0 in range(0, row_end, row_block):
             lo = max(0, i0 - j0) if symmetric else 0
             ip = _exact_matmul(conj_rows[i0 : i0 + row_block], right[:, lo * d :])
+            # one batch axis over all pairs: BLAS sees (pairs, d) @ (d, d)
             ip = ip.reshape(-1, d)
             conj_ip = _exact_matmul(ip, ctx.conj_np)
-            prod = _exact_matmul(ip[:, None, :], _multiplier(conj_ip, ctx))
+            prod = _field_matmul(ip[:, None, None], conj_ip[:, None, None], ctx)
             prod = prod.reshape(-1, c - lo, d)
             prod = _fold_weights(prod, row_weights, i0, 0)
             prod = _fold_weights(prod, col_weights, j0 + lo, 1)
-            yield i0, j0 + lo, prod
+            yield i0, j0 + lo, prod, row_dens, col_dens
 
 
 def first_irrational(rows, cols) -> np.ndarray:
@@ -399,7 +389,7 @@ def first_irrational(rows, cols) -> np.ndarray:
     rows = list(rows)
     cols = rows if symmetric else list(cols)
     first = np.full(len(rows), len(cols), dtype=np.int64)
-    for i0, j0, prod in _gram_tiles(rows, cols):
+    for i0, j0, prod, _, _ in _gram_tiles(rows, cols):
         bad = (prod[..., 1:] != 0).any(axis=2)
         # every tile entry is a correct verdict, so its mirror is too
         spans = [(i0, j0, bad), (j0, i0, bad.T)] if symmetric else [(i0, j0, bad)]
@@ -422,11 +412,10 @@ def probabilities(rows, cols) -> list[list[Fraction | None]]:
     rows = list(rows)
     cols = rows if symmetric else list(cols)
     out: list[list[Fraction | None]] = [[None] * len(cols) for _ in rows]
-    for i0, j0, prod in _gram_tiles(rows, cols):
+    for i0, j0, prod, row_dens, col_dens in _gram_tiles(rows, cols):
         lead = prod[..., 0].tolist()
         for i, j in zip(*np.nonzero(~(prod[..., 1:] != 0).any(axis=2))):
-            a, b = rows[i0 + i], cols[j0 + j]
-            p = lead[i][j] * a._weight[1] * b._weight[1]
+            p = Fraction(lead[i][j], row_dens[i0 + i] * col_dens[j0 + j])
             out[i0 + i][j0 + j] = p
             if symmetric:
                 out[j0 + j][i0 + i] = p

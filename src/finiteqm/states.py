@@ -49,7 +49,7 @@ assumed; callers that expect specific counts must check the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -59,14 +59,13 @@ from .cyclotomic import (
     Cyclotomic,
     SqrtConstructionError,
     _context,
-    canonical_dumps,
     conductor_for,
     sqrt_rational,
 )
 from .qgroups import (
     _exact_matmul,
     _int_array,
-    _multiplier,
+    _right_operator,
     center_of,
     clifford_generators,
     clifford_group,
@@ -118,29 +117,12 @@ class StepReport:
     skipped_pairs: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "raw_candidates": self.raw_candidates,
-            "deduped_candidates": self.deduped_candidates,
-            "kept": self.kept,
-            "rejected": self.rejected,
-            "new_states": self.new_states,
-            "orbit_sizes": list(self.orbit_sizes),
-            "skipped_pairs": self.skipped_pairs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepReport":
-        return cls(
-            step=obj["step"],
-            raw_candidates=obj["raw_candidates"],
-            deduped_candidates=obj["deduped_candidates"],
-            kept=obj["kept"],
-            rejected=obj["rejected"],
-            new_states=obj["new_states"],
-            orbit_sizes=list(obj["orbit_sizes"]),
-            skipped_pairs=obj.get("skipped_pairs", 0),
-        )
+        # reports written before skipped_pairs existed take its default
+        return cls(**obj)
 
 
 @dataclass
@@ -173,22 +155,22 @@ class StateSet:
         return sorted(self.states, key=Ray.key)
 
     def to_json(self) -> dict:
-        orbits = []
-        for orbit in self.orbits:
-            rays = sorted(orbit, key=Ray.key)
-            orbits.append(
+        orbits = sorted(
+            (sorted(orbit, key=Ray.key) for orbit in self.orbits),
+            key=lambda rays: (self.states[rays[0]], rays[0].key()),
+        )
+        return {
+            "dim": self.dim,
+            "conductor": self.conductor,
+            "count": len(self.states),
+            "orbits": [
                 {
                     "size": len(rays),
                     "generation": self.states[rays[0]],
                     "rays": [r.to_json() for r in rays],
                 }
-            )
-        orbits.sort(key=lambda o: (o["generation"], canonical_dumps(o["rays"][0])))
-        return {
-            "dim": self.dim,
-            "conductor": self.conductor,
-            "count": len(self.states),
-            "orbits": orbits,
+                for rays in orbits
+            ],
             "reports": [r.to_json() for r in self.reports],
         }
 
@@ -288,13 +270,12 @@ def _emission_operator(phases, r: Cyclotomic, ctx) -> np.ndarray:
     """Right operator (2d, P d): a row [x | y] maps to the coefficients of
     den * x + num * y for each phase, where phase * r = num / den.
     """
-    coeffs = []
+    dens, nums = [], []
     for phi in phases:
         s = phi * r
-        coeffs.append(([s.den] + [0] * (ctx.degree - 1), list(s.num)))
-    mults = _multiplier(_int_array(coeffs), ctx)  # (P, 2, d, d)
-    d = ctx.degree
-    return mults.transpose(1, 2, 0, 3).reshape(2 * d, len(phases) * d)
+        dens.append([s.den] + [0] * (ctx.degree - 1))
+        nums.append(list(s.num))
+    return _right_operator(_int_array([dens, nums]), ctx)
 
 
 def interference_candidates(stateset: StateSet, rng=None):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import finiteqm.qgroups as qgroups
 import finiteqm.rays as rays_mod
 from conftest import rays
 from finiteqm.cyclotomic import (
@@ -78,11 +79,15 @@ def ray_of(m, *amps):
 
 
 class RecordingKernel:
-    """Wraps the kernel seen by rays and records each result's dtype."""
+    """Wraps the kernel seen by rays and records each result's dtype.
+
+    Field products reach the kernel through qgroups._field_matmul, which
+    calls the qgroups binding, so both bindings are wrapped.
+    """
 
     def __init__(self, monkeypatch):
         self.dtypes = []
-        inner = rays_mod._exact_matmul
+        inner = qgroups._exact_matmul
 
         def record(x, y):
             out = inner(x, y)
@@ -90,6 +95,7 @@ class RecordingKernel:
             return out
 
         monkeypatch.setattr(rays_mod, "_exact_matmul", record)
+        monkeypatch.setattr(qgroups, "_exact_matmul", record)
 
 
 class TestGramOracle:
@@ -395,8 +401,6 @@ class TestCandidateOracle:
 
     def test_object_coefficients_take_the_exact_path(self, monkeypatch):
         # with the float bound forced off every product runs on Python ints
-        import finiteqm.qgroups as qgroups
-
         ss = generate_states(2, 1)
         want = interference_candidates(ss)
         monkeypatch.setattr(qgroups, "_FLOAT_EXACT", 0)

@@ -541,6 +541,55 @@ class TestExactFallback:
                 assert scaled.entry(i, j) == entries[i][j] * c
 
 
+class TestOddConductors:
+    """At m = 5, 7, 9, 25, 2 phi(m) - 1 > m: the field table wraps z^m = 1."""
+
+    @pytest.mark.parametrize("m", [5, 7, 9, 25])
+    def test_kernel_products_match_scalar_cyclotomic(self, m):
+        from finiteqm.rays import Ray, ontic_ray, prob_rational, probabilities
+
+        rng = random.Random(m)
+
+        def element():
+            terms = [
+                zeta(m, rng.randrange(m)) * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(3)
+            ]
+            return terms[0] + terms[1] + terms[2]
+
+        ea = [[element() for _ in range(2)] for _ in range(2)]
+        eb = [[element() for _ in range(3)] for _ in range(3)]
+        a = UMatrix.from_entries(ea, m)
+        b = UMatrix.from_entries([row[:2] for row in eb[:2]], m)
+        assert a @ b == UMatrix.from_entries(
+            [[ea[i][0] * eb[0][j] + ea[i][1] * eb[1][j] for j in range(2)]
+             for i in range(2)],
+            m,
+        )
+        c = zeta(m, 1) + 2
+        assert a.scale(c) == UMatrix.from_entries(
+            [[x * c for x in row] for row in ea], m
+        )
+        big = UMatrix.from_entries(eb, m)
+        assert kron(a, big) == UMatrix.from_entries(
+            [[ea[i][j] * eb[k][l] for j in range(2) for l in range(3)]
+             for i in range(2) for k in range(3)],
+            m,
+        )
+        one = Cyclotomic.one(m)
+        amps = [element() + 1, element()]
+        ray = Ray(amps)
+        lead = next(x for x in amps if not x.is_zero())
+        assert ray.amps == tuple(x * lead.inv() for x in amps)
+        rows = [ray, Ray([one, one]), Ray([one, zeta(m, 1)]), Ray([one, c])]
+        cols = rows + [ontic_ray(2, 0, m), ontic_ray(2, 1, m)]
+        want = [[prob_rational(x, y) for y in cols] for x in rows]
+        assert any(p is None for row in want for p in row)
+        assert want[1][4] == Fraction(1, 2)
+        assert probabilities(rows, cols) == want
+        assert probabilities(rows, rows) == [row[: len(rows)] for row in want]
+
+
 class TestCoefficientOverflow:
     def test_typed_error_is_exported(self):
         import finiteqm
