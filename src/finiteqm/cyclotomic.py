@@ -226,8 +226,12 @@ class _Context:
 
         a = c * u, with c = +-gcd(a) signed so that the first nonzero
         coefficient of u is positive.  The table holds 1 / u, computed once
-        by Cyclotomic.inv, and 1 / a = (1 / u) / c.
+        by Cyclotomic.inv, and 1 / a = (1 / u) / c.  It also holds 1 / a
+        under a itself, so a repeated a is answered without keying it again.
         """
+        inv = self._inverses.get(coeffs)
+        if inv is not None:
+            return inv
         c = math.gcd(*coeffs)
         if not c:
             raise ZeroDivisionError("inversion of zero cyclotomic")
@@ -237,7 +241,9 @@ class _Context:
         inv = self._inverses.get(u)
         if inv is None:
             inv = self._inverses[u] = Cyclotomic(self.m, u, 1).inv()
-        return inv if c == 1 else inv / c
+        if c != 1:
+            inv = self._inverses[coeffs] = inv / c
+        return inv
 
     @property
     def mult(self) -> tuple[np.ndarray, int]:

@@ -10,16 +10,25 @@ every partial sum stays below 2**53, and on Python integers otherwise.
 Every product of field arrays, (..., r, K, d) @ (..., K, c, d) with
 d = phi(m), is ``_field_matmul``: the flat left array against
 ``_right_operator`` of the right one, a (K d, c d) integer matrix whose
-blocks are the multiplication matrices of its entries.  A matrix product,
-a scalar multiple, a tensor product, a ray image or a Gram tile is one
-kernel call; a caller that reuses an operator builds it once with
-``_right_operator``.  The blocks come from ``_multiplier``, which applies
-the kernel's bound a priori: its right operand is the conductor's
-multiplication table, kept once as float64 with its largest entry T, so
-max|w| * T * phi(m) < 2**53 is checked without converting or scanning the
-table.  Results are content-reduced by one batch canonicalizer, the only
-place where coefficients are narrowed to int64; a coefficient that does
-not fit raises CoefficientOverflowError.
+blocks are the multiplication matrices of its entries.  A caller that
+reuses an operator builds it once with ``_right_operator``.
+
+The product is bounded in memory.  When the operator would hold more than
+``_GRAM_BUDGET`` entries, ``_field_matmul`` takes the columns of the right
+array in blocks of max(1, budget // (K d^2)) and joins the products:
+column j of x @ y depends only on column j of y, and each block passes the
+kernel's 2**53 check on its own, so the integers are the same and the
+peak is the output plus one block operator.  The blocks come from
+``_multiplier``, which applies the kernel's bound a priori: its right
+operand is the conductor's multiplication table, kept once as float64
+with its largest entry T, so max|w| * T * phi(m) < 2**53 is checked
+without converting or scanning the table.  When at least half of the
+entries are zero (a permutation, a diagonal, a monomial factor), only the
+nonzero ones are multiplied; the multiplier of 0 is 0, so this is exact.
+The same budget sizes the Gram tiles of ``rays`` and the emission chunks
+of ``states``.  Results are content-reduced by one batch canonicalizer,
+the only place where coefficients are narrowed to int64; a coefficient
+that does not fit raises CoefficientOverflowError.
 
 Breadth-first closure has one engine for generators that carry an exact
 finiteness certificate, and keeps exact enumeration only as the fallback
@@ -109,6 +118,10 @@ __all__ = [
 _FLOAT_EXACT = 2**53
 _DEFAULT_MAX_SIZE = 1_000_000
 _CHUNK = 8192
+# entries of one right operator (a Gram tile, an emission chunk, a column
+# block of a field product): at 8 bytes an entry, half a megabyte whatever
+# the size of the product
+_GRAM_BUDGET = 1 << 16
 
 
 class ClosureCapError(RuntimeError):
@@ -150,10 +163,15 @@ def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     product runs on Python integers.  The result is int64 on the float path
     and an object array otherwise.  ``_multiplier`` checks the same bound a
     priori, from the field table's cached maximum, and skips the scan.
+
+    An operand may also be a float64 array of integers below 2**53, as the
+    operators of ``_multiplier`` are; it is read as is on the float path
+    and through int64, exactly, on the object path.
     """
     bound = max(_max_abs(x), 1) * max(_max_abs(y), 1) * x.shape[-1]
     if bound < _FLOAT_EXACT:
         return _float_matmul(x, y)
+    x, y = (a.astype(np.int64) if a.dtype == np.float64 else a for a in (x, y))
     return np.matmul(x.astype(object), y.astype(object))
 
 
@@ -170,17 +188,36 @@ def _multiplier(w: np.ndarray, ctx) -> np.ndarray:
     x the product x * w in the field is x @ M.  The conductor keeps the
     table as float64 with its bound T = max|mult| (``_Context.mult``), so
     the bound of ``_exact_matmul`` is known before the product:
-    max|w| * T * d < 2**53 makes the one float64 product exact.  Otherwise
-    the table is read back as integers, exactly, for the object product.
+    max|w| * T * d < 2**53 makes the one float64 product exact, and its
+    matrices stay float64: their entries are integers below 2**53, which
+    the kernel reads without converting them again.  Otherwise the table is
+    read back as integers, exactly, for the object product.
+
+    When at least half of the vectors are zero (a permutation, a diagonal,
+    a monomial factor), only the nonzero ones are multiplied and their
+    matrices are scattered into zeros.  The multiplier of 0 is 0, and the
+    rows multiplied have the same max|w| as all of them, so the values and
+    the bound check do not change; a denser operand runs the one product.
     """
     d = ctx.degree
     flat = w.reshape(-1, d)
-    table, bound = ctx.mult
-    if max(_max_abs(flat), 1) * bound * d < _FLOAT_EXACT:
-        out = _float_matmul(flat, table)
+    nonzero = np.flatnonzero((flat != 0).any(axis=1))
+    if 2 * len(nonzero) <= len(flat):
+        part = _table_product(flat[nonzero], ctx)
+        out = np.zeros((len(flat), d * d), dtype=part.dtype)
+        out[nonzero] = part
     else:
-        out = np.matmul(flat.astype(object), table.astype(np.int64).astype(object))
+        out = _table_product(flat, ctx)
     return out.reshape(w.shape[:-1] + (d, d))
+
+
+def _table_product(flat: np.ndarray, ctx) -> np.ndarray:
+    """flat (b, d) @ the multiplication table (d, d*d), exactly: float64
+    under the kernel's bound, Python integers otherwise."""
+    table, bound = ctx.mult
+    if max(_max_abs(flat), 1) * bound * ctx.degree < _FLOAT_EXACT:
+        return np.matmul(flat.astype(np.float64, copy=False), table)
+    return np.matmul(flat.astype(object), table.astype(np.int64).astype(object))
 
 
 def _right_operator(y: np.ndarray, ctx) -> np.ndarray:
@@ -196,9 +233,30 @@ def _right_operator(y: np.ndarray, ctx) -> np.ndarray:
 
 def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
     """Exact field product of coefficient arrays (..., r, K, d) @ (..., K, c, d)
-    -> (..., r, c, d); the leading axes broadcast."""
+    -> (..., r, c, d); the leading axes broadcast.
+
+    The right operator of y has K c d^2 entries per leading index.  When
+    that exceeds ``_GRAM_BUDGET``, y is taken in column blocks of
+    w = max(1, budget // (K d^2)) columns, each one kernel product against
+    its own operator, and the parts are joined along the columns (all as
+    Python integers when any part needed them).  Column j of x @ y depends
+    only on column j of y, so the blocks give the same integers, and each
+    block's float64 product is checked by ``_exact_matmul`` on its own.
+    The peak is the output plus one block operator.
+    """
     *lead, r, k, d = x.shape
-    out = _exact_matmul(x.reshape(*lead, r, k * d), _right_operator(y, ctx))
+    c = y.shape[-2]
+    left = x.reshape(*lead, r, k * d)
+    width = max(1, _GRAM_BUDGET // (k * d * d))
+    if c <= width:
+        out = _exact_matmul(left, _right_operator(y, ctx))
+    else:
+        parts = [
+            _exact_matmul(left, _right_operator(y[..., j : j + width, :], ctx))
+            for j in range(0, c, width)
+        ]
+        # int64 parts join an object part as Python integers
+        out = np.concatenate(parts, axis=-1)
     return out.reshape(out.shape[:-1] + (-1, d))
 
 
@@ -389,7 +447,10 @@ class UMatrix:
         return result
 
     def dagger(self) -> "UMatrix":
-        conj = _exact_matmul(self.num, _context(self.m).conj_np)
+        ctx = _context(self.m)
+        # one (n n, d) @ (d, d) product, not n small ones
+        conj = _exact_matmul(self.num.reshape(-1, ctx.degree), ctx.conj_np)
+        conj = conj.reshape(self.num.shape)
         return UMatrix(self.dim, self.m, np.transpose(conj, (1, 0, 2)), self.den)
 
     def scale(self, c: Cyclotomic) -> "UMatrix":

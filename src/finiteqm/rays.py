@@ -53,6 +53,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, FieldMismatchError, _context, canonical_dumps
 from .qgroups import (
+    _GRAM_BUDGET,
     UMatrix,
     _coeff_json,
     _content_reduce,
@@ -75,11 +76,6 @@ __all__ = [
     "rays_of",
     "transition_probability",
 ]
-
-# multiplier entries per Gram tile: the float64 and int64 copies of a tile
-# stay near a megabyte whatever the number of pairs
-_GRAM_BUDGET = 1 << 16
-
 
 def _canonical_rays(nums: np.ndarray, m: int) -> list["Ray"]:
     """Rays of a batch (b, n, d) of nonzero numerators over Q(zeta_m).
@@ -354,8 +350,8 @@ def _gram_tiles(rows, cols):
     col_weights, col_dens = (
         (row_weights, row_dens) if symmetric else _weights(cols, ctx)
     )
-    conj_rows = _exact_matmul(np.stack([r.num for r in rows]), ctx.conj_np)
-    conj_rows = conj_rows.reshape(len(rows), n * d)
+    row_nums = np.stack([r.num for r in rows]).reshape(-1, d)
+    conj_rows = _exact_matmul(row_nums, ctx.conj_np).reshape(len(rows), n * d)
     col_nums = np.stack([c.num for c in cols])
     col_block = max(1, _GRAM_BUDGET // (n * d * d))
     for j0 in range(0, len(cols), col_block):

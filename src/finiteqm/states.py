@@ -63,6 +63,7 @@ from .cyclotomic import (
     sqrt_rational,
 )
 from .qgroups import (
+    _GRAM_BUDGET,
     _exact_matmul,
     _int_array,
     _right_operator,
@@ -71,7 +72,6 @@ from .qgroups import (
     clifford_group,
 )
 from .rays import (
-    _GRAM_BUDGET,
     Ray,
     _canonical_rays,
     _norm_sq,

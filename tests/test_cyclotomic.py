@@ -159,7 +159,21 @@ class TestArithmetic:
         ctx = _Context(M)  # a fresh, empty table
         for c in (-3, 2, 6):
             assert ctx.inverse(tuple(c * v for v in u)) == Cyclotomic(M, u).inv() / c
-        assert list(ctx._inverses) == [u]
+        # 1 / u is computed once; each other a is stored under itself
+        assert list(ctx._inverses) == [u] + [tuple(c * v for v in u) for c in (-3, 2, 6)]
+
+    @given(nonzero_cyclotomics(M))
+    def test_inverse_table_hits_invert_every_content_and_sign(self, a):
+        g = math.gcd(*a.num)
+        u = tuple(v // g for v in a.num)  # one primitive part up to sign
+        ctx = _Context(M)
+        for c in (1, -1, 2, -2, 5, -35):
+            coeffs = tuple(c * v for v in u)
+            first = ctx.inverse(coeffs)
+            assert ctx.inverse(coeffs) is first  # a hit answers without keying
+            assert Cyclotomic(M, coeffs) * first == Cyclotomic.one(M)
+        # the six contents and signs share one primitive entry
+        assert len(ctx._inverses) == 6
 
     def test_inverse_table_rejects_zero(self):
         with pytest.raises(ZeroDivisionError):

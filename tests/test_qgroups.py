@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given
 
 from conftest import nonzero_cyclotomics
+from finiteqm import qgroups
 from finiteqm.cyclotomic import Cyclotomic, _context, conductor_for, sqrt_embed, zeta
+from finiteqm.decomposition import crt_permutation, crt_split
 from finiteqm.galois import gf_build
 from finiteqm.qgroups import (
     ClosureCapError,
@@ -32,6 +35,7 @@ from finiteqm.qgroups import (
     wh_generators,
     wh_group,
     _exact_matmul,
+    _field_matmul,
     _int_array,
     _multiplier,
     _scalar_canonical_batch,
@@ -539,6 +543,131 @@ class TestExactFallback:
             for j in range(3):
                 assert dag.entry(i, j) == entries[j][i].conj()
                 assert scaled.entry(i, j) == entries[i][j] * c
+
+
+def oracle_field_matmul(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """(..., r, K, d) @ (..., K, c, d) entry by entry in Cyclotomic arithmetic."""
+    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+    x = np.broadcast_to(x, lead + x.shape[-3:])
+    y = np.broadcast_to(y, lead + y.shape[-3:])
+    r, k, d = x.shape[-3:]
+    c = y.shape[-2]
+    out = np.empty(lead + (r, c, d), dtype=object)
+    for at in np.ndindex(*lead):
+        xs = [[Cyclotomic(m, x[at + (i, t)].tolist()) for t in range(k)] for i in range(r)]
+        ys = [[Cyclotomic(m, y[at + (t, j)].tolist()) for j in range(c)] for t in range(k)]
+        for i in range(r):
+            for j in range(c):
+                acc = Cyclotomic.zero(m)
+                for t in range(k):
+                    acc = acc + xs[i][t] * ys[t][j]
+                assert acc.den == 1
+                out[at + (i, j)] = acc.num
+    return out
+
+
+class TestFieldProduct:
+    """_field_matmul against entrywise Cyclotomic arithmetic.
+
+    At m = 168 (d = 48) and K = 7 the budget allows 4 columns per right
+    operator, so 7 columns run as blocks of 4 and 3.
+    """
+
+    M, K, C = 168, 7, 7
+
+    @staticmethod
+    def kernel_dtypes(monkeypatch):
+        dtypes = []
+        inner = qgroups._exact_matmul
+
+        def record(x, y):
+            out = inner(x, y)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(qgroups, "_exact_matmul", record)
+        return dtypes
+
+    def right_factor(self, kind: str, rng) -> np.ndarray:
+        d = _context(self.M).degree
+        y = np.zeros((self.K, self.C, d), dtype=np.int64)
+        if kind == "monomial":  # one root of unity per column
+            for j in range(self.C):
+                k = rng.randrange(self.M)
+                y[(3 * j + 1) % self.K, j] = zeta(self.M, k).num
+        elif kind == "dense":
+            y[:] = [[[rng.randint(-4, 4) for _ in range(d)] for _ in range(self.C)]
+                    for _ in range(self.K)]
+        return y
+
+    @pytest.mark.parametrize("kind", ["zero", "monomial", "dense"])
+    def test_column_blocks_match_oracle(self, kind, monkeypatch):
+        d = _context(self.M).degree
+        width = qgroups._GRAM_BUDGET // (self.K * d * d)
+        assert width == 4 and self.C % width
+        rng = random.Random(kind)
+        x = _int_array([[[rng.randint(-3, 3) for _ in range(d)] for _ in range(self.K)]
+                        for _ in range(2)])
+        y = self.right_factor(kind, rng)
+        dtypes = self.kernel_dtypes(monkeypatch)
+        out = _field_matmul(x, y, _context(self.M))
+        assert dtypes == [np.int64, np.int64]
+        assert out.dtype == np.int64 and out.shape == (2, self.C, d)
+        assert np.array_equal(out.astype(object), oracle_field_matmul(x, y, self.M))
+
+    def test_leading_axes_broadcast_through_the_blocks(self):
+        d = _context(self.M).degree
+        rng = random.Random(5)
+        x = _int_array([[[[rng.randint(-3, 3) for _ in range(d)] for _ in range(self.K)]]
+                        for _ in range(2)])  # (2, 1, K, d)
+        y = np.stack([self.right_factor("monomial", rng), self.right_factor("dense", rng)])
+        want = oracle_field_matmul(x, y, self.M)
+        out = _field_matmul(x, y, _context(self.M))
+        assert out.shape == (2, 1, self.C, d)
+        assert np.array_equal(out.astype(object), want)
+        # one leading axis on the right only
+        out = _field_matmul(x[0], y, _context(self.M))
+        assert out.shape == (2, 1, self.C, d)
+        assert np.array_equal(out.astype(object), oracle_field_matmul(x[0], y, self.M))
+
+    def test_one_block_past_2_53_makes_the_whole_product_exact(self, monkeypatch):
+        d = _context(self.M).degree
+        rng = random.Random(7)
+        x = _int_array([[[rng.randint(-1000, 1000) for _ in range(d)]
+                         for _ in range(self.K)]])
+        y = self.right_factor("dense", rng)
+        y[:, 4:] *= 1 << 40  # only the second block passes the bound
+        dtypes = self.kernel_dtypes(monkeypatch)
+        out = _field_matmul(x, y, _context(self.M))
+        assert dtypes == [np.int64, object]
+        assert out.dtype == object
+        assert np.array_equal(out, oracle_field_matmul(x, y, self.M))
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_mostly_zero_multiplier_matches_reference(self, huge):
+        ctx = _context(24)
+        rng = random.Random(huge)
+        top = (1 << 80) if huge else 9
+        w = [[0] * 8 for _ in range(5)]
+        w[1] = [rng.randint(-top, top) for _ in range(8)]
+        w[3][2] = -top
+        w = _int_array(w).reshape(5, 1, 8)
+        out = _multiplier(w, ctx)
+        assert out.dtype == (object if huge else np.float64)
+        assert np.array_equal(out.astype(object), reference_multiplier(w, 24))
+
+    def test_dimension_26_alignment_product_is_bounded(self):
+        perm = crt_permutation(crt_split(26))
+        x = wh_generators(26)[1]
+        want = (perm @ x).num
+        tracemalloc.start()
+        try:
+            out = perm @ x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.num, want)
+        assert peak < 25 * 2**20
 
 
 class TestOddConductors:
