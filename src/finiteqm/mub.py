@@ -5,16 +5,21 @@ transition probability is exactly 1/N.  In prime power dimension
 N = p^l a complete set of N+1 such bases exists.  The construction here
 uses the commuting families of shift/phase operators indexed by a Galois
 field slope s: the joint eigenvectors of { X_a Z_{s a} } form one basis
-per slope, and the computational basis completes the set.  Eigenvectors
-come from an exact recursion along an F_p-basis of the field, never from
-numeric eigendecomposition; verify_mub is the final arbiter either way.
+per slope, and the computational basis completes the set.  Every
+eigenvector amplitude is a root of unity zeta_m^k, and its exponent k
+comes from an exact count along an F_p-basis of the field (one trace per
+field element and slope), never from numeric eigendecomposition; the rays
+are reduction rows of those exponents, canonical as built.  verify_mub is
+the final arbiter either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import Cyclotomic, conductor_for, zeta
+import numpy as np
+
+from .cyclotomic import _context, conductor_for
 from .galois import GaloisField, GFElement, gf_build, gf_trace_int, is_prime
 from .rays import Ray, ontic_ray, probabilities
 
@@ -108,56 +113,39 @@ def _mub_violations(bs: BasisSet, probs, index: dict[Ray, int]) -> list[str]:
 def _slope_basis(field: GaloisField, slope: GFElement, m: int) -> list[Ray]:
     """Joint eigenbasis of the commuting family {X_a Z_(slope*a)}.
 
-    For a basis element e of the field, the eigenvector recursion is
-    v[g + e] = lam_e^-1 * chi(slope*e*g) * v[g] with chi the trace
-    character; consistency around each additive cycle forces
-    lam_e^p = chi(slope * e^2 * p(p-1)/2), so lam_e lives in mu_p for odd
-    p and in mu_4 for p = 2.  Each eigenvalue tuple yields one vector.
+    Every amplitude is a root of unity zeta_m^k, so the basis is a (q, q)
+    table of exponents mod m.  For a unit e_j = x^j of the field, the
+    eigenvector recursion is v[g + e_j] = lam_j^-1 * chi(slope*e_j*g) * v[g]
+    with chi the trace character; consistency around each additive cycle
+    forces lam_j^p = chi(slope * e_j^2 * p(p-1)/2), so lam_j = zeta_m^k_j
+    with k_j = base_j + (m/p) * digit_j(t) for eigenvalue tuple t, where
+    base_j is 0 for odd p and (m/4) * Tr(slope * e_j^2) for p = 2.
+
+    Fill v[g] by peeling the lowest nonzero digit, g = (g - e_j) + e_j,
+    down to 0.  The character factors depend on g alone and sum to the
+    exponent phase(g); each unit e_j is peeled exactly digit_j(g) times,
+    so the exponent of v_t[g] is phase(g) - sum_j digit_j(g) * k_j(t).
+    v_t[0] = 1 and every amplitude is a reduction row of one power of
+    zeta_m, so each ray is already in canonical form over denominator 1.
     """
-    p = field.p
-    ell = field.ell
-    q = field.order
-    chi_step = m // p
-    basis_elems = [field.from_index(p**j) for j in range(ell)]
-    # base eigenvalue solving lam^p = chi(slope * e^2 * p(p-1)/2)
-    base_lam: list[Cyclotomic] = []
-    for e in basis_elems:
-        if p % 2:
-            base_lam.append(Cyclotomic.one(m))
-        else:
-            # lam^2 = chi(slope * e^2) = +/-1
-            t = gf_trace_int(slope * e * e)
-            base_lam.append(zeta(m, (m // 4) * t % m))
-    rays = []
+    p, q = field.p, field.order
+    step = m // p
     elements = field.elements()
-    for tup in range(q):
-        lam_exp = []
-        rem = tup
-        for _ in range(ell):
-            lam_exp.append(rem % p)
-            rem //= p
-        lams = [
-            base_lam[j] * zeta(m, chi_step * lam_exp[j] % m) for j in range(ell)
-        ]
-        lam_invs = [lam.conj() for lam in lams]  # unit modulus: inverse = conj
-        amps: list[Cyclotomic | None] = [None] * q
-        amps[0] = Cyclotomic.one(m)
-        for gamma in elements:
-            idx = gamma.index
-            if amps[idx] is not None:
-                continue
-            # peel the lowest nonzero digit: gamma = prev + e_j
-            digits = list(gamma.coeffs)
-            j = next(k for k, c in enumerate(digits) if c)
-            e = basis_elems[j]
-            prev = gamma - e
-            prev_amp = amps[prev.index]
-            if prev_amp is None:
-                raise AssertionError("recursion order broken")
-            t = gf_trace_int(slope * e * prev)
-            amps[idx] = lam_invs[j] * zeta(m, chi_step * t % m) * prev_amp
-        rays.append(Ray(amps))
-    return rays
+    units = [field.from_index(p**j) for j in range(field.ell)]
+    digits = np.array([g.coeffs for g in elements], dtype=np.int64)  # (q, ell)
+    if p % 2:
+        base = np.zeros(field.ell, dtype=np.int64)
+    else:
+        base = np.array([(m // 4) * gf_trace_int(slope * e * e) for e in units])
+    phase = [0] * q
+    for idx, gamma in enumerate(elements[1:], start=1):
+        j = next(k for k, c in enumerate(gamma.coeffs) if c)
+        prev = gamma - units[j]
+        phase[idx] = phase[prev.index] + step * gf_trace_int(slope * units[j] * prev)
+    k = base + step * digits  # k[t, j]
+    exps = (np.array(phase) - k @ digits.T) % m  # exps[t, gamma]
+    nums = np.array(_context(m).rows, dtype=np.int64)[exps]
+    return [Ray._from_canonical(m, num, 1) for num in nums]
 
 
 def mub_complete_set(p: int, ell: int = 1) -> BasisSet:

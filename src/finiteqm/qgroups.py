@@ -181,6 +181,13 @@ def _float_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.rint(prod, out=prod).astype(np.int64)
 
 
+def _conj(nums: np.ndarray, ctx) -> np.ndarray:
+    """Complex conjugates of coefficient arrays (..., d), as one flat
+    (-1, d) @ (d, d) product against the conductor's conjugation table:
+    BLAS sees one product, not numpy's loop of small ones."""
+    return _exact_matmul(nums.reshape(-1, ctx.degree), ctx.conj_np).reshape(nums.shape)
+
+
 def _multiplier(w: np.ndarray, ctx) -> np.ndarray:
     """Multiplication matrices of coefficient vectors, (..., d) -> (..., d, d).
 
@@ -447,10 +454,7 @@ class UMatrix:
         return result
 
     def dagger(self) -> "UMatrix":
-        ctx = _context(self.m)
-        # one (n n, d) @ (d, d) product, not n small ones
-        conj = _exact_matmul(self.num.reshape(-1, ctx.degree), ctx.conj_np)
-        conj = conj.reshape(self.num.shape)
+        conj = _conj(self.num, _context(self.m))
         return UMatrix(self.dim, self.m, np.transpose(conj, (1, 0, 2)), self.den)
 
     def scale(self, c: Cyclotomic) -> "UMatrix":

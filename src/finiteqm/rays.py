@@ -56,6 +56,7 @@ from .qgroups import (
     _GRAM_BUDGET,
     UMatrix,
     _coeff_json,
+    _conj,
     _content_reduce,
     _exact_matmul,
     _field_matmul,
@@ -272,9 +273,7 @@ def _norm_sq(nums: np.ndarray, ctx) -> np.ndarray:
     (b, n, d): one field product of the conjugate as a row against the
     array as a column.
     """
-    # one (b n, d) @ (d, d) product, not b small ones
-    conj = _exact_matmul(nums.reshape(-1, ctx.degree), ctx.conj_np).reshape(nums.shape)
-    return _field_matmul(conj[:, None], nums[:, :, None], ctx)[:, 0, 0]
+    return _field_matmul(_conj(nums, ctx)[:, None], nums[:, :, None], ctx)[:, 0, 0]
 
 
 def _weights(rays, ctx):
@@ -350,8 +349,7 @@ def _gram_tiles(rows, cols):
     col_weights, col_dens = (
         (row_weights, row_dens) if symmetric else _weights(cols, ctx)
     )
-    row_nums = np.stack([r.num for r in rows]).reshape(-1, d)
-    conj_rows = _exact_matmul(row_nums, ctx.conj_np).reshape(len(rows), n * d)
+    conj_rows = _conj(np.stack([r.num for r in rows]), ctx).reshape(len(rows), n * d)
     col_nums = np.stack([c.num for c in cols])
     col_block = max(1, _GRAM_BUDGET // (n * d * d))
     for j0 in range(0, len(cols), col_block):
@@ -366,8 +364,7 @@ def _gram_tiles(rows, cols):
             ip = _exact_matmul(conj_rows[i0 : i0 + row_block], right[:, lo * d :])
             # one batch axis over all pairs: BLAS sees (pairs, d) @ (d, d)
             ip = ip.reshape(-1, d)
-            conj_ip = _exact_matmul(ip, ctx.conj_np)
-            prod = _field_matmul(ip[:, None, None], conj_ip[:, None, None], ctx)
+            prod = _field_matmul(ip[:, None, None], _conj(ip, ctx)[:, None, None], ctx)
             prod = prod.reshape(-1, c - lo, d)
             prod = _fold_weights(prod, row_weights, i0, 0)
             prod = _fold_weights(prod, col_weights, j0 + lo, 1)

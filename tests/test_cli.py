@@ -273,6 +273,23 @@ class TestMub:
         assert code == 0
         assert json.loads(out)["n_bases"] == 3
 
+    def test_from_orbit_forms_one_probability_matrix(self, capsys, monkeypatch):
+        import finiteqm.mub as mub
+
+        calls = []
+        probabilities = mub.probabilities
+
+        def counting(rows, cols):
+            calls.append(1)
+            return probabilities(rows, cols)
+
+        monkeypatch.setattr(mub, "probabilities", counting)
+        code, out = run(capsys, "mub", "--dim", "3", "--from-orbit")
+        assert code == 0
+        data = json.loads(out)
+        assert data["n_bases"] == 4 and data["verified"] and not data["failures"]
+        assert len(calls) == 1
+
     def test_non_prime_power_fails(self, capsys):
         code, out = run(capsys, "mub", "--dim", "6")
         assert code == 1

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from finiteqm.cyclotomic import Cyclotomic, conductor_for, sqrt_embed
+from finiteqm.cyclotomic import Cyclotomic, conductor_for, sqrt_embed, zeta
+from finiteqm.galois import gf_build, gf_trace_int
 from finiteqm.mub import (
     BasisSet,
     MubExtractionError,
+    _slope_basis,
     extract_mubs_from_orbit,
     mub_complete_set,
     verify_mub,
@@ -25,6 +27,68 @@ def ontic_basis(n):
 def momentum_basis(n):
     f = fourier_matrix(n)
     return [Ray([f.entry(i, j) for i in range(n)]) for j in range(n)]
+
+
+def scalar_slope_basis(field, slope, m):
+    """The joint eigenbasis of {X_a Z_(slope*a)} by the scalar recursion
+    v[g + e] = lam_e^-1 * chi(slope*e*g) * v[g], one Cyclotomic product and
+    one trace per amplitude: the reference for mub._slope_basis.
+    """
+    p = field.p
+    ell = field.ell
+    q = field.order
+    chi_step = m // p
+    basis_elems = [field.from_index(p**j) for j in range(ell)]
+    # base eigenvalue solving lam^p = chi(slope * e^2 * p(p-1)/2)
+    base_lam = []
+    for e in basis_elems:
+        if p % 2:
+            base_lam.append(Cyclotomic.one(m))
+        else:
+            # lam^2 = chi(slope * e^2) = +/-1
+            t = gf_trace_int(slope * e * e)
+            base_lam.append(zeta(m, (m // 4) * t % m))
+    rays = []
+    elements = field.elements()
+    for tup in range(q):
+        lam_exp = []
+        rem = tup
+        for _ in range(ell):
+            lam_exp.append(rem % p)
+            rem //= p
+        lams = [
+            base_lam[j] * zeta(m, chi_step * lam_exp[j] % m) for j in range(ell)
+        ]
+        lam_invs = [lam.conj() for lam in lams]  # unit modulus: inverse = conj
+        amps = [None] * q
+        amps[0] = Cyclotomic.one(m)
+        for gamma in elements:
+            idx = gamma.index
+            if amps[idx] is not None:
+                continue
+            # peel the lowest nonzero digit: gamma = prev + e_j
+            digits = list(gamma.coeffs)
+            j = next(k for k, c in enumerate(digits) if c)
+            e = basis_elems[j]
+            prev = gamma - e
+            prev_amp = amps[prev.index]
+            if prev_amp is None:
+                raise AssertionError("recursion order broken")
+            t = gf_trace_int(slope * e * prev)
+            amps[idx] = lam_invs[j] * zeta(m, chi_step * t % m) * prev_amp
+        rays.append(Ray(amps))
+    return rays
+
+
+class TestSlopeBasis:
+    @pytest.mark.parametrize(
+        "p,ell", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+    )
+    def test_exponent_table_matches_scalar_recursion(self, p, ell):
+        field = gf_build(p, ell)
+        m = conductor_for(field.order)
+        for slope in field.elements():
+            assert _slope_basis(field, slope, m) == scalar_slope_basis(field, slope, m)
 
 
 class TestVerify:
