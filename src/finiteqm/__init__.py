@@ -32,6 +32,7 @@ from .qgroups import (
     CoefficientOverflowError,
     GroupTable,
     UMatrix,
+    UncertifiedGeneratorsError,
     center_of,
     check_weyl_relation,
     clifford_generators,

@@ -114,9 +114,7 @@ def cmd_group(args) -> int:
         table = clifford_group(args.dim, projective=True, **closure)
     else:
         raise ValueError(f"unknown group kind {which}")
-    if table.prime is None:
-        path = "exact"
-    elif args.elements:
+    if args.elements:
         path = f"mod {table.prime}, exact bodies"
     else:
         path = f"order-only mod {table.prime}"

@@ -30,22 +30,21 @@ of ``states``.  Results are content-reduced by one batch canonicalizer,
 the only place where coefficients are narrowed to int64; a coefficient
 that does not fit raises CoefficientOverflowError.
 
-Breadth-first closure has one engine for generators that carry an exact
-finiteness certificate, and keeps exact enumeration only as the fallback
-for generators without one.  The certified engine counts in GL_n(F_p), as
-in the congruence-image method of Detinko, Flannery and O'Brien (J. Symb.
-Comput. 50, 2013).  Every generator g must be unitary, normalize the
-Weyl-Heisenberg group W_n = <X, Z> up to scalars, and have a power
-g^r = c * I with c a root of unity.  Then G modulo scalars embeds in the
-normalizer of W_n modulo scalars, a finite group whose order divides
-n^2 |SL(2, Z_n)|; and det(g)^r = c^n makes every determinant in G, hence
-every scalar in G, one of the finitely many roots of unity of Q(zeta_m).
-So G is finite.  Evaluating the power basis at a primitive m-th root of
-unity mod p, for a prime p = 1 (mod lcm(2, m)) dividing no generator
-denominator, is a ring map onto F_p whose kernel is a prime above p.  That
-prime is unramified and p is odd, so by the Minkowski-Serre lemma the
-kernel of reduction on matrices has no torsion: reduction is injective on
-G, and the number of residue matrices is |G|.
+Breadth-first closure has one engine: it counts in GL_n(F_p), as in the
+congruence-image method of Detinko, Flannery and O'Brien (J. Symb. Comput.
+50, 2013), and needs an exact finiteness certificate; without one a
+closure raises UncertifiedGeneratorsError.  Every generator g must be
+unitary, normalize the Weyl-Heisenberg group W_n = <X, Z> up to scalars,
+and have a power g^r = c * I with c a root of unity.  Then G modulo
+scalars embeds in the normalizer of W_n modulo scalars, a finite group
+whose order divides n^2 |SL(2, Z_n)|; and det(g)^r = c^n makes every
+determinant in G, hence every scalar in G, one of the finitely many roots
+of unity of Q(zeta_m).  So G is finite.  Evaluating the power basis at a
+primitive m-th root of unity mod p, for a prime p = 1 (mod lcm(2, m))
+dividing no generator denominator, is a ring map onto F_p whose kernel is
+a prime above p.  That prime is unramified and p is odd, so by the
+Minkowski-Serre lemma the kernel of reduction on matrices has no torsion:
+reduction is injective on G, and the number of residue matrices is |G|.
 
 Projectively, each residue matrix is divided by its first nonzero entry,
 which counts G modulo the elements whose reduction is scalar.  Such an
@@ -58,18 +57,18 @@ are exactly the classes of G modulo scalars.  p never divides the count,
 since p > 2n while every prime factor of n^2 |SL(2, Z_n)| is at most
 n + 1; the closure asserts this rather than trying another prime.
 
-Both engines carry an element as one integer row, keyed by its raw bytes
-(residues mod p, or the int64 numerators followed by the denominator), and
-record the breadth-first tree: each new element's parent and generator.
-Because reduction is injective and respects projective classes, the
-residue search meets new elements in the same order as an exact search
-would.  A closure keeps only the keys and the tree; element bodies and
-words are built on first access, along that tree, with one exact product
-(parent times generator) per element.  Membership and the scalar
-subgroup are read from the residue key set: a query q that carries the
-certificate itself and has no p in its denominator generates, with G, a
-finite certified group that is p-integral, so reduction stays injective
-there and q lies in G exactly when its residue does.
+The search carries an element as one row of residues, keyed by its raw
+bytes, and records the breadth-first tree: each new element's parent and
+generator.  Because reduction is injective and respects projective
+classes, it meets new elements in the same order as an exact search over
+canonical (scalar-canonical) forms would.  A closure keeps only the keys
+and the tree; element bodies and words are built on first access, along
+that tree, with one exact product (parent times generator) per element.
+Membership and the scalar subgroup are read from the residue key set: a
+query q that carries the certificate itself and has no p in its
+denominator generates, with G, a finite certified group that is
+p-integral, so reduction stays injective there and q lies in G exactly
+when its residue does.
 """
 
 from __future__ import annotations
@@ -97,6 +96,7 @@ __all__ = [
     "CoefficientOverflowError",
     "GroupTable",
     "UMatrix",
+    "UncertifiedGeneratorsError",
     "WeylReport",
     "center_of",
     "check_weyl_relation",
@@ -134,6 +134,11 @@ class ClosureCapError(RuntimeError):
 
 class CoefficientOverflowError(OverflowError):
     """A content-reduced coefficient or denominator does not fit in int64."""
+
+
+class UncertifiedGeneratorsError(ValueError):
+    """Generators that the closure cannot count mod p: one fails the
+    finiteness certificate, or no prime keeps the residue products exact."""
 
 
 # -- exact coefficient kernel ------------------------------------------------------
@@ -648,7 +653,7 @@ class GroupTable:
         key_set: set[bytes],
         parents: np.ndarray,
         gen_idx: np.ndarray,
-        prime: int | None,
+        prime: int,
     ):
         self.dim = generators[0].dim
         self.conductor = generators[0].m
@@ -662,8 +667,8 @@ class GroupTable:
         self._prime = prime
 
     @property
-    def prime(self) -> int | None:
-        """The prime p the closure ran modulo, None for an exact closure."""
+    def prime(self) -> int:
+        """The prime p the closure ran modulo."""
         return self._prime
 
     def __len__(self) -> int:
@@ -699,31 +704,30 @@ class GroupTable:
     def contains(self, mat: UMatrix) -> bool:
         """Whether mat is an element (projectively: an element times a scalar).
 
-        A table closed mod p answers from residues, exactly (module
-        docstring).  Every element of such a table is unitary, carries the
-        finiteness certificate and has no p in its denominator, so a query
-        without all three is absent.  On a projective table closed mod p,
-        c * g for an element g is therefore present exactly when c is a
-        root of unity.  Every element is invertible, so the zero matrix is
-        absent on both engines.
+        The answer is read from residues, exactly (module docstring).  Every
+        element is unitary, carries the finiteness certificate and has no p
+        in its denominator, so a query without all three is absent; so is
+        the zero matrix, which is not unitary.  On a projective table, c * g
+        for an element g is therefore present exactly when c is a root of
+        unity: c * g is unitary only when |c| = 1, and has a power equal to
+        a root of unity times I only when c is a root of unity.  The bodies
+        of a projective table are divided by their lead entry, so they are
+        present only when that entry is a root of unity; their products
+        along .words are unitary representatives.
         """
-        if mat.dim != self.dim or mat.m != self.conductor or not mat.num.any():
+        if mat.dim != self.dim or mat.m != self.conductor:
             return False
-        p = self._prime
-        if p is not None and (
-            mat.den % p == 0 or not mat.is_unitary() or not _certified_finite([mat])
+        if (
+            mat.den % self._prime == 0
+            or not mat.is_unitary()
+            or _certificate_failure([mat], ("query",))
         ):
             return False
         return self._lookup(mat)
 
     def _lookup(self, mat: UMatrix) -> bool:
-        """Whether the key of mat is in the table, with no further check."""
+        """Whether the residue key of mat is in the table, with no further check."""
         p = self._prime
-        if p is None:
-            if self.projective:
-                mat = mat.scalar_canonical()
-            row = _exact_rows(mat.num[None], mat.den)
-            return _row_keys(row)[0] in self._key_set
         res = _residues([mat], p).astype(np.int64).ravel()
         if self.projective:
             res = res * pow(int(res[np.argmax(res != 0)]), -1, p) % p
@@ -829,48 +833,56 @@ def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
     return k
 
 
-def _certified_finite(gens: list[UMatrix]) -> bool:
-    """Whether an exact certificate shows that unitary gens generate a finite group.
+def _certificate_failure(gens: list[UMatrix], names) -> str | None:
+    """The first clause of the finiteness certificate that unitary gens
+    fail, naming the generator, or None when an exact certificate shows
+    that they generate a finite group.
 
-    Each generator g must map X and Z to scalar multiples of elements
-    X^a Z^b under conjugation, and have a power g^r = c * I with
-    c^lcm(2, m) == 1.  With k the order of g's action on the exponents
-    (a, b) mod n, g^k commutes with X and Z up to scalars, so it is a
-    scalar multiple of some X^u Z^v and r = k n makes g^r a scalar.
+    The conductor must be a multiple of 2n.  Each generator g must map X
+    and Z to scalar multiples of elements X^a Z^b under conjugation, act
+    invertibly on the exponents (a, b) mod n, and have a power g^r = c * I
+    with c^lcm(2, m) == 1.  With k the order of g's action on the
+    exponents, g^k commutes with X and Z up to scalars, so it is a scalar
+    multiple of some X^u Z^v and r = k n makes g^r a scalar.
     """
     n, m = gens[0].dim, gens[0].m
     if m % (2 * n):
-        return False
+        return f"generator {names[0]!r}: conductor {m} is not a multiple of {2 * n}"
     _, x, z = wh_generators(n, m)
     roots = math.lcm(2, m)
-    for g in gens:
+    weyl = "is not a scalar times X^a Z^b"
+    for g, name in zip(gens, names):
         g_dag = g.dagger()
         image_x = _weyl_exponents(g @ x @ g_dag)
-        image_z = _weyl_exponents(g @ z @ g_dag) if image_x else None
+        if image_x is None:
+            return f"generator {name!r}: conjugate of X {weyl}"
+        image_z = _weyl_exponents(g @ z @ g_dag)
         if image_z is None:
-            return False
+            return f"generator {name!r}: conjugate of Z {weyl}"
         k = _symplectic_order(*image_x, *image_z, n)
         if k is None:
-            return False
+            return f"generator {name!r}: singular action on (a, b) mod {n}"
         c = g.matpow(k * n).is_scalar()
         if c is None or not (c**roots).is_one():
-            return False
-    return True
+            return f"generator {name!r}: no power is a root of unity times I"
+    return None
 
 
-def _closure_prime(gens: list[UMatrix]) -> int | None:
-    """The smallest prime p = 1 (mod lcm(2, m)) dividing no generator denominator.
-
-    None when no such prime keeps a float64 product of n residues per
-    entry, n (p - 1)^2, exact.
-    """
+def _closure_prime(gens: list[UMatrix]) -> int:
+    """The smallest prime p = 1 (mod lcm(2, m)) dividing no generator
+    denominator that keeps a float64 product of n residues per entry,
+    n (p - 1)^2, below the float64 bound; UncertifiedGeneratorsError when
+    there is none."""
     n, step = gens[0].dim, math.lcm(2, gens[0].m)
     p = 1 + step
     while n * (p - 1) ** 2 < _FLOAT_EXACT:
         if is_prime(p) and all(g.den % p for g in gens):
             return p
         p += step
-    return None
+    raise UncertifiedGeneratorsError(
+        f"no prime p = 1 (mod {step}) dividing no generator denominator keeps "
+        f"n (p - 1)^2 below the float64 bound {_FLOAT_EXACT}"
+    )
 
 
 def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
@@ -914,54 +926,46 @@ def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
 def _breadth_first(start, compute, n_gens, max_size):
     """Breadth-first closure from one element under right multiplication.
 
-    Each element is one integer row, keyed by its raw bytes: residues mod p,
-    or exact int64 numerators followed by the denominator.  start is a
-    (1, L) row array; compute(rows, gi) maps a chunk of frontier rows
-    through generator gi and returns the rows of the products, in canonical
-    form.  Products are formed generator by generator in _CHUNK batches,
-    each new key is kept in first-occurrence order and the cap is checked
-    after every batch, so the order and any ClosureCapError.partial_size
-    depend only on which products are new.  Returns the key set and the
-    tree: for the i-th element found (the start is element 0), parents[i]
-    is the element it was first reached from and gens[i] the generator,
-    both -1 for the start.
+    Each element is one integer row, keyed by its raw bytes (the closure's
+    rows are residues mod p).  start is a (1, L) row array;
+    compute(rows, gi) maps a chunk of frontier rows through generator gi
+    and returns the rows of the products, in canonical form.  Products are
+    formed generator by generator in _CHUNK batches, each new key is kept
+    in first-occurrence order and the cap is checked after every batch, so
+    the order and any ClosureCapError.partial_size depend only on which
+    products are new.  Returns the key set and the tree: for the i-th
+    element found (the start is element 0), parents[i] is the element it
+    was first reached from and gens[i] the generator, both -1 for the
+    start.
     """
     seen: set[bytes] = set(_row_keys(start))
     parents = [np.array([-1])]
     gens = [np.array([-1])]
     frontier = start
     base = 0  # index of the first frontier element
-    level = 0
-    try:
-        while frontier.shape[0]:
-            level += 1
-            next_base = len(seen)
-            found = []
-            b = frontier.shape[0]
-            jobs = [(gi, lo) for gi in range(n_gens) for lo in range(0, b, _CHUNK)]
-            # all products of a level before any key: interleaving the two
-            # leaves BLAS threads spinning while Python checks keys
-            results = [compute(frontier[lo : lo + _CHUNK], gi) for gi, lo in jobs]
-            for (gi, lo), out in zip(jobs, results):
-                keep = []
-                for t, key in enumerate(_row_keys(out)):
-                    if key not in seen:
-                        seen.add(key)
-                        keep.append(t)
-                if len(seen) > max_size:
-                    raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
-                if keep:
-                    keep = np.array(keep)
-                    found.append(out[keep])
-                    parents.append(base + lo + keep)
-                    gens.append(np.full(keep.size, gi))
-            frontier = np.concatenate(found, axis=0) if found else frontier[:0]
-            base = next_base
-    except CoefficientOverflowError as exc:
-        raise CoefficientOverflowError(
-            f"closure level {level} with {len(seen)} elements: {exc}; "
-            "the generators may not generate a finite group"
-        ) from exc
+    while frontier.shape[0]:
+        next_base = len(seen)
+        found = []
+        b = frontier.shape[0]
+        jobs = [(gi, lo) for gi in range(n_gens) for lo in range(0, b, _CHUNK)]
+        # all products of a level before any key: interleaving the two
+        # leaves BLAS threads spinning while Python checks keys
+        results = [compute(frontier[lo : lo + _CHUNK], gi) for gi, lo in jobs]
+        for (gi, lo), out in zip(jobs, results):
+            keep = []
+            for t, key in enumerate(_row_keys(out)):
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(t)
+            if len(seen) > max_size:
+                raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
+            if keep:
+                keep = np.array(keep)
+                found.append(out[keep])
+                parents.append(base + lo + keep)
+                gens.append(np.full(keep.size, gi))
+        frontier = np.concatenate(found, axis=0) if found else frontier[:0]
+        base = next_base
     return seen, np.concatenate(parents), np.concatenate(gens)
 
 
@@ -969,11 +973,9 @@ def _mod_p_closure(gens, projective, max_size):
     """Closure of certified generators in GL_n(F_p).
 
     Returns (key set, parents, generator indices, p) as _breadth_first
-    does, or None when no prime keeps the products exact.
+    does.
     """
     p = _closure_prime(gens)
-    if p is None:
-        return None
     n = gens[0].dim
     residues = _residues(gens, p)
     dtype = _residue_dtype(p)
@@ -1059,16 +1061,16 @@ def group_closure(
 ) -> GroupTable:
     """Breadth-first closure of a unitary matrix generating set.
 
-    Generators that carry the module's finiteness certificate (each
+    The generators must carry the module's finiteness certificate (each
     normalizing <X, Z> up to scalars, with a power equal to a root of unity
-    times I) are closed in GL_n(F_p), for the smallest prime
-    p = 1 (mod lcm(2, m)) dividing no generator denominator; the table
-    records p in .prime and answers contains and center_of from its residue
-    keys.  Reduction is injective on a finite group (Minkowski-Serre), and
-    projectively an element whose reduction is scalar is itself scalar
-    (module docstring), so the order is exact.  Other generator sets are
-    closed exactly, deduplicated by canonical form (scalar-canonical form
-    when projective=True); .prime is then None.
+    times I); otherwise UncertifiedGeneratorsError names the first
+    generator that fails and the clause it fails.  They are closed in
+    GL_n(F_p), for the smallest prime p = 1 (mod lcm(2, m)) dividing no
+    generator denominator; the table records p in .prime and answers
+    contains and center_of from its residue keys.  Reduction is injective
+    on a finite group (Minkowski-Serre), and projectively an element whose
+    reduction is scalar is itself scalar (module docstring), so the order
+    is exact.
 
     The table holds the keys and the breadth-first tree.  Element bodies
     and words are built on first access: exactly, along the tree, one
@@ -1093,16 +1095,11 @@ def group_closure(
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    closed = None
-    if _certified_finite(gens):
-        closed = _mod_p_closure(gens, projective, max_size)
-    if closed is not None:
-        seen, parents, gen_idx, prime = closed
-        return GroupTable(gens, names, projective, seen, parents, gen_idx, prime)
-    compute = _exact_products(gens, projective)
-    start = _exact_rows(UMatrix.identity(dim, m).num[None], 1)
-    seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
-    return GroupTable(gens, names, projective, seen, parents, gen_idx, None)
+    failure = _certificate_failure(gens, names)
+    if failure:
+        raise UncertifiedGeneratorsError(f"no finiteness certificate: {failure}")
+    seen, parents, gen_idx, prime = _mod_p_closure(gens, projective, max_size)
+    return GroupTable(gens, names, projective, seen, parents, gen_idx, prime)
 
 
 def wh_group(n: int, **kwargs) -> GroupTable:

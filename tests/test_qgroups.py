@@ -4,11 +4,12 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache, cached_property
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import nonzero_cyclotomics
 from finiteqm import qgroups
@@ -19,6 +20,7 @@ from finiteqm.qgroups import (
     ClosureCapError,
     CoefficientOverflowError,
     UMatrix,
+    UncertifiedGeneratorsError,
     center_of,
     check_weyl_relation,
     clifford_generators,
@@ -727,20 +729,18 @@ class TestCoefficientOverflow:
         assert issubclass(CoefficientOverflowError, OverflowError)
 
     def test_infinite_rotation_closure_names_level(self):
-        # a rotation by an irrational angle: its powers never repeat, so the
-        # denominators 5^k outgrow int64 long before the element cap
-        def q(p, r):
-            return Cyclotomic.from_rational(24, Fraction(p, r))
-
-        rotation = UMatrix.from_entries(
-            [[q(3, 5), q(-4, 5)], [q(4, 5), q(3, 5)]], 24
+        # a rotation by an irrational angle: its powers never repeat, so on
+        # the exact oracle the denominators 5^k outgrow int64 long before
+        # the element cap; group_closure refuses it up front
+        with pytest.raises(UncertifiedGeneratorsError) as exc:
+            group_closure([irrational_rotation()], max_size=200)
+        assert str(exc.value).endswith(
+            "generator 'a': conjugate of X is not a scalar times X^a Z^b"
         )
         with pytest.raises(CoefficientOverflowError) as exc:
-            group_closure([rotation], max_size=200)
+            ExactClosure([irrational_rotation()], max_size=200)
         message = str(exc.value)
-        assert "level 28" in message
         assert "bits" in message and "denominator" in message
-        assert "may not generate a finite group" in message
 
     def test_kron_big_coefficients_match_cyclotomic_reference(self):
         # numerators and denominators near 2**40 that cancel in the product:
@@ -785,6 +785,15 @@ class TestCoefficientOverflow:
             big @ big
 
 
+def irrational_rotation() -> UMatrix:
+    """[[3/5, -4/5], [4/5, 3/5]]: unitary, of infinite order."""
+
+    def q(p, r):
+        return Cyclotomic.from_rational(24, Fraction(p, r))
+
+    return UMatrix.from_entries([[q(3, 5), q(-4, 5)], [q(4, 5), q(3, 5)]], 24)
+
+
 def sl2_order(n):
     """|SL(2, Z_n)| by counting the matrices of determinant 1 mod n."""
     return sum(
@@ -793,15 +802,80 @@ def sl2_order(n):
     )
 
 
+class ExactClosure:
+    """The oracle of the mod p closure: exact breadth-first enumeration.
+
+    Each element is one row of its canonical int64 numerators (divided by
+    the first nonzero entry when projective) followed by its denominator,
+    keyed by the row's raw bytes; no residue is taken.  The search and the
+    tree are qgroups' own _breadth_first, fed with _exact_products from the
+    identity row, so no certificate is needed: a generator set of infinite
+    order runs until a coefficient overflows int64 or the cap is reached.
+    Bodies are built along the tree, and their keys must be the enumerated
+    key set.
+    """
+
+    def __init__(
+        self,
+        generators,
+        *,
+        names=None,
+        projective=False,
+        max_size=qgroups._DEFAULT_MAX_SIZE,
+    ):
+        gens = list(generators)
+        self.dim, self.conductor = gens[0].dim, gens[0].m
+        self.names = tuple(names or (chr(ord("a") + i) for i in range(len(gens))))
+        self.projective = projective
+        compute = qgroups._exact_products(gens, projective)
+        ident = UMatrix.identity(self.dim, self.conductor)
+        start = qgroups._exact_rows(ident.num[None], 1)
+        self.keys, parents, gen_idx = qgroups._breadth_first(
+            start, compute, len(gens), max_size
+        )
+        self.order = len(self.keys)
+        self._tree = (start, compute, parents, gen_idx)
+
+    @cached_property
+    def _sorted_bodies(self):
+        rows, words = qgroups._bodies(*self._tree, self.names)
+        assert set(qgroups._row_keys(rows)) == self.keys
+        shape = (self.dim, self.dim, -1)
+        mats = [
+            UMatrix(self.dim, self.conductor, row[:-1].reshape(shape), int(row[-1]))
+            for row in rows
+        ]
+        ranked = sorted(range(self.order), key=lambda i: mats[i].key())
+        return [mats[i] for i in ranked], [words[i] for i in ranked]
+
+    @property
+    def elements(self):
+        return self._sorted_bodies[0]
+
+    @property
+    def words(self):
+        return self._sorted_bodies[1]
+
+    def contains(self, mat: UMatrix) -> bool:
+        """Exact key lookup; projectively, mat up to any nonzero scalar."""
+        if not mat.num.any():
+            return False
+        if self.projective:
+            mat = mat.scalar_canonical()
+        row = qgroups._exact_rows(mat.num[None], mat.den)
+        return qgroups._row_keys(row)[0] in self.keys
+
+
 @pytest.fixture
 def exact_closure(monkeypatch):
-    """Run a closure on the exact fallback by withholding the certificate."""
-    import finiteqm.qgroups as qgroups
+    """Run a group builder with its closure done by the exact oracle."""
 
     def run(build, *args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(qgroups, "_certified_finite", lambda *a: False)
-            return build(*args, **kwargs)
+            patch.setattr(qgroups, "group_closure", ExactClosure)
+            table = build(*args, **kwargs)
+        assert isinstance(table, ExactClosure)
+        return table
 
     return run
 
@@ -813,21 +887,21 @@ class TestOrderOnlyModP:
     def test_clifford_paths_agree(self, n, exact_closure):
         counted = clifford_group(n)
         exact = exact_closure(clifford_group, n)
-        assert counted.prime is not None and exact.prime is None
+        assert counted.prime is not None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_projective_paths_agree(self, n, exact_closure):
         counted = clifford_group(n, projective=True)
         exact = exact_closure(clifford_group, n, projective=True)
-        assert counted.prime is not None and exact.prime is None
+        assert counted.prime is not None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_wh_paths_agree(self, n, exact_closure):
         counted = wh_group(n)
         exact = exact_closure(wh_group, n)
-        assert counted.prime is not None and exact.prime is None
+        assert counted.prime is not None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -861,7 +935,7 @@ class TestOrderOnlyModP:
     def test_bodies_and_words_match_exact(self, n, projective, exact_closure):
         counted = clifford_group(n, projective=projective)
         exact = exact_closure(clifford_group, n, projective=projective)
-        assert counted.prime == 73 and exact.prime is None
+        assert counted.prime == 73
         assert counted.elements == exact.elements
         assert counted.words == exact.words
 
@@ -872,47 +946,98 @@ class TestOrderOnlyModP:
             table.prime = 97
 
 
+@cache
+def full_clifford(n: int):
+    """CL(n) with its generators by name, closed once per module."""
+    return clifford_generators(n), clifford_group(n)
+
+
+def word_product(gens: dict, word) -> UMatrix:
+    """The product of the named generators along word, from the identity."""
+    first = next(iter(gens.values()))
+    prod = UMatrix.identity(first.dim, first.m)
+    for name in word:
+        prod = prod @ gens[name]
+    return prod
+
+
+class TestSubgroupOracle:
+    """Subgroups of CL(2) and CL(3) generated by short words in X, F, S are
+    certified and have other trees than CL(N): the mod p closure and the
+    exact oracle agree on every one."""
+
+    @settings(max_examples=12)
+    @given(
+        n=st.sampled_from([2, 3]),
+        words=st.lists(st.text("XFS", min_size=1, max_size=4), min_size=1, max_size=3),
+        projective=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closure_agrees_with_oracle(self, n, words, projective, seed):
+        gens = [word_product(full_clifford(n)[0], w) for w in words]
+        counted = group_closure(gens, projective=projective)
+        exact = ExactClosure(gens, projective=projective)
+        assert counted.order == exact.order
+        assert counted.elements == exact.elements
+        assert counted.words == exact.words
+        # a few elements of the subgroup, as unitary products along their
+        # words (projective bodies are scalar-canonical, not unitary), and
+        # a few elements of CL(n) outside it
+        rng = random.Random(seed)
+        by_name = dict(zip(exact.names, gens))
+        picks = rng.sample(exact.words, min(3, exact.order))
+        inside = [word_product(by_name, w) for w in picks]
+        pool = rng.sample(full_clifford(n)[1].elements, 40)
+        outside = [q for q in pool if not exact.contains(q)][:3]
+        assert all(counted.contains(q) for q in inside)
+        assert not any(counted.contains(q) for q in outside)
+
+
 class TestFinitenessCertificate:
-    """Generators without the certificate keep the exact closure."""
+    """Generators without the certificate raise UncertifiedGeneratorsError,
+    naming the generator and the clause it fails."""
+
+    def test_error_is_exported_and_a_value_error(self):
+        import finiteqm
+
+        assert finiteqm.UncertifiedGeneratorsError is UncertifiedGeneratorsError
+        assert issubclass(UncertifiedGeneratorsError, ValueError)
 
     def test_infinite_rotation_stays_exact(self):
-        def q(p, r):
-            return Cyclotomic.from_rational(24, Fraction(p, r))
-
-        rotation = UMatrix.from_entries(
-            [[q(3, 5), q(-4, 5)], [q(4, 5), q(3, 5)]], 24
-        )
-        with pytest.raises(CoefficientOverflowError, match="level 28"):
-            group_closure([rotation], max_size=200)
+        with pytest.raises(
+            UncertifiedGeneratorsError, match="'a': conjugate of X is not a scalar"
+        ):
+            group_closure([irrational_rotation()], max_size=200)
 
     def test_scalar_of_infinite_order_stays_exact(self):
         # ((3 + 4i)/5) I normalizes <X, Z> and is unitary, but no power of it
         # is a root of unity: the group is infinite, while its image mod 73
-        # is finite (576 elements), so only the exact path may close it
+        # is finite (576 elements), so it must not be counted mod p
         c = Cyclotomic.from_rational(24, Fraction(3, 5)) + zeta(24, 6) * Fraction(4, 5)
         scalar = UMatrix.identity(2, 24).scale(c)
         gens = list(clifford_generators(2).values()) + [scalar]
-        with pytest.raises(CoefficientOverflowError, match="finite group"):
+        with pytest.raises(
+            UncertifiedGeneratorsError, match="'d': no power is a root of unity times I"
+        ):
             group_closure(gens, max_size=20_000)
+        with pytest.raises(CoefficientOverflowError, match="bits"):
+            ExactClosure(gens, max_size=20_000)
 
     def test_tensored_crt_generators_stay_exact(self):
-        from finiteqm.decomposition import (
-            _tensored_generators,
-            crt_permutation,
-            crt_split,
-        )
+        from finiteqm.decomposition import _tensored_generators, crt_split
 
-        split = crt_split(6)
-        m = conductor_for(6)
-        gens, names = _tensored_generators(split, m)
-        table = group_closure(gens, names=names, projective=True)
-        assert table.prime is None
-        assert len(set(table.elements)) == table.order
-        assert table.order == 5184
-        perm = crt_permutation(split, m)
-        for g in clifford_generators(6, m).values():
-            assert table.contains(perm @ g @ perm.dagger())
-        assert not table.contains(position_operator(6))
+        gens, names = _tensored_generators(crt_split(6), conductor_for(6))
+        with pytest.raises(
+            UncertifiedGeneratorsError, match="'F2': conjugate of X is not a scalar"
+        ):
+            group_closure(gens, names=names, projective=True)
+
+    def test_no_prime_below_the_float_bound(self, monkeypatch):
+        # p = 73 is the first candidate at m = 24, and 2 * 72^2 is not below
+        # the bound, so no prime keeps the residue products exact
+        monkeypatch.setattr(qgroups, "_FLOAT_EXACT", 2 * 72**2)
+        with pytest.raises(UncertifiedGeneratorsError, match="float64 bound 10368"):
+            clifford_group(2)
 
 
 class TestResidueMembership:
@@ -929,14 +1054,15 @@ class TestResidueMembership:
         m = conductor_for(6)
         gens, names = _tensored_generators(split, m)
         perm = crt_permutation(split, m)
-        exact = group_closure(gens, names=names, projective=True)
+        exact = ExactClosure(gens, names=names, projective=True)
         counted = group_closure(
             [perm.dagger() @ t @ perm for t in gens],
             names=names,
             projective=True,
         )
-        assert exact.prime is None and counted.prime == 73
+        assert counted.prime == 73
         assert counted.order == exact.order == 5184
+        assert len(set(exact.elements)) == exact.order
         x, f, s = clifford_generators(6, m).values()
         bump = UMatrix.diagonal(
             [Cyclotomic.one(m), zeta(m, 6)] + [Cyclotomic.one(m)] * 4, m
@@ -975,9 +1101,20 @@ class TestResidueMembership:
         zero = UMatrix.identity(2, 24).scale(Cyclotomic.zero(24))
         counted = clifford_group(2, projective=projective)
         exact = exact_closure(clifford_group, 2, projective=projective)
-        assert counted.prime == 73 and exact.prime is None
+        assert counted.prime == 73
         assert not counted.contains(zero)
         assert not exact.contains(zero)
+
+    def test_projective_membership_up_to_roots_of_unity(self):
+        # c * X is present exactly when c is a root of unity: 2 X is not
+        # unitary, and no power of (3 + 4i)/5 X is a root of unity times I
+        table = clifford_group(2, projective=True)
+        _, x, _ = wh_generators(2)
+        i = zeta(24, 6)
+        assert table.contains(x)
+        assert table.contains(x.scale(zeta(24, 1)))
+        assert not table.contains(x.scale(Cyclotomic.from_rational(24, 2)))
+        assert not table.contains(x.scale((i * 4 + 3) * Fraction(1, 5)))
 
     def test_denominator_divisible_by_p_is_absent(self):
         table = clifford_group(2)
