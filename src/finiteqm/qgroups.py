@@ -57,18 +57,39 @@ are exactly the classes of G modulo scalars.  p never divides the count,
 since p > 2n while every prime factor of n^2 |SL(2, Z_n)| is at most
 n + 1; the closure asserts this rather than trying another prime.
 
-The search carries an element as one row of residues, keyed by its raw
+A search carries an element as one row of residues, keyed by its raw
 bytes, and records the breadth-first tree: each new element's parent and
 generator.  Because reduction is injective and respects projective
 classes, it meets new elements in the same order as an exact search over
-canonical (scalar-canonical) forms would.  A closure keeps only the keys
-and the tree; element bodies and words are built on first access, along
-that tree, with one exact product (parent times generator) per element.
-Membership and the scalar subgroup are read from the residue key set: a
-query q that carries the certificate itself and has no p in its
-denominator generates, with G, a finite certified group that is
+canonical (scalar-canonical) forms would.
+
+Every closure, plain or projective, runs the projective search, which
+makes 3 |G/S| products for three generators, S the scalar subgroup of G;
+a plain closure also reads S from it.
+The representative t_x of each class is the residue of the element of G
+reached along the tree: t_y = t_x g when y is first reached from x by g.
+These representatives form a transversal of S in G, and along a tree
+edge t_x g t_y^-1 is the identity.  Every other product t_x g lands on
+a class already found, with representative t_y, and the quotient
+t_x g t_y^-1 is an element of G whose reduction is the scalar
+c = lead(t_x g) / lead(t_y): a scalar, as above.  By Schreier's lemma
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+section 4.1) these Schreier scalars generate S, so |G| = |G/S| |S|
+without a search of G.  S is read as residues, and each decodes to one
+root of unity: the roots of unity of Q(zeta_m) are mu_lcm(2, m), and
+p = 1 (mod lcm(2, m)) does not divide lcm(2, m), so x^lcm(2, m) - 1 has
+distinct roots mod p and reduction is injective on mu_lcm(2, m).
+
+A closure keeps the keys and the tree.  Element bodies and words are
+built on first access, along a tree, with one exact product (parent
+times generator) per element; for a plain closure that is the tree of
+the plain search, which keys every element of G and runs only then (and
+past the cap, to report the same partial size).  Membership is read from
+residues: a query q that carries the certificate itself and has no p in
+its denominator generates, with G, a finite certified group that is
 p-integral, so reduction stays injective there and q lies in G exactly
-when its residue does.
+when its residue does, that is when its key is present and, on a plain
+closure, its lead over the representative's lies in S.
 """
 
 from __future__ import annotations
@@ -77,6 +98,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -639,10 +661,21 @@ def check_weyl_relation(n: int) -> WeylReport:
 
 
 class GroupTable:
-    """Closure of a matrix generating set: its key set and breadth-first tree.
+    """Closure of a matrix generating set, held as its projective search.
+
+    The projective search (``_mod_p_closure`` with projective=True) holds
+    one residue key per element of G/S, S the scalar subgroup of G, and
+    the breadth-first tree.  A projective table is that search, of order
+    |G/S|.  A plain table runs it with scalars, so that it also holds the
+    lead of each key's representative and S as residues; its order is
+    |G/S| |S|, it answers contains and center_of from the same search, and
+    it holds no key per element of G.
 
     Element bodies and words are built on first access to .elements or
-    .words, exactly, along the tree (one product per element), and kept.
+    .words, exactly, along a tree (one product per element), and kept.  A
+    projective table uses its own tree.  A plain table needs the tree of
+    the plain search, so that each word is the first shallowest one in G;
+    that search runs then, once, and its keys are not kept.
     """
 
     def __init__(
@@ -650,36 +683,35 @@ class GroupTable:
         generators: list[UMatrix],
         names: tuple[str, ...],
         projective: bool,
-        key_set: set[bytes],
-        parents: np.ndarray,
-        gen_idx: np.ndarray,
-        prime: int,
+        search: _Search,
+        max_size: int,
     ):
         self.dim = generators[0].dim
         self.conductor = generators[0].m
         self.projective = projective
         self.generator_names = names
-        self.order = len(key_set)
+        self.order = len(search.keys) * (1 if projective else len(search.scalars))
         self._generators = generators
-        self._key_set = key_set
-        self._parents = parents
-        self._gen_idx = gen_idx
-        self._prime = prime
+        self._search = search
+        self._max_size = max_size
 
     @property
     def prime(self) -> int:
         """The prime p the closure ran modulo."""
-        return self._prime
+        return self._search.prime
 
     def __len__(self) -> int:
         return self.order
 
     @cached_property
     def _sorted_bodies(self):
+        tree = self._search
+        if not self.projective:
+            tree = _mod_p_closure(self._generators, False, self._max_size)
         compute = _exact_products(self._generators, self.projective)
         start = _exact_rows(UMatrix.identity(self.dim, self.conductor).num[None], 1)
         rows, words = _bodies(
-            start, compute, self._parents, self._gen_idx, self.generator_names
+            start, compute, tree.parents, tree.gen_idx, self.generator_names
         )
         shape = (self.dim, self.dim, -1)
         mats = [
@@ -714,24 +746,27 @@ class GroupTable:
         of a projective table are divided by their lead entry, so they are
         present only when that entry is a root of unity; their products
         along .words are unitary representatives.
+
+        The key of the residue, divided by its lead, must be present.  On a
+        plain table the lead over that of the key's representative t_j must
+        also lie in S: the residues of G are c t_j for c in S.
         """
         if mat.dim != self.dim or mat.m != self.conductor:
             return False
+        p, search = self.prime, self._search
         if (
-            mat.den % self._prime == 0
+            mat.den % p == 0
             or not mat.is_unitary()
             or _certificate_failure([mat], ("query",))
         ):
             return False
-        return self._lookup(mat)
-
-    def _lookup(self, mat: UMatrix) -> bool:
-        """Whether the residue key of mat is in the table, with no further check."""
-        p = self._prime
         res = _residues([mat], p).astype(np.int64).ravel()
+        lead = int(res[np.argmax(res != 0)])
+        key = (res * pow(lead, -1, p) % p).astype(_residue_dtype(p)).tobytes()
         if self.projective:
-            res = res * pow(int(res[np.argmax(res != 0)]), -1, p) % p
-        return res.astype(_residue_dtype(p)).tobytes() in self._key_set
+            return key in search.keys
+        first = search.leads.get(key)
+        return first is not None and lead * pow(first, -1, p) % p in search.scalars
 
     def to_json(self, include_elements: bool = False) -> dict:
         obj = {
@@ -750,16 +785,22 @@ class GroupTable:
 def center_of(table: GroupTable) -> list[Cyclotomic]:
     """Scalar subgroup of a non-projective closure, as sorted scalars.
 
-    A finite group over Q(zeta_m) holds no scalars but the roots of unity
-    c of Q(zeta_m).  Each c * I carries the certificate and has
-    denominator 1, so it is looked up directly.
+    The closure's search holds the scalar subgroup S as residues mod p.  A
+    finite group over Q(zeta_m) holds no scalars but the roots of unity
+    +-zeta_m^k, and reduction is injective on them, since p = 1
+    (mod lcm(2, m)) does not divide lcm(2, m).  So each residue in S is the
+    image of one root: the one that the image r of zeta_m sends it to,
+    +-r^k.
     """
     if table.projective:
         raise ValueError("center of a projective table is trivial by construction")
-    m = table.conductor
-    ident = UMatrix.identity(table.dim, m)
-    roots = {c.key(): c for k in range(m) for c in (zeta(m, k), -zeta(m, k))}
-    out = [c for c in roots.values() if table._lookup(ident.scale(c))]
+    m, p = table.conductor, table.prime
+    r = _zeta_residue(m, p)
+    roots = {}
+    for k in range(m):
+        power = pow(r, k, p)
+        roots[power], roots[p - power] = zeta(m, k), -zeta(m, k)
+    out = [roots[s] for s in table._search.scalars]
     out.sort(key=lambda c: c.key())
     return out
 
@@ -885,15 +926,19 @@ def _closure_prime(gens: list[UMatrix]) -> int:
     )
 
 
-def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
-    """The generators mod p, (k, n, n) float64, zeta_m sent to an m-th root."""
-    m = gens[0].m
+def _zeta_residue(m: int, p: int) -> int:
+    """The primitive m-th root of unity mod p that _residues sends zeta_m to."""
     primes = _factorize(m)
-    root = next(
+    return next(
         r
         for r in (pow(a, (p - 1) // m, p) for a in range(2, p))
         if all(pow(r, m // q, p) != 1 for q in primes)
     )
+
+
+def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
+    """The generators mod p, (k, n, n) float64, zeta_m sent to an m-th root."""
+    root = _zeta_residue(gens[0].m, p)
     d = gens[0].num.shape[2]
     powers = np.array([pow(root, k, p) for k in range(d)], dtype=np.int64)
     out = [(g.num % p) @ powers % p * pow(g.den, -1, p) % p for g in gens]
@@ -901,6 +946,8 @@ def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
 
 
 def _residue_dtype(p: int):
+    if p < 1 << 8:
+        return np.uint8
     return np.uint16 if p < 1 << 16 else np.uint32
 
 
@@ -923,22 +970,29 @@ def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
     return rows
 
 
-def _breadth_first(start, compute, n_gens, max_size):
+def _breadth_first(start, compute, n_gens, max_size, width=None, landed=None):
     """Breadth-first closure from one element under right multiplication.
 
-    Each element is one integer row, keyed by its raw bytes (the closure's
-    rows are residues mod p).  start is a (1, L) row array;
+    Each element is one integer row, keyed by the raw bytes of its first
+    width entries (all of them by default; the closure's rows are residues
+    mod p).  Entries past width ride along with the row without being
+    compared: the projective search of a plain closure carries each
+    representative's lead there.  start is a (1, L) row array;
     compute(rows, gi) maps a chunk of frontier rows through generator gi
     and returns the rows of the products, in canonical form.  Products are
     formed generator by generator in _CHUNK batches, each new key is kept
     in first-occurrence order and the cap is checked after every batch, so
     the order and any ClosureCapError.partial_size depend only on which
-    products are new.  Returns the key set and the tree: for the i-th
-    element found (the start is element 0), parents[i] is the element it
-    was first reached from and gens[i] the generator, both -1 for the
-    start.
+    products are new.
+    When landed is given, landed(out, keys, keep) is called after each
+    batch is keyed, with the key of every product row and the list of the
+    rows whose keys were new, in first-occurrence order.
+
+    Returns the key set and the tree: for the i-th element found (the
+    start is element 0), parents[i] is the element it was first reached
+    from and gens[i] the generator, both -1 for the start.
     """
-    seen: set[bytes] = set(_row_keys(start))
+    seen: set[bytes] = set(_row_keys(start[:, :width]))
     parents = [np.array([-1])]
     gens = [np.array([-1])]
     frontier = start
@@ -952,13 +1006,16 @@ def _breadth_first(start, compute, n_gens, max_size):
         # leaves BLAS threads spinning while Python checks keys
         results = [compute(frontier[lo : lo + _CHUNK], gi) for gi, lo in jobs]
         for (gi, lo), out in zip(jobs, results):
+            keys = _row_keys(out[:, :width])
             keep = []
-            for t, key in enumerate(_row_keys(out)):
+            for t, key in enumerate(keys):
                 if key not in seen:
                     seen.add(key)
                     keep.append(t)
             if len(seen) > max_size:
                 raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
+            if landed is not None:
+                landed(out, keys, keep)
             if keep:
                 keep = np.array(keep)
                 found.append(out[keep])
@@ -969,33 +1026,89 @@ def _breadth_first(start, compute, n_gens, max_size):
     return seen, np.concatenate(parents), np.concatenate(gens)
 
 
-def _mod_p_closure(gens, projective, max_size):
+class _Search(NamedTuple):
+    """One breadth-first search mod p: its key set and tree, as
+    _breadth_first returns them, and p.  A projective search run with
+    scalars also holds the lead of each key's representative, by key, and
+    the Schreier scalars S as a set of residues; other searches hold None
+    there."""
+
+    keys: set[bytes]
+    parents: np.ndarray
+    gen_idx: np.ndarray
+    prime: int
+    leads: dict[bytes, int] | None = None
+    scalars: frozenset[int] | None = None
+
+
+def _mod_p_closure(gens, projective, max_size, scalars=False) -> _Search:
     """Closure of certified generators in GL_n(F_p).
 
-    Returns (key set, parents, generator indices, p) as _breadth_first
-    does.
+    The plain search keys each element on its residue row, the projective
+    one on the row divided by its first nonzero entry, so it finds G/S, S
+    the scalar subgroup of G (module docstring).  With scalars, the
+    projective search also finds S.  After the key its rows then carry the
+    lead of a representative t_x, the residue of the element of G reached
+    along the tree, so that t_x = lead * key.  A product t_x g whose key is
+    already present, with representative t_y, is c t_y for
+    c = lead(t_x g) / lead(t_y): c I is the residue of t_x g t_y^-1, an
+    element of G and so a scalar.  These Schreier scalars generate S
+    (Schreier's lemma, for the transversal of the tree's representatives).
+    A projective table needs no S, and collecting it made the closure of
+    PCL(7) about a fifth slower, so only a plain table asks for it.
     """
     p = _closure_prime(gens)
     n = gens[0].dim
+    width = n * n
     residues = _residues(gens, p)
     dtype = _residue_dtype(p)
     inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
 
     def compute(rows, gi):
         b = rows.shape[0]
-        prod = rows.reshape(b * n, n).astype(np.float64) @ residues[gi]
-        prod = prod.astype(np.int64).reshape(b, n * n) % p
-        if projective:
-            lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
-            prod = prod * inverse[lead][:, None] % p
-        return prod.astype(dtype)
+        prod = rows[:, :width].astype(np.float64).reshape(b * n, n) @ residues[gi]
+        prod = prod.astype(np.int64).reshape(b, width)
+        prod %= p
+        if not projective:
+            return prod.astype(dtype)
+        lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
+        prod *= inverse[lead][:, None]
+        if not scalars:
+            prod %= p
+            return prod.astype(dtype)
+        out = np.empty((b, width + 1), dtype)
+        np.remainder(prod, p, out=out[:, :width], casting="unsafe")
+        out[:, width] = lead * rows[:, width] % p
+        return out
 
-    start = np.eye(n, dtype=dtype).reshape(1, n * n)
-    seen, parents, gen_idx = _breadth_first(start, compute, len(gens), max_size)
-    if projective and len(seen) % p == 0:
+    start = np.eye(n, dtype=dtype).reshape(1, width)
+    if scalars:
+        leads = dict.fromkeys(_row_keys(start), 1)  # the identity's
+        ratios = {1}
+
+        def landed(out, keys, keep):
+            leads.update(zip([keys[t] for t in keep], out[keep, width].tolist()))
+            first = np.fromiter(map(leads.__getitem__, keys), np.int64, len(keys))
+            ratios.update((out[:, width] * inverse[first] % p).tolist())
+
+        start = np.hstack([start, np.ones((1, 1), dtype)])
+        found = _breadth_first(start, compute, len(gens), max_size, width, landed)
+        search = _Search(*found, p, leads, _subgroup(ratios, p))
+    else:
+        search = _Search(*_breadth_first(start, compute, len(gens), max_size), p)
+    if projective and len(search.keys) % p == 0:
         # p > 2n, and every prime factor of n^2 |SL(2, Z_n)| is at most n + 1
-        raise AssertionError(f"{p} divides the projective count {len(seen)}")
-    return seen, parents, gen_idx, p
+        raise AssertionError(f"{p} divides the projective count {len(search.keys)}")
+    return search
+
+
+def _subgroup(gens, p: int) -> frozenset[int]:
+    """The subgroup of F_p^* that the residues gens generate."""
+    group, new = {1}, {1}
+    while new:
+        new = {x * c % p for x in new for c in gens} - group
+        group |= new
+    return frozenset(group)
 
 
 def _exact_products(gens: list[UMatrix], projective: bool):
@@ -1067,15 +1180,23 @@ def group_closure(
     generator that fails and the clause it fails.  They are closed in
     GL_n(F_p), for the smallest prime p = 1 (mod lcm(2, m)) dividing no
     generator denominator; the table records p in .prime and answers
-    contains and center_of from its residue keys.  Reduction is injective
+    contains and center_of from its residues.  Reduction is injective
     on a finite group (Minkowski-Serre), and projectively an element whose
     reduction is scalar is itself scalar (module docstring), so the order
     is exact.
 
-    The table holds the keys and the breadth-first tree.  Element bodies
-    and words are built on first access: exactly, along the tree, one
-    product per element, sorted by UMatrix.key(); each word is the first
-    one found at the shallowest level.
+    Both kinds of table run the projective search (module docstring).  A
+    projective table holds its keys and its breadth-first tree.  A plain
+    table runs it with the lead of each representative and collects the
+    Schreier scalars S, and its order is |G/S| |S|; it keeps no key per
+    element of G.  max_size still bounds the order: when a plain
+    order exceeds it, the plain search runs up to the cap and raises
+    ClosureCapError with the partial size it reached.
+
+    Element bodies and words are built on first access: exactly, along a
+    breadth-first tree, one product per element, sorted by UMatrix.key();
+    each word is the first one found at the shallowest level.  A plain
+    table builds the tree of the plain search then, once.
     """
     gens = list(generators)
     if not gens:
@@ -1098,8 +1219,18 @@ def group_closure(
     failure = _certificate_failure(gens, names)
     if failure:
         raise UncertifiedGeneratorsError(f"no finiteness certificate: {failure}")
-    seen, parents, gen_idx, prime = _mod_p_closure(gens, projective, max_size)
-    return GroupTable(gens, names, projective, seen, parents, gen_idx, prime)
+    try:
+        search = _mod_p_closure(gens, True, max_size, scalars=not projective)
+        table = GroupTable(gens, names, projective, search, max_size)
+    except ClosureCapError:
+        if projective:
+            raise
+        table = None  # |G| >= |G/S| > max_size
+    if table is None or table.order > max_size:
+        # a plain closure past the cap reports the partial size of the
+        # plain search, which stops there
+        _mod_p_closure(gens, False, max_size)
+    return table
 
 
 def wh_group(n: int, **kwargs) -> GroupTable:

@@ -150,6 +150,23 @@ class TestCensus:
             [6, 432, 124416, 24, 5184],
         ]
 
+    def test_census_rows_past_six(self, capsys):
+        # these Clifford orders were computed by this package (the projective
+        # search with its Schreier scalars); CL(7) was also counted by the
+        # plain search of every element, and |PCL(N)| is Appleby's closed form
+        code, out = run(capsys, "census", "--dims", "7", "8", "9")
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["failures"] == []
+        assert [
+            [row["dim"], row["wh"], row["clifford"], row["scalars"], row["projective"]]
+            for row in data["rows"]
+        ] == [
+            [7, 343, 460992, 28, 16464],
+            [8, 1024, 393216, 16, 24576],
+            [9, 729, 472392, 9, 52488],
+        ]
+
     def test_timings_go_to_stderr(self, capsys):
         code = cli.main(["census", "--dims", "2"])
         captured = capsys.readouterr()

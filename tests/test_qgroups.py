@@ -946,6 +946,53 @@ class TestOrderOnlyModP:
             table.prime = 97
 
 
+class TestQuotientSearch:
+    """A plain closure is counted as |G/S| |S| from the projective search and
+    its Schreier scalars; the plain search of every element runs only for
+    bodies and words, and past the cap."""
+
+    @pytest.mark.parametrize("group", [clifford_group, wh_group])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_order_is_the_plain_key_count(self, group, n):
+        table = group(n)
+        plain = qgroups._mod_p_closure(table._generators, False, table.order)
+        assert plain.prime == table.prime
+        assert table.order == len(plain.keys)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_center_matches_one_lookup_per_root(self, n):
+        # the route center_of took before the Schreier scalars: c I looked
+        # up in the table for every root of unity c of Q(zeta_m)
+        table = clifford_group(n)
+        m = table.conductor
+        ident = UMatrix.identity(n, m)
+        roots = {c.key(): c for k in range(m) for c in (zeta(m, k), -zeta(m, k))}
+        members = [c for c in roots.values() if table.contains(ident.scale(c))]
+        assert center_of(table) == sorted(members, key=lambda c: c.key())
+
+    def test_plain_search_runs_only_for_bodies(self, monkeypatch):
+        searches = []
+        closure = qgroups._mod_p_closure
+
+        def recording(gens, projective, max_size, scalars=False):
+            searches.append("scalars" if scalars else projective)
+            return closure(gens, projective, max_size, scalars)
+
+        monkeypatch.setattr(qgroups, "_mod_p_closure", recording)
+        assert clifford_group(6).order == 124416
+        assert clifford_group(6, projective=True).order == 5184
+        assert searches == ["scalars", True]
+        table = clifford_group(3)
+        assert len(table.elements) == len(table.words) == 2592
+        assert table.elements == table.elements
+        assert searches == ["scalars", True, "scalars", False]
+
+    def test_residues_are_one_byte_below_256(self):
+        assert qgroups._residue_dtype(73) == qgroups._residue_dtype(251) == np.uint8
+        assert qgroups._residue_dtype(257) == np.uint16
+        assert qgroups._residue_dtype(65537) == np.uint32
+
+
 @cache
 def full_clifford(n: int):
     """CL(n) with its generators by name, closed once per module."""
