@@ -140,9 +140,9 @@ __all__ = [
 _FLOAT_EXACT = 2**53
 _DEFAULT_MAX_SIZE = 1_000_000
 _CHUNK = 8192
-# entries of one right operator (a Gram tile, an emission chunk, a column
-# block of a field product): at 8 bytes an entry, half a megabyte whatever
-# the size of the product
+# entries of one right operator (an emission chunk, a column block of a
+# field product), and pairs times phi(m) of a Gram tile: at 8 bytes an
+# entry, half a megabyte whatever the size of the product
 _GRAM_BUDGET = 1 << 16
 
 

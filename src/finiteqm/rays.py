@@ -6,38 +6,21 @@ first nonzero amplitude is exactly 1 and the array is content-reduced, so
 byte equality is ray equality.  ``Ray.amps`` is a cached view of the
 amplitudes as ``Cyclotomic`` values.
 
-Batch work runs on the exact kernel of ``qgroups``: every field product
-is ``_field_matmul``, or ``_exact_matmul`` against an operator of
-``_right_operator`` where one operator serves many products, each with
-its float64 exactness bound.
-
 * ``apply_all`` maps a whole list of rays through one matrix as one
-  product, then canonicalizes every image at once by dividing it by its
-  lead amplitude (``_scalar_canonical_batch``), so the denominators
-  cancel.  Each lead, like each irrational Gram weight, is inverted once
-  per conductor and primitive part (``_Context.inverse``).
-* ``first_irrational`` and ``probabilities`` run one blocked Gram kernel
-  over a row set and a column set.  A transition probability is
-  |<a|b>|^2 / (|a|^2 |b|^2); on the numerator arrays the denominators
-  cancel and it is |<a|b>|^2 * w_a * w_b with w = 1 / |num|^2.  Per tile
-  the kernel forms <a|b> as conj(A) against the right operator of B,
-  multiplies it by its conjugate, and folds in the operator of each
-  irrational weight (a canonical ray can have an irrational squared
-  norm); the weights' integer denominators are divided out last.
-  The weights are computed once per call (``_weights``), and each tile
-  slices its rows and columns from that index.
-  In the power basis a pair is rational exactly when coefficients
-  1..phi(m)-1 vanish.  Tiles are sized by a fixed budget of multiplier
-  entries, so memory does not grow with the number of pairs.
-* The probability is symmetric in a and b.  When the column set is the
-  row set itself (the same object), a tile whose rows start at i0 keeps
-  only its columns j >= i0, trimmed inside the column block, and the
-  results mirror the upper triangle.  That forms about half the pairs of
-  the square: ``verify_requirements``, ``verify_mub`` and the orbit MUB
-  extraction pass one list twice.
-* ``_norm_sq`` gives |x|^2 for a batch of numerator arrays: one field
-  product of the conjugate row against the column.  It serves the Gram
-  weights and the commensurability test of the generation step.
+  ``_field_matmul``, the exact kernel of ``qgroups``, then canonicalizes
+  every image at once by dividing it by its lead amplitude
+  (``_scalar_canonical_batch``).  Each lead, like each irrational Gram
+  weight, is inverted once per conductor and primitive part
+  (``_Context.inverse``).
+* ``first_irrational`` and ``probabilities`` run one Gram kernel.  A
+  transition probability is |<a|b>|^2 w_a w_b on numerators, with
+  w = 1 / |num|^2; each tile of pairs forms it in floating point at the
+  complex embeddings of Q(zeta_m), and its exact coefficients come back
+  from the rounded traces through the integer inverse of the trace form,
+  under an a-priori rounding bound, or else from generic field products.
+  When the column set is the row set (the same object:
+  ``verify_requirements``, ``verify_mub``, the orbit MUB extraction),
+  only the upper triangle of tiles is formed and mirrored.
 
 The scalar functions ``inner``, ``transition_probability`` and
 ``prob_rational`` work on ``Ray.amps`` in ``Cyclotomic`` arithmetic and
@@ -46,6 +29,7 @@ are the reference the kernel is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -61,7 +45,6 @@ from .qgroups import (
     _exact_matmul,
     _field_matmul,
     _int_array,
-    _right_operator,
     _scalar_canonical_batch,
 )
 
@@ -267,74 +250,146 @@ def apply(mat: UMatrix, ray: Ray) -> Ray:
 
 # -- Gram kernel -------------------------------------------------------------------
 
+_TILE_ROWS = 16  # a Gram tile's columns fill max(1, _GRAM_BUDGET // d) pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_form(m: int):
+    """(embed, trace, inverse) of Q(zeta_m), built once per conductor.
+
+    embed (d, 2h): the real, then the imaginary parts of sigma_k(z^i), one k
+    per conjugate pair {k, m - k} of units.  For totally real x with
+    embeddings X, trace @ X = y, y_j = Tr(x z^-j) = (T c)_j for its
+    coefficients c and T[j, i] = Tr(z^(i - j)).  inverse = m T^-1 is
+    integral, as the trace dual of Z[zeta_m] lies in (1/m) Z[zeta_m] (the
+    different divides m; Washington, *Introduction to Cyclotomic Fields*,
+    ch. 2): Gauss-Jordan without pivots (T = V V* is positive definite),
+    rounded, and certified by the exact T @ inverse == m I.
+    """
+    ctx = _context(m)
+    d = ctx.degree
+    units = [k for k in range(m) if math.gcd(k, m) == 1]
+    half = np.array([k for k in units if 2 * k <= m])
+    turns = 2 * np.pi * (np.outer(np.arange(d), half) % m) / m
+    embed = np.hstack((np.cos(turns), np.sin(turns)))
+    trace = np.cos(turns) * np.where(2 * half % m, 2.0, 1.0)
+    # Tr(z^r) is an integer, so it is the constant coefficient of sum z^(r k)
+    tr = [sum(ctx.rows[r * k % m][0] for k in units) for r in range(m)]
+    t = np.array([[tr[(i - j) % m] for i in range(d)] for j in range(d)])
+    a = np.hstack((t, m * np.eye(d)))
+    for k in range(d):
+        a[k] /= a[k, k]
+        a -= np.outer(np.where(np.arange(d) == k, 0, a[:, k]), a[k])
+    inverse = np.rint(a[:, d:]).astype(np.int64)
+    if not np.array_equal(_exact_matmul(t, inverse), m * np.eye(d, dtype=np.int64)):
+        raise ArithmeticError(f"m T^-1 is not integral for m = {m}")
+    return embed, trace, inverse
+
+
+def _recover(x: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients (d, K) of totally real algebraic integers from their
+    embeddings x (h, K), traces off by under 1/2: (m T^-1) rint(y) / m."""
+    _, trace, inverse = _trace_form(m)
+    c = _exact_matmul(inverse, np.rint(trace @ x))
+    if (c % m != 0).any():
+        raise ArithmeticError("trace-form recovery left a remainder mod m")
+    return c // m
+
+
+def _embed(nums: np.ndarray, m: int):
+    """(embeddings (b, ..., 2h), l1 (b,)) of arrays (b, ..., d), real parts
+    first.  l1 sums |coefficient| in float64, 2**64 past that; past
+    l1 = 2**53, which no bound admits, an array embeds as 0."""
+    flat = np.abs(nums.reshape(len(nums), -1))
+    if flat.dtype == object:
+        l1 = np.array([float(min(v, 1 << 64)) for v in flat.sum(axis=1)])
+    else:
+        l1 = flat.sum(axis=1, dtype=np.float64)
+    big = (l1 >= 2.0**53).reshape((-1,) + (1,) * (nums.ndim - 1))
+    return np.where(big, 0, nums).astype(np.float64) @ _trace_form(m)[0], l1
+
 
 def _norm_sq(nums: np.ndarray, ctx) -> np.ndarray:
-    """Coefficients (b, d) of sum_i conj(x_i) x_i for each array of a batch
-    (b, n, d): one field product of the conjugate as a row against the
-    array as a column.
-    """
+    """Coefficients (b, d) of sum_i conj(x_i) x_i for each array (n, d) of
+    a batch: one field product of the conjugate row against the column."""
     return _field_matmul(_conj(nums, ctx)[:, None], nums[:, :, None], ctx)[:, 0, 0]
 
 
-def _weights(rays, ctx):
-    """The Gram weights w = 1 / |num|^2 of the rays, as (index, dens).
+def _gram_side(rays, ctx, eps_d: float):
+    """(order, nums, emb (h, b, 2n), wnum, wemb (h, b), dens, size) of the
+    rays, all but dens in ascending size: emb holds the real, then the
+    imaginary parts of the embedded entries; 1 / |num|^2 = wnum[k] / dens[k]
+    and size = l1(num)^2 l1(wnum).  Squared norms come from emb where
+    eps_d l1^2 < 1/2 (_gram_tiles), elsewhere from ``_norm_sq`` in chunks."""
+    m, d = ctx.m, ctx.degree
+    nums = np.stack([ray.num for ray in rays])
+    b, n, _ = nums.shape
+    emb, l1 = _embed(nums, m)
+    emb = emb.reshape(b, n, 2, -1).transpose(3, 0, 2, 1).reshape(-1, b, 2 * n)
+    ok = eps_d * l1 * l1 < 0.5
+    norms = np.zeros((b, d), dtype=object)
+    norms[ok] = _recover((emb[:, ok] ** 2).sum(axis=2), m).T
+    rest, step = np.flatnonzero(~ok), max(1, _GRAM_BUDGET // (n * d * d))
+    for sel in (rest[lo : lo + step] for lo in range(0, len(rest), step)):
+        norms[sel] = _norm_sq(nums[sel], ctx)
+    norms = norms.tolist()
+    dens = [row[0] for row in norms]
+    wnum = [[1] + [0] * (d - 1)] * b
+    for k, row in enumerate(norms):
+        if any(row[1:]):
+            inv = ctx.inverse(tuple(row))
+            wnum[k], dens[k] = list(inv.num), inv.den
+    wnum = _int_array(wnum)
+    wemb, wl1 = _embed(wnum, m)
+    size = l1 * l1 * wl1
+    o = np.argsort(size, kind="stable")
+    return o, nums[o], emb[:, o], wnum[o], wemb[o, : emb.shape[0]].T, dens, size[o]
 
-    Each w is an integer numerator over the positive integer dens[k], so
-    the kernel multiplies only by integers.  A rational w has numerator 1
-    and is not indexed.  index holds the positions of the rays with an
-    irrational w, ascending, and the right operators (k, d, d) of their
-    numerators.  The squared norms are formed in chunks of the Gram budget.
-    """
-    n, d = rays[0].dim, ctx.degree
-    step = max(1, _GRAM_BUDGET // (n * d * d))
-    rows = []
-    for lo in range(0, len(rays), step):
-        chunk = np.stack([ray.num for ray in rays[lo : lo + step]])
-        rows += _norm_sq(chunk, ctx).tolist()
-    idx = [k for k, row in enumerate(rows) if any(row[1:])]
-    invs = [ctx.inverse(tuple(rows[k])) for k in idx]
-    dens = [row[0] for row in rows]
-    for k, inv in zip(idx, invs):
-        dens[k] = inv.den
-    inv_nums = _int_array([inv.num for inv in invs]).reshape(-1, 1, 1, d)
-    return (np.array(idx, dtype=np.intp), _right_operator(inv_nums, ctx)), dens
 
-
-def _fold_weights(prod: np.ndarray, index, lo: int, axis: int) -> np.ndarray:
-    """Multiply prod (r, c, d), whose axis covers the rays lo, lo + 1, ...,
-    by their irrational weights, sliced from the index of ``_weights``.
-    """
-    idx, ops = index
-    a, b = np.searchsorted(idx, (lo, lo + prod.shape[axis]))
-    if a == b:
-        return prod
-    sel, ops = idx[a:b] - lo, ops[a:b]
-    if axis == 0:
-        part = _exact_matmul(prod[sel], ops)
-    else:
-        part = _exact_matmul(prod[:, sel][:, :, None, :], ops)[:, :, 0, :]
-    if part.dtype != prod.dtype:
-        prod = prod.astype(object)
-    if axis == 0:
-        prod[sel] = part
-    else:
-        prod[:, sel] = part
-    return prod
+def _exact_tile(a, b, wa, wb, ctx) -> np.ndarray:
+    """(R, C, d) coefficients of |<a|b>|^2 wa wb by generic field products:
+    <a|b>, then times its conjugate in chunks of the budget, then wa, wb."""
+    r, c, d = len(a), len(b), ctx.degree
+    ip = _field_matmul(_conj(a, ctx), b.transpose(1, 0, 2), ctx).reshape(-1, 1, 1, d)
+    step = max(1, _GRAM_BUDGET // (d * d))
+    parts = [ip[k : k + step] for k in range(0, len(ip), step)]
+    # int64 parts join an object part as Python integers
+    sq = np.concatenate([_field_matmul(p, _conj(p, ctx), ctx) for p in parts])
+    sq = _field_matmul(sq.reshape(r, c, 1, d), wa[:, None, None], ctx)
+    return _field_matmul(sq[:, :, None], wb[:, None, None], ctx).reshape(r, c, d)
 
 
 def _gram_tiles(rows, cols):
-    """Yield (i0, j0, prod, row_dens, col_dens) over tiles of the pairs
-    rows x cols.
+    """Yield (ri, cj, prod, row_dens, col_dens) over tiles of rows x cols.
 
-    prod[i, j] holds the coefficients of |<a|b>|^2 times the weight
-    numerators of a = rows[i0 + i] and b = cols[j0 + j], all on numerators;
-    the probability is prod[i, j, 0] / (row_dens[i0 + i] * col_dens[j0 + j])
-    when coefficients 1.. vanish, and irrational otherwise.  The weight
-    denominators (``_weights``) cover all rows and all columns.
+    prod[:, i, j] holds the coefficients of x = |<a|b>|^2 wnum_a wnum_b
+    (``_gram_side``) for a = rows[ri[i]], b = cols[cj[j]]; the probability
+    is prod[0, i, j] / (row_dens[ri[i]] col_dens[cj[j]]) when coefficients
+    1.. vanish, else irrational.  Rays go in ascending size, so large ones
+    fail the bound below in their own tiles only.  A tile is ``_TILE_ROWS``
+    rows by the columns that fill max(1, _GRAM_BUDGET // d) pairs; when
+    cols is rows, it takes the columns from its first row's position on.
+    x is totally real, its embeddings |sigma_k(<a|b>)|^2 times those of the
+    weights, with conj(a) b = (ar br + ai bi) + i (ar bi - ai br): two real
+    products per embedding, (h, R, 2n) @ (h, 2n, C).
 
-    When cols is rows the pairs are symmetric, and a tile whose rows start
-    at i0 keeps only its columns j >= i0.  Every pair with j >= i is then
-    yielded once, and the pairs below the diagonal mostly are not.
+    The bound.  With u = 2**-53 and gamma_k = k u / (1 - k u), a float64
+    dot product of k terms is off by at most gamma_k sum |x_i y_i|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §3.1).  The cosines and sines of 2 pi r / m, 0 <= r < m, are assumed
+    within delta = 2**-48 (three roundings of the argument, at most
+    3 u 2 pi, and a few ulps of numpy's cos and sin).  |sigma_k(a_t)| <=
+    l1(a_t), so |sigma_k(x)| <= S = size(a) size(b) and |y_j| <= d S.  To
+    first order, relative to these, an embedded entry is off by
+    e1 = sqrt2 (delta + gamma_d), sigma_k(<a|b>) by 2 e1 + sqrt2 gamma_2n,
+    x by 4 e1 + 2 sqrt2 gamma_2n + 2 delta + 2 gamma_d + 2 gamma_2, and a
+    trace (h doubled cosines, off by 2 delta) by d S times that plus
+    delta + gamma_h: below d S (9 delta + u (8.2 d + 5.7 n + 4)) <
+    eps d S, eps = 16 delta + 16 u (d + n), whose spare covers second-order
+    terms and the float64 l1 and S.  A tile whose largest row size times
+    largest column size meets eps d S < 1/2 rounds every trace to its
+    integer, below 2**53; any other takes ``_exact_tile``.  The squared
+    norms are the chain up to <a|a>.
     """
     if not rows or not cols:
         return
@@ -345,30 +400,24 @@ def _gram_tiles(rows, cols):
             raise FieldMismatchError("rays of different dimension or conductor")
     ctx = _context(m)
     d = ctx.degree
-    row_weights, row_dens = _weights(rows, ctx)
-    col_weights, col_dens = (
-        (row_weights, row_dens) if symmetric else _weights(cols, ctx)
-    )
-    conj_rows = _conj(np.stack([r.num for r in rows]), ctx).reshape(len(rows), n * d)
-    col_nums = np.stack([c.num for c in cols])
-    col_block = max(1, _GRAM_BUDGET // (n * d * d))
-    for j0 in range(0, len(cols), col_block):
-        block = col_nums[j0 : j0 + col_block]
-        c = block.shape[0]
-        # conj(a) as a row times the columns b_j is the row of <a|b_j>
-        right = _right_operator(block.transpose(1, 0, 2), ctx)
-        row_block = max(1, _GRAM_BUDGET // (c * d * d))
-        row_end = min(len(rows), j0 + c) if symmetric else len(rows)
-        for i0 in range(0, row_end, row_block):
-            lo = max(0, i0 - j0) if symmetric else 0
-            ip = _exact_matmul(conj_rows[i0 : i0 + row_block], right[:, lo * d :])
-            # one batch axis over all pairs: BLAS sees (pairs, d) @ (d, d)
-            ip = ip.reshape(-1, d)
-            prod = _field_matmul(ip[:, None, None], _conj(ip, ctx)[:, None, None], ctx)
-            prod = prod.reshape(-1, c - lo, d)
-            prod = _fold_weights(prod, row_weights, i0, 0)
-            prod = _fold_weights(prod, col_weights, j0 + lo, 1)
-            yield i0, j0 + lo, prod, row_dens, col_dens
+    eps_d = (2.0**-44 + 2.0**-49 * (d + n)) * d
+    ro, rn, remb, rw, rwemb, row_dens, rsize = row = _gram_side(rows, ctx, eps_d)
+    col = row if symmetric else _gram_side(cols, ctx, eps_d)
+    co, cn, cemb, cw, cwemb, col_dens, csize = col
+    cre = np.ascontiguousarray(cemb.transpose(0, 2, 1))
+    cim = np.concatenate((cre[:, n:], -cre[:, :n]), axis=1)
+    r = min(len(rows), _TILE_ROWS)
+    c = max(1, _GRAM_BUDGET // d // r)
+    for i0 in range(0, len(rows), r):
+        for j0 in range(i0 if symmetric else 0, len(cols), c):
+            i, j = slice(i0, i0 + r), slice(j0, j0 + c)
+            if eps_d * rsize[i].max() * csize[j].max() < 0.5:
+                x = (remb[:, i] @ cre[:, :, j]) ** 2 + (remb[:, i] @ cim[:, :, j]) ** 2
+                x *= rwemb[:, i, None] * cwemb[:, None, j]
+                prod = _recover(x.reshape(len(x), -1), m).reshape(d, *x.shape[1:])
+            else:
+                prod = _exact_tile(rn[i], cn[j], rw[i], cw[j], ctx).transpose(2, 0, 1)
+            yield ro[i], co[j], prod, row_dens, col_dens
 
 
 def first_irrational(rows, cols) -> np.ndarray:
@@ -382,14 +431,12 @@ def first_irrational(rows, cols) -> np.ndarray:
     rows = list(rows)
     cols = rows if symmetric else list(cols)
     first = np.full(len(rows), len(cols), dtype=np.int64)
-    for i0, j0, prod, _, _ in _gram_tiles(rows, cols):
-        bad = (prod[..., 1:] != 0).any(axis=2)
+    for ri, cj, prod, _, _ in _gram_tiles(rows, cols):
+        bad = (prod[1:] != 0).any(axis=0)
         # every tile entry is a correct verdict, so its mirror is too
-        spans = [(i0, j0, bad), (j0, i0, bad.T)] if symmetric else [(i0, j0, bad)]
-        for r0, c0, tile in spans:
-            hit = np.where(tile.any(axis=1), c0 + tile.argmax(axis=1), len(cols))
-            part = first[r0 : r0 + len(tile)]
-            np.minimum(part, hit, out=part)
+        spans = [(ri, cj, bad), (cj, ri, bad.T)] if symmetric else [(ri, cj, bad)]
+        for r, c, tile in spans:
+            first[r] = np.minimum(first[r], np.where(tile, c, len(cols)).min(axis=1))
     first[first == len(cols)] = -1
     return first
 
@@ -405,11 +452,14 @@ def probabilities(rows, cols) -> list[list[Fraction | None]]:
     rows = list(rows)
     cols = rows if symmetric else list(cols)
     out: list[list[Fraction | None]] = [[None] * len(cols) for _ in rows]
-    for i0, j0, prod, row_dens, col_dens in _gram_tiles(rows, cols):
-        lead = prod[..., 0].tolist()
-        for i, j in zip(*np.nonzero(~(prod[..., 1:] != 0).any(axis=2))):
-            p = Fraction(lead[i][j], row_dens[i0 + i] * col_dens[j0 + j])
-            out[i0 + i][j0 + j] = p
+    # values recur (0, 1 / N and 1 across an MUB set): build each once
+    fraction = functools.lru_cache(maxsize=None)(Fraction)
+    for ri, cj, prod, row_dens, col_dens in _gram_tiles(rows, cols):
+        lead, ri, cj = prod[0].tolist(), ri.tolist(), cj.tolist()
+        ii, jj = np.nonzero(~(prod[1:] != 0).any(axis=0))
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            a, b = ri[i], cj[j]
+            out[a][b] = p = fraction(lead[i][j], row_dens[a] * col_dens[b])
             if symmetric:
-                out[j0 + j][i0 + i] = p
+                out[b][a] = p
     return out

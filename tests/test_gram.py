@@ -1,18 +1,23 @@
-"""Array-backed rays and the blocked Gram kernel against the scalar oracle.
+"""Array-backed rays and the Gram kernel against the scalar oracle.
 
 Every batched result here is compared with the scalar ``Cyclotomic``
 path: ``prob_rational`` pair by pair, an entrywise image of each ray
 under a matrix, and the loop forms of the rationality filter and of the
-pairwise and MUB checks.
+pairwise and MUB checks.  The Gram kernel's embedding route is also
+compared with its exact route, forced on the same tiles.
 """
 
 import json
+import math
 import random
+from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import finiteqm.qgroups as qgroups
@@ -21,8 +26,11 @@ from conftest import rays
 from finiteqm.cyclotomic import (
     Cyclotomic,
     SqrtConstructionError,
+    _context,
+    _factorize,
     canonical_dumps,
     conductor_for,
+    euler_phi,
     sqrt_rational,
     zeta,
 )
@@ -78,6 +86,29 @@ def ray_of(m, *amps):
                 for a in amps])
 
 
+@contextmanager
+def exact_route(force=False):
+    """Record the (rows, columns) of each tile that takes the exact route;
+    with force, every tile takes it."""
+    tiles = []
+    real_tile, real_side = rays_mod._exact_tile, rays_mod._gram_side
+
+    def record(a, b, *rest):
+        tiles.append((len(a), len(b)))
+        return real_tile(a, b, *rest)
+
+    def inflated(*args):
+        *side, size = real_side(*args)
+        return (*side, size * np.inf)
+
+    with mock.patch.object(rays_mod, "_exact_tile", record):
+        if not force:
+            yield tiles
+            return
+        with mock.patch.object(rays_mod, "_gram_side", inflated):
+            yield tiles
+
+
 class RecordingKernel:
     """Wraps the kernel seen by rays and records each result's dtype.
 
@@ -130,15 +161,21 @@ class TestGramOracle:
     def test_object_path_where_the_bound_straddles_2_53(self, monkeypatch):
         m = M2
         small = [ray_of(m, 1, 2), ray_of(m, 1, zeta(m, 2))]
-        # coefficients near 2**26 put the first product's bound just
-        # above 2**53; the small rays keep a block below it
+        # coefficients near 2**26 put the tile past the embedding bound and
+        # the exact route's first product just above 2**53; the small rays
+        # keep to the embedding route and its int64 recovery
         big_amp = Cyclotomic(m, [(1 << 26) + 3, 5, -(1 << 26), 0, 7, 0, 0, 1])
         big = [ray_of(m, 1, big_amp), ray_of(m, big_amp, 3)]
         kernel = RecordingKernel(monkeypatch)
-        assert_gram_matches(small, small)
+        with exact_route() as tiles:
+            assert_gram_matches(small, small)
+        assert tiles == []
         assert kernel.dtypes and all(dt == np.int64 for dt in kernel.dtypes)
         kernel.dtypes.clear()
-        assert_gram_matches(small + big, small + big)
+        with exact_route() as tiles:
+            assert_gram_matches(small + big, small + big)
+        # one tile for probabilities and one for first_irrational
+        assert tiles == [(4, 4), (4, 4)]
         assert any(dt == object for dt in kernel.dtypes)
 
     @given(st.lists(rays(2, M2), min_size=1, max_size=3))
@@ -538,13 +575,17 @@ class TestSymmetricGram:
     """Passing one list twice forms the upper triangle and mirrors it."""
 
     @pytest.mark.parametrize("source", ["d3s1", "d7orbit"])
-    def test_half_square_equals_full_square_and_scalar(self, source):
+    def test_half_square_equals_full_square_and_scalar(self, source, monkeypatch):
         if source == "d3s1":
             n, rays = 3, generate_states(3, 1).sorted_states()
+            # 16-row tiles of up to 512 columns: 11 row blocks, one column block
+            assert rays_mod._TILE_ROWS == 16
+            assert rays_mod._GRAM_BUDGET // 8 // 16 == 512
         else:
             n, rays = 7, seed_orbit(7)
             # 4-ray column blocks and 7-ray row blocks: trimming crosses blocks
-            assert rays_mod._GRAM_BUDGET // (n * 48 * 48) == 4
+            monkeypatch.setattr(rays_mod, "_TILE_ROWS", 7)
+            monkeypatch.setattr(rays_mod, "_GRAM_BUDGET", 48 * 28)
         # the last row's pairs lie below the diagonal, where tiles are trimmed
         rays = rays + [planted_ray(n)]
         want = scalar_upper_mirrored(rays)
@@ -560,22 +601,31 @@ class TestSymmetricGram:
 
     def test_half_square_forms_about_half_the_pairs(self, monkeypatch):
         rays = generate_states(2, 2).sorted_states()
-        assert len(rays) == 414  # one column block
+        rows = rays_mod._TILE_ROWS
+        # one column block of up to 512 columns per 16-row tile at d = 8
+        assert len(rays) == 414 and rows == 16
+        assert rays_mod._GRAM_BUDGET // 8 // rows == 512
         sizes = {}
         real = rays_mod._gram_tiles
 
         def counting(rows, cols):
             total = 0
             for tile in real(rows, cols):
-                total += tile[2].shape[0] * tile[2].shape[1]
+                total += tile[2].shape[1] * tile[2].shape[2]
                 yield tile
             sizes[rows is cols] = total
 
         monkeypatch.setattr(rays_mod, "_gram_tiles", counting)
-        assert (first_irrational(rays, rays) < 0).all()
-        assert (first_irrational(rays, list(rays)) < 0).all()
+        with exact_route() as tiles:
+            assert (first_irrational(rays, rays) < 0).all()
+            assert (first_irrational(rays, list(rays)) < 0).all()
+        assert tiles == []  # every tile took the embedding route
         assert sizes[False] == 414 * 414
-        assert 414 * 415 // 2 <= sizes[True] < 414 * 415 // 2 + 414
+        # the tile at i0 forms its rows against the columns i0..413
+        assert sizes[True] == sum(
+            min(rows, 414 - i0) * (414 - i0) for i0 in range(0, 414, rows)
+        )
+        assert 414 * 415 // 2 <= sizes[True] < 414 * 415 // 2 + 414 * rows // 2
 
 
 class TestInverseTable:
@@ -594,3 +644,124 @@ class TestInverseTable:
         monkeypatch.setattr(Cyclotomic, "inv", counting)
         assert clifford_orbits(seeds, 7) == orbits
         assert calls == []
+
+
+def sparse_rays(n, m):
+    """Rays of sparse amplitudes: c zeta_m^e for any e, or two such terms
+    inside Q(zeta_24), so that squared norms lie in Q(zeta_24), often
+    irrational, with small inverses.  The lead is 1, 2, 1 + zeta_8 or
+    2 + zeta_8; the last three are not units."""
+    q, one, z8 = m // 24, Cyclotomic.one(m), zeta(m, m // 8)
+    c = st.integers(-2, 2)
+    mono = st.builds(lambda c, e: c * zeta(m, e), c, st.integers(0, m - 1))
+    pair = st.builds(
+        lambda c1, e1, c2, e2: c1 * zeta(m, q * e1) + c2 * zeta(m, q * e2),
+        c, st.integers(0, 23), c, st.integers(0, 23),
+    )
+    lead = st.sampled_from([one, 2 * one, one + z8, 2 * one + z8])
+    rest = st.lists(st.one_of(mono, pair), min_size=n - 1, max_size=n - 1)
+    return st.builds(lambda a, amps: Ray([a, *amps]), lead, rest)
+
+
+def planted_weights(m):
+    """Rays with non-unit leads (2, and 1 + zeta_8, of norm 2 over Q(zeta_8))
+    and irrational squared norms, whose inverses are small."""
+    z8 = zeta(m, m // 8)
+    return [ray_of(m, 2, 1 + z8), ray_of(m, 1 + z8, 1), ray_of(m, 1, 1)]
+
+
+def gram_eps_d(n, d):
+    """eps * d of the embedding route's bound, eps = 16 delta + 16 u (d + n)."""
+    return (16 * 2.0**-48 + 16 * 2.0**-53 * (d + n)) * d
+
+
+def ramanujan(r, m):
+    """Tr(zeta_m^r) = mu(q) phi(m) / phi(q), q = m / gcd(r, m)."""
+    q = m // math.gcd(r, m)
+    f = _factorize(q)
+    mu = 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+    return mu * euler_phi(m) // euler_phi(q)
+
+
+def exact_roots(m):
+    """exp(2 pi i r / m) for 0 <= r < m, each part the float nearest to a
+    40-digit Taylor sum of -exp(i x), x = 2 pi r / m - pi."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 45
+        pi = Decimal("3.14159265358979323846264338327950288419716939937511")
+        for r in range(m):
+            x = 2 * pi * r / m - pi
+            parts, term, k = [Decimal(0)] * 4, Decimal(1), 0
+            while abs(term) > Decimal(10) ** -42:
+                parts[k % 4] += term
+                k += 1
+                term = term * x / k
+            out.append(-complex(float(parts[0] - parts[2]), float(parts[1] - parts[3])))
+    return np.array(out)
+
+
+class TestEmbeddedGram:
+    """The embedding route against the exact route and the scalar oracle."""
+
+    @pytest.mark.parametrize("m", [24, 72, 168, 312])
+    def test_planted_weights_take_the_embedding_route(self, m):
+        rays = planted_weights(m)
+        assert rays[0].den == 2 and rays[1].den > 1  # non-unit leads
+        assert all(r.norm_sq().rational() is None for r in rays[:2])
+        with exact_route() as tiles:
+            want = assert_gram_matches(rays, rays)
+            assert probabilities(rays, list(rays)) == want
+        assert tiles == []
+        with exact_route(force=True) as tiles:
+            assert probabilities(rays, list(rays)) == want
+        assert tiles == [(3, 3)]
+
+    @pytest.mark.parametrize("m", [24, 72, 168, 312])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_routes_agree_with_scalar(self, m, data):
+        sample = data.draw(st.lists(sparse_rays(2, m), min_size=1, max_size=3))
+        rays = sample + planted_weights(m)
+        want = scalar_probabilities(rays, rays)
+        sizes = rays_mod._gram_side(rays, _context(m), gram_eps_d(2, euler_phi(m)))[-1]
+        embedded = gram_eps_d(2, euler_phi(m)) * sizes.max() ** 2 < 0.5
+        with exact_route() as tiles:
+            assert probabilities(rays, rays) == probabilities(rays, list(rays)) == want
+        assert tiles == ([] if embedded else [(len(rays), len(rays))] * 2)
+        with exact_route(force=True) as tiles:
+            assert probabilities(rays, list(rays)) == want
+        assert tiles
+
+    # rays (1, k) and (1, k zeta_8): l1 = 1 + k and |num|^2 = 1 + k^2, so
+    # the tile's bound is eps d (1 + k)^4, which crosses 1/2 at k = 956
+    @given(st.integers(856, 1056))
+    @example(955)
+    @example(956)
+    def test_route_follows_the_bound_across_one_half(self, k):
+        eps_d = gram_eps_d(2, 8)
+        assert eps_d * (1 + 955) ** 4 < 0.5 <= eps_d * (1 + 956) ** 4
+        rays = [ray_of(M2, 1, k), ray_of(M2, 1, k * zeta(M2, 3))]
+        with exact_route() as tiles:
+            want = assert_gram_matches(rays, rays)
+        assert want[0][1] is None and want[0][0] == 1
+        assert tiles == ([] if eps_d * (1 + k) ** 4 < 0.5 else [(2, 2)] * 2)
+
+    @pytest.mark.parametrize("m", sorted({conductor_for(n) for n in range(2, 28)}))
+    def test_trace_form_inverse_is_certified(self, m):
+        embed, trace, inverse = rays_mod._trace_form(m)
+        d = euler_phi(m)
+        t = np.array([[ramanujan(i - j, m) for i in range(d)] for j in range(d)])
+        assert inverse.dtype == np.int64 and np.abs(inverse).max() <= 12
+        # integer matmul in numpy is exact; entries stay below d * d * 12
+        assert np.array_equal(t @ inverse, m * np.eye(d, dtype=np.int64))
+        assert embed.shape == (d, d) and trace.shape == (d, d // 2)
+
+    @pytest.mark.parametrize("m", [24, 168, 216, 600])
+    def test_root_table_within_delta(self, m):
+        # the bound assumes cosines and sines within delta = 2**-48
+        embed = rays_mod._trace_form(m)[0]
+        half = [k for k in range(m) if math.gcd(k, m) == 1 and 2 * k <= m]
+        want = exact_roots(m)[np.outer(np.arange(euler_phi(m)), half) % m]
+        want = np.hstack((want.real, want.imag))
+        assert np.abs(embed - want).max() <= 2.0**-48 - 2.0**-53

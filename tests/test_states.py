@@ -1,10 +1,12 @@
 """State-set generation: seeds, candidates, filter, orbit structure."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from finiteqm.cyclotomic import Cyclotomic, conductor_for, zeta
+from finiteqm.cyclotomic import Cyclotomic, _context, conductor_for, zeta
 from finiteqm.qgroups import clifford_group
 from finiteqm.rays import Ray, ontic_ray, transition_probability
 from finiteqm.states import (
@@ -263,3 +265,30 @@ class TestNormStructure:
         for i, a in enumerate(probe):
             for b in probe[i:]:
                 assert transition_probability(a, b).rational() is not None
+
+
+class TestGaloisClosure:
+    """The state sets are closed under Gal(Q(zeta_m)/Q), applied entrywise.
+
+    sigma_k maps Z[zeta_m] onto itself and fixes 1, so it maps a canonical
+    ray (lead 1, content-reduced) to a canonical ray: the image is one
+    gather through the rows of sigma_k, with no inversion.
+    """
+
+    @pytest.mark.parametrize("n, steps", [(2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_closed_under_every_sigma_k(self, n, steps):
+        ss = generate_states(n, steps)
+        m = ss.conductor
+        states = ss.sorted_states()
+        nums = np.stack([ray.num for ray in states])
+        assert nums.dtype == np.int64
+        units = [k for k in range(1, m) if math.gcd(k, m) == 1]
+        for k in units:
+            sigma = np.array(_context(m).galois_rows(k), dtype=np.int64)
+            images = [
+                Ray._from_canonical(m, num @ sigma, ray.den)
+                for num, ray in zip(nums, states)
+            ]
+            assert set(images) == ss.states.keys()
+            # the scalar sigma_k of each amplitude gives the same ray
+            assert Ray([a.galois(k) for a in states[-1].amps]) == images[-1]
