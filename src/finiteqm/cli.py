@@ -27,6 +27,7 @@ from .decomposition import (
 from .galois import gf_build, gf_trace_int
 from .mub import MubExtractionError, extract_mubs_from_orbit, mub_complete_set, verify_mub
 from .qgroups import (
+    _DEFAULT_MAX_SIZE,
     center_of,
     check_weyl_relation,
     clifford_group,
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "summary"], default="json")
 
     def closure_flags(p):
-        p.add_argument("--max-closure", type=_positive, default=1_000_000)
+        p.add_argument("--max-closure", type=_positive, default=_DEFAULT_MAX_SIZE)
 
     p = sub.add_parser("group", help="close a matrix group and report its order")
     common(p)

@@ -23,7 +23,7 @@ from math import lcm
 
 from .cyclotomic import _factorize, conductor_for
 from .qgroups import (
-    ClosureCapError,
+    _DEFAULT_MAX_SIZE,
     GroupTable,
     UMatrix,
     center_of,
@@ -165,6 +165,7 @@ class ProductCheckReport:
     projective_matches: bool | None = None
     generators_in_tensor_group: dict[str, bool] = field(default_factory=dict)
     tensor_group_order: int | None = None
+    # always None; kept so that the crt JSON stays byte-stable
     partial_global_order: int | None = None
 
     def to_json(self) -> dict:
@@ -181,7 +182,7 @@ class ProductCheckReport:
 def clifford_product_check(
     n: int,
     mode: str = "full",
-    max_size: int = 1_000_000,
+    max_size: int = _DEFAULT_MAX_SIZE,
 ) -> ProductCheckReport:
     """Measure how the dimension-n Clifford group relates to its factors.
 
@@ -192,10 +193,13 @@ def clifford_product_check(
     against the central-product value (naive divided by the scalar
     overlap).  projective mode closes only the projective groups, where
     the decomposition is an exact direct product.  Every generator set
-    here carries the finiteness certificate, so each closure counts mod p.
-    A single prime power factor makes the check a tautology; it is
-    reported as skipped.
+    here carries the finiteness certificate, so each closure counts mod p,
+    and max_size bounds each global and tensor closure's search of the
+    group modulo scalars (ClosureCapError past it).  A single prime power
+    factor makes the check a tautology; it is reported as skipped.
     """
+    if mode not in ("full", "projective"):
+        raise ValueError(f"mode must be 'full' or 'projective', got {mode!r}")
     split = crt_split(n)
     report = ProductCheckReport(n=n, factors=split.factors, mode=mode)
     if len(split.factors) < 2:
@@ -251,19 +255,11 @@ def clifford_product_check(
     tens_gens = [perm_inv @ t @ perm for t in tens_gens]
 
     if mode == "full":
-        try:
-            global_table = group_closure(
-                list(global_gens.values()),
-                names=tuple(global_gens.keys()),
-                max_size=max_size,
-            )
-        except ClosureCapError as exc:
-            # order-only fallback: redo the check projectively
-            report = clifford_product_check(n, mode="projective", max_size=max_size)
-            report.mode = "projective-fallback"
-            report.global_order = None
-            report.partial_global_order = exc.partial_size
-            return report
+        global_table = group_closure(
+            list(global_gens.values()),
+            names=tuple(global_gens.keys()),
+            max_size=max_size,
+        )
         report.global_order = global_table.order
         report.matches_naive_product = global_table.order == naive
         report.matches_central_product = (
@@ -280,12 +276,8 @@ def clifford_product_check(
         report.projective_global_order = pcl_global.order
         proj_product = 1
         for f in split.factors:
-            gens = clifford_generators(f, m)
-            proj_product *= group_closure(
-                list(gens.values()),
-                names=tuple(gens.keys()),
-                projective=True,
-            ).order
+            # |PCL(f)| = |CL(f)| / |scalars|, from the local tables above
+            proj_product *= report.local_orders[f] // report.local_scalar_orders[f]
         report.projective_product = proj_product
         report.projective_matches = pcl_global.order == proj_product
         tensor_table = group_closure(

@@ -76,33 +76,37 @@ class MubReport:
 def verify_mub(bs: BasisSet) -> MubReport:
     """Exact check: orthonormal within bases, probability 1/N across."""
     flat = [ray for basis in bs.bases for ray in basis]
-    index = {ray: k for k, ray in enumerate(flat)}
-    violations = _mub_violations(bs, probabilities(flat, flat), index)
+    rows, lo = [], 0
+    for basis in bs.bases:
+        rows.append(range(lo, lo + len(basis)))
+        lo += len(basis)
+    violations = _mub_violations(bs.dim, rows, probabilities(flat, flat))
     return MubReport(
         dim=bs.dim, n_bases=len(bs.bases), ok=not violations, violations=violations
     )
 
 
-def _mub_violations(bs: BasisSet, probs, index: dict[Ray, int]) -> list[str]:
-    """verify_mub's violations, with P(a, b) read as probs[index[a]][index[b]]."""
-    n = bs.dim
+def _mub_violations(n: int, bases, probs) -> list[str]:
+    """verify_mub's violations for bases given as row positions of probs."""
     violations: list[str] = []
-    for bi, basis in enumerate(bs.bases):
+    for bi, basis in enumerate(bases):
         if len(basis) != n:
             violations.append(f"basis {bi} has {len(basis)} rays, expected {n}")
             continue
         for i in range(n):
+            row = probs[basis[i]]
             for j in range(i + 1, n):
-                p = probs[index[basis[i]]][index[basis[j]]]
+                p = row[basis[j]]
                 if p != 0:
                     violations.append(
                         f"basis {bi}: rays {i},{j} not orthogonal (P={p})"
                     )
-    for bi, one in enumerate(bs.bases):
-        for bj in range(bi + 1, len(bs.bases)):
+    for bi, one in enumerate(bases):
+        for bj in range(bi + 1, len(bases)):
             for i, a in enumerate(one):
-                for j, b in enumerate(bs.bases[bj]):
-                    p = probs[index[a]][index[b]]
+                row = probs[a]
+                for j, b in enumerate(bases[bj]):
+                    p = row[b]
                     if p is None or p.numerator != 1 or p.denominator != n:
                         violations.append(
                             f"bases {bi},{bj}: rays {i},{j} have P={p}, want 1/{n}"
@@ -179,31 +183,31 @@ def extract_mubs_from_orbit(rays) -> BasisSet:
     if not pool:
         raise MubExtractionError("empty orbit")
     n = pool[0].dim
-    index = {ray: k for k, ray in enumerate(pool)}
     probs = probabilities(pool, pool)
+    picked: list[list[int]] = []  # each basis as positions in pool
     bases: list[list[Ray]] = []
-    remaining = list(pool)
+    remaining = list(range(len(pool)))
     while remaining:
-        seedling = remaining[0]
-        basis = [seedling]
+        basis = [remaining[0]]
         for cand in remaining[1:]:
             if len(basis) == n:
                 break
-            row = probs[index[cand]]
-            if all(row[index[b]] == 0 for b in basis):
+            row = probs[cand]
+            if all(row[b] == 0 for b in basis):
                 basis.append(cand)
         if len(basis) != n:
             raise MubExtractionError(
                 f"could not complete an orthonormal basis from ray "
-                f"{seedling.key()}: found only {len(basis)} of {n}",
+                f"{pool[basis[0]].key()}: found only {len(basis)} of {n}",
                 bases=bases,
-                leftover=remaining,
+                leftover=[pool[k] for k in remaining],
             )
         chosen = set(basis)
-        remaining = [r for r in remaining if r not in chosen]
-        bases.append(basis)
+        remaining = [k for k in remaining if k not in chosen]
+        picked.append(basis)
+        bases.append([pool[k] for k in basis])
     result = BasisSet(dim=n, bases=bases)
-    violations = _mub_violations(result, probs, index)
+    violations = _mub_violations(n, picked, probs)
     if violations:
         raise MubExtractionError(
             "partition found but unbiasedness fails: " + "; ".join(violations[:3]),

@@ -80,16 +80,18 @@ root of unity: the roots of unity of Q(zeta_m) are mu_lcm(2, m), and
 p = 1 (mod lcm(2, m)) does not divide lcm(2, m), so x^lcm(2, m) - 1 has
 distinct roots mod p and reduction is injective on mu_lcm(2, m).
 
-A closure keeps the keys and the tree.  Element bodies and words are
+A closure keeps the keys and the tree, and its cap bounds that one
+search: more than max_size classes of G/S raise ClosureCapError, while a
+plain order |G/S| |S| may exceed the cap.  Element bodies and words are
 built on first access, along a tree, with one exact product (parent
 times generator) per element; for a plain closure that is the tree of
-the plain search, which keys every element of G and runs only then (and
-past the cap, to report the same partial size).  Membership is read from
-residues: a query q that carries the certificate itself and has no p in
-its denominator generates, with G, a finite certified group that is
-p-integral, so reduction stays injective there and q lies in G exactly
-when its residue does, that is when its key is present and, on a plain
-closure, its lead over the representative's lies in S.
+the plain search, which keys every element of G, runs only then and
+stops at the same cap.  Membership is read from residues: a query q that
+carries the certificate itself and has no p in its denominator
+generates, with G, a finite certified group that is p-integral, so
+reduction stays injective there and q lies in G exactly when its residue
+does, that is when its key is present and, on a plain closure, its lead
+over the representative's lies in S.
 """
 
 from __future__ import annotations
@@ -675,7 +677,9 @@ class GroupTable:
     .words, exactly, along a tree (one product per element), and kept.  A
     projective table uses its own tree.  A plain table needs the tree of
     the plain search, so that each word is the first shallowest one in G;
-    that search runs then, once, and its keys are not kept.
+    that search runs then, once, and its keys are not kept.  It is bounded
+    by the table's max_size: past it, .elements and .words raise
+    ClosureCapError with the number of elements the plain search reached.
     """
 
     def __init__(
@@ -1189,14 +1193,15 @@ def group_closure(
     projective table holds its keys and its breadth-first tree.  A plain
     table runs it with the lead of each representative and collects the
     Schreier scalars S, and its order is |G/S| |S|; it keeps no key per
-    element of G.  max_size still bounds the order: when a plain
-    order exceeds it, the plain search runs up to the cap and raises
-    ClosureCapError with the partial size it reached.
+    element of G.  max_size bounds the search the table holds, so |G/S|
+    for either kind: past it, ClosureCapError carries the number of
+    classes reached.  A plain order |G/S| |S| may exceed max_size.
 
     Element bodies and words are built on first access: exactly, along a
     breadth-first tree, one product per element, sorted by UMatrix.key();
     each word is the first one found at the shallowest level.  A plain
-    table builds the tree of the plain search then, once.
+    table builds the tree of the plain search then, once, under the same
+    max_size, which then bounds |G|.
     """
     gens = list(generators)
     if not gens:
@@ -1219,18 +1224,8 @@ def group_closure(
     failure = _certificate_failure(gens, names)
     if failure:
         raise UncertifiedGeneratorsError(f"no finiteness certificate: {failure}")
-    try:
-        search = _mod_p_closure(gens, True, max_size, scalars=not projective)
-        table = GroupTable(gens, names, projective, search, max_size)
-    except ClosureCapError:
-        if projective:
-            raise
-        table = None  # |G| >= |G/S| > max_size
-    if table is None or table.order > max_size:
-        # a plain closure past the cap reports the partial size of the
-        # plain search, which stops there
-        _mod_p_closure(gens, False, max_size)
-    return table
+    search = _mod_p_closure(gens, True, max_size, scalars=not projective)
+    return GroupTable(gens, names, projective, search, max_size)
 
 
 def wh_group(n: int, **kwargs) -> GroupTable:

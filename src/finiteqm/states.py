@@ -278,7 +278,7 @@ def _emission_operator(phases, r: Cyclotomic, ctx) -> np.ndarray:
     return _right_operator(_int_array([dens, nums]), ctx)
 
 
-def interference_candidates(stateset: StateSet, rng=None):
+def interference_candidates(stateset: StateSet):
     """Unit-balanced pairwise superpositions over all center phases.
 
     An orthogonal pair superposes only when it spans a proper subspace; in
@@ -303,10 +303,7 @@ def interference_candidates(stateset: StateSet, rng=None):
     factor L e.
     """
     states = stateset.sorted_states()
-    phases = list(center_phases(stateset.dim))
-    if rng is not None:
-        rng.shuffle(states)
-        rng.shuffle(phases)
+    phases = center_phases(stateset.dim)
     m = stateset.conductor
     ctx = _context(m)
     n, d = stateset.dim, ctx.degree
@@ -466,7 +463,6 @@ def generate_states(
     steps: int,
     *,
     initial: StateSet | None = None,
-    rng=None,
 ) -> StateSet:
     """Run the generation loop for the given number of steps.
 
@@ -514,7 +510,7 @@ def generate_states(
         start_step = 1
     for k in range(steps):
         step = start_step + k
-        candidates, raw, deduped, skipped = interference_candidates(ss, rng=rng)
+        candidates, raw, deduped, skipped = interference_candidates(ss)
         kept, rejected = rationality_filter(candidates, ss)
         new_orbits = clifford_orbits(kept, n)
         new_states = [r for orbit in new_orbits for r in orbit]

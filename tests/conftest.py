@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, settings
 
 from finiteqm.cyclotomic import Cyclotomic, euler_phi
 from finiteqm.rays import Ray
+from finiteqm.states import StateSet
 
 settings.register_profile(
     "exact",
@@ -67,3 +68,13 @@ def rays(n: int, m: int):
         .filter(lambda amps: any(not a.is_zero() for a in amps))
         .map(Ray)
     )
+
+
+def shuffled_stateset(ss: StateSet, rng) -> StateSet:
+    """A copy of ss whose states, orbits and orbit members come in an order
+    drawn from rng; generation from it must not depend on that order."""
+    out = StateSet(dim=ss.dim, conductor=ss.conductor, reports=list(ss.reports))
+    out.orbits = [rng.sample(orbit, len(orbit)) for orbit in ss.orbits]
+    rng.shuffle(out.orbits)
+    out.states = {ray: ss.states[ray] for ray in rng.sample(list(ss.states), len(ss))}
+    return out

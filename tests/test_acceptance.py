@@ -254,7 +254,7 @@ def test_criterion_8_property_suites():
         rng = random.Random(20260808)
         # orbit sizes divide the projective group order
         for n, pcl_order in ((2, 24), (3, 216)):
-            ss = generate_states(n, 1, rng=rng)
+            ss = generate_states(n, 1)
             for orbit in ss.orbits:
                 assert pcl_order % len(orbit) == 0
             reqs = verify_requirements(ss)
@@ -294,8 +294,9 @@ def test_criterion_8_property_suites():
         shuffled = list(gens2)
         rng.shuffle(shuffled)
         assert group_closure(shuffled).order == group_closure(gens2).order
-        # shuffled generation schedule reaches the same state set
-        assert set(generate_states(2, 1, rng=rng).states) == set(
+        # a shuffled starting set reaches the same state set
+        start = conftest.shuffled_stateset(generate_states(2, 0), rng)
+        assert set(generate_states(2, 1, initial=start).states) == set(
             generate_states(2, 1).states
         )
 

@@ -167,6 +167,19 @@ class TestCensus:
             [9, 729, 472392, 9, 52488],
         ]
 
+    def test_census_row_ten(self, capsys):
+        # computed by this package: the quotient search of CL(10) finds
+        # |PCL(10)| = 72000 classes and 40 Schreier scalars, under the
+        # default cap although |CL(10)| = 2880000 exceeds it
+        code, out = run(capsys, "census", "--dims", "10")
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["failures"] == []
+        assert [
+            [row["dim"], row["wh"], row["clifford"], row["scalars"], row["projective"]]
+            for row in data["rows"]
+        ] == [[10, 2000, 2880000, 40, 72000]]
+
     def test_timings_go_to_stderr(self, capsys):
         code = cli.main(["census", "--dims", "2"])
         captured = capsys.readouterr()

@@ -13,7 +13,7 @@ from finiteqm.decomposition import (
     energy_decompose,
     energy_fraction_identity,
 )
-from finiteqm.qgroups import UMatrix, kron, wh_generators
+from finiteqm.qgroups import ClosureCapError, UMatrix, kron, wh_generators
 
 
 class TestSplit:
@@ -132,11 +132,20 @@ class TestProductCheck:
         assert canonical_dumps(rep.to_json())
 
 
-class TestFallback:
-    def test_cap_overflow_falls_back_to_projective(self):
+class TestCap:
+    def test_full_mode_counts_past_the_plain_cap(self):
+        # the cap bounds the search modulo scalars, 5184 classes of CL(6)
         rep = clifford_product_check(6, mode="full", max_size=10_000)
-        assert rep.mode == "projective-fallback"
-        assert rep.global_order is None
-        assert rep.partial_global_order > 10_000
-        assert rep.projective_matches
+        assert rep.mode == "full"
+        assert rep.global_order == 124416
+        assert rep.matches_central_product
+        assert rep.partial_global_order is None
         assert all(rep.generators_in_tensor_group.values())
+
+    def test_cap_below_the_quotient_raises(self):
+        with pytest.raises(ClosureCapError):
+            clifford_product_check(6, mode="full", max_size=1000)
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="mode"):
+            clifford_product_check(6, mode="projective-fallback")

@@ -9,7 +9,6 @@ compared with its exact route, forced on the same tiles.
 
 import json
 import math
-import random
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -369,13 +368,10 @@ class TestPlantedIrrationalPair:
         assert any("P=None" in v for v in want)
 
 
-def scalar_candidates(stateset, rng=None):
+def scalar_candidates(stateset):
     """The scalar Cyclotomic loop that interference_candidates replaced."""
     states = stateset.sorted_states()
-    phases = list(center_phases(stateset.dim))
-    if rng is not None:
-        rng.shuffle(states)
-        rng.shuffle(phases)
+    phases = center_phases(stateset.dim)
     norms = {ray: ray.norm_sq().rational() for ray in states}
     roots = {}
     m = stateset.conductor
@@ -427,14 +423,6 @@ class TestCandidateOracle:
         cands, raw, deduped, skipped = interference_candidates(generate_states(2, 1))
         assert (raw, deduped, skipped) == (2016, 388, 168)
         assert len(cands) == deduped
-
-    def test_rng_draws_match_the_scalar_loop(self):
-        ss = generate_states(3, 0)
-        batched, scalar = random.Random(7), random.Random(7)
-        got = interference_candidates(ss, rng=batched)
-        want = scalar_candidates(ss, rng=scalar)
-        assert got == want == interference_candidates(ss)
-        assert batched.getstate() == scalar.getstate()
 
     def test_object_coefficients_take_the_exact_path(self, monkeypatch):
         # with the float bound forced off every product runs on Python ints

@@ -924,11 +924,24 @@ class TestOrderOnlyModP:
 
     @pytest.mark.parametrize("n,cap", [(3, 100), (6, 10_000)])
     def test_cap_partial_size_matches_exact(self, n, cap, exact_closure):
-        with pytest.raises(ClosureCapError) as counted:
-            clifford_group(n, max_size=cap)
-        with pytest.raises(ClosureCapError) as exact:
-            exact_closure(clifford_group, n, max_size=cap)
-        assert counted.value.partial_size == exact.value.partial_size > cap
+        # the cap bounds the quotient search: |PCL(3)| = 216 > 100 stops it
+        # where the exact projective oracle stops, while |PCL(6)| = 5184
+        # fits and CL(6) is counted whole; the plain search behind .elements
+        # stops where the exact plain oracle stops
+        if n == 3:
+            with pytest.raises(ClosureCapError) as counted:
+                clifford_group(n, max_size=cap)
+            with pytest.raises(ClosureCapError) as exact:
+                exact_closure(clifford_group, n, projective=True, max_size=cap)
+            assert counted.value.partial_size == exact.value.partial_size == 115
+        else:
+            table = clifford_group(n, max_size=cap)
+            assert table.order == 124416
+            with pytest.raises(ClosureCapError) as counted:
+                table.elements
+            with pytest.raises(ClosureCapError) as exact:
+                exact_closure(clifford_group, n, max_size=cap)
+            assert counted.value.partial_size == exact.value.partial_size == 11328
 
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("n", [2, 3])
@@ -949,7 +962,7 @@ class TestOrderOnlyModP:
 class TestQuotientSearch:
     """A plain closure is counted as |G/S| |S| from the projective search and
     its Schreier scalars; the plain search of every element runs only for
-    bodies and words, and past the cap."""
+    bodies and words."""
 
     @pytest.mark.parametrize("group", [clifford_group, wh_group])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -986,6 +999,19 @@ class TestQuotientSearch:
         assert len(table.elements) == len(table.words) == 2592
         assert table.elements == table.elements
         assert searches == ["scalars", True, "scalars", False]
+
+    def test_one_search_when_the_order_passes_the_cap(self, monkeypatch):
+        calls = []
+        closure = qgroups._mod_p_closure
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(qgroups, "_mod_p_closure", recording)
+        # |CL(6)| = 124416 > 10000 >= |PCL(6)| = 5184
+        assert clifford_group(6, max_size=10_000).order == 124416
+        assert len(calls) == 1
 
     def test_residues_are_one_byte_below_256(self):
         assert qgroups._residue_dtype(73) == qgroups._residue_dtype(251) == np.uint8
@@ -1187,11 +1213,11 @@ def test_certified_closures_never_run_exact(monkeypatch, capsys):
 
     monkeypatch.setattr(qgroups, "group_closure", recording)
     monkeypatch.setattr(decomposition, "group_closure", recording)
-    # full: two local tables, the global group and the tensor group;
-    # projective: also the two local projective groups
+    # each mode: two local tables, the global group and the tensor group;
+    # projective mode reads |PCL(2)| and |PCL(3)| off the local tables
     assert clifford_product_check(6, "full").mode == "full"
     assert clifford_product_check(6, "projective").mode == "projective"
-    assert len(primes) == 4 + 6
+    assert len(primes) == 4 + 4
     for n in (2, 3):
         monkeypatch.setattr(states, "_PHASES_CACHE", {})
         states.center_phases(n)
@@ -1201,5 +1227,5 @@ def test_certified_closures_never_run_exact(monkeypatch, capsys):
         for extra in ([], ["--elements"]):
             assert cli.main(["group", "--dim", "3", "--which", which, *extra]) == 0
     capsys.readouterr()
-    assert len(primes) == 4 + 6 + 2 + 1 + 6
+    assert len(primes) == 4 + 4 + 2 + 1 + 6
     assert None not in primes
