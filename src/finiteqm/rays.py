@@ -7,20 +7,24 @@ byte equality is ray equality.  ``Ray.amps`` is a cached view of the
 amplitudes as ``Cyclotomic`` values.
 
 * ``apply_all`` maps a whole list of rays through one matrix as one
-  ``_field_matmul``, the exact kernel of ``qgroups``, then canonicalizes
-  every image at once by dividing it by its lead amplitude
+  ``_field_matmul``, the exact field product of ``qgroups``, then
+  canonicalizes every image at once by dividing it by its lead amplitude
   (``_scalar_canonical_batch``).  Each lead, like each irrational Gram
   weight, is inverted once per conductor and primitive part
   (``_Context.inverse``).
 * ``first_irrational`` and ``probabilities`` run one Gram kernel.  A
   transition probability is |<a|b>|^2 w_a w_b on numerators, with
   w = 1 / |num|^2; each tile of pairs forms it in floating point at the
-  complex embeddings of Q(zeta_m), and its exact coefficients come back
-  from the rounded traces through the integer inverse of the trace form,
-  under an a-priori rounding bound, or else from generic field products.
-  When the column set is the row set (the same object:
-  ``verify_requirements``, ``verify_mub``, the orbit MUB extraction),
-  only the upper triangle of tiles is formed and mirrored.
+  complex embeddings of Q(zeta_m) (``_embed``), and its exact
+  coefficients come back from the rounded traces through the integer
+  inverse of the trace form (``_recover``), under an a-priori rounding
+  bound, or else from ``_field_matmul`` products.  The product is
+  totally real, so it has no imaginary parts to recover.  The embedding
+  and the trace form live in ``qgroups``, where ``_field_matmul`` runs
+  its own products at phi(m) >= 24 through them.  When the column set is
+  the row set (the same object: ``verify_requirements``, ``verify_mub``,
+  the orbit MUB extraction), only the upper triangle of tiles is formed
+  and mirrored.
 
 The scalar functions ``inner``, ``transition_probability`` and
 ``prob_rational`` work on ``Ray.amps`` in ``Cyclotomic`` arithmetic and
@@ -42,9 +46,10 @@ from .qgroups import (
     _coeff_json,
     _conj,
     _content_reduce,
-    _exact_matmul,
+    _embed,
     _field_matmul,
     _int_array,
+    _recover,
     _scalar_canonical_batch,
 )
 
@@ -251,62 +256,6 @@ def apply(mat: UMatrix, ray: Ray) -> Ray:
 # -- Gram kernel -------------------------------------------------------------------
 
 _TILE_ROWS = 16  # a Gram tile's columns fill max(1, _GRAM_BUDGET // d) pairs
-
-
-@functools.lru_cache(maxsize=None)
-def _trace_form(m: int):
-    """(embed, trace, inverse) of Q(zeta_m), built once per conductor.
-
-    embed (d, 2h): the real, then the imaginary parts of sigma_k(z^i), one k
-    per conjugate pair {k, m - k} of units.  For totally real x with
-    embeddings X, trace @ X = y, y_j = Tr(x z^-j) = (T c)_j for its
-    coefficients c and T[j, i] = Tr(z^(i - j)).  inverse = m T^-1 is
-    integral, as the trace dual of Z[zeta_m] lies in (1/m) Z[zeta_m] (the
-    different divides m; Washington, *Introduction to Cyclotomic Fields*,
-    ch. 2): Gauss-Jordan without pivots (T = V V* is positive definite),
-    rounded, and certified by the exact T @ inverse == m I.
-    """
-    ctx = _context(m)
-    d = ctx.degree
-    units = [k for k in range(m) if math.gcd(k, m) == 1]
-    half = np.array([k for k in units if 2 * k <= m])
-    turns = 2 * np.pi * (np.outer(np.arange(d), half) % m) / m
-    embed = np.hstack((np.cos(turns), np.sin(turns)))
-    trace = np.cos(turns) * np.where(2 * half % m, 2.0, 1.0)
-    # Tr(z^r) is an integer, so it is the constant coefficient of sum z^(r k)
-    tr = [sum(ctx.rows[r * k % m][0] for k in units) for r in range(m)]
-    t = np.array([[tr[(i - j) % m] for i in range(d)] for j in range(d)])
-    a = np.hstack((t, m * np.eye(d)))
-    for k in range(d):
-        a[k] /= a[k, k]
-        a -= np.outer(np.where(np.arange(d) == k, 0, a[:, k]), a[k])
-    inverse = np.rint(a[:, d:]).astype(np.int64)
-    if not np.array_equal(_exact_matmul(t, inverse), m * np.eye(d, dtype=np.int64)):
-        raise ArithmeticError(f"m T^-1 is not integral for m = {m}")
-    return embed, trace, inverse
-
-
-def _recover(x: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients (d, K) of totally real algebraic integers from their
-    embeddings x (h, K), traces off by under 1/2: (m T^-1) rint(y) / m."""
-    _, trace, inverse = _trace_form(m)
-    c = _exact_matmul(inverse, np.rint(trace @ x))
-    if (c % m != 0).any():
-        raise ArithmeticError("trace-form recovery left a remainder mod m")
-    return c // m
-
-
-def _embed(nums: np.ndarray, m: int):
-    """(embeddings (b, ..., 2h), l1 (b,)) of arrays (b, ..., d), real parts
-    first.  l1 sums |coefficient| in float64, 2**64 past that; past
-    l1 = 2**53, which no bound admits, an array embeds as 0."""
-    flat = np.abs(nums.reshape(len(nums), -1))
-    if flat.dtype == object:
-        l1 = np.array([float(min(v, 1 << 64)) for v in flat.sum(axis=1)])
-    else:
-        l1 = flat.sum(axis=1, dtype=np.float64)
-    big = (l1 >= 2.0**53).reshape((-1,) + (1,) * (nums.ndim - 1))
-    return np.where(big, 0, nums).astype(np.float64) @ _trace_form(m)[0], l1
 
 
 def _norm_sq(nums: np.ndarray, ctx) -> np.ndarray:

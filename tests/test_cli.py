@@ -233,6 +233,26 @@ class TestFlags:
             assert args.max_closure == 9
 
 
+# SHA-256 of stdout of commands whose field products run in the complex
+# embedding (phi(m) >= 24), recorded while they still ran against right
+# operators
+EMBEDDING_SIDE_SHA256 = {
+    ("cqs", "--dim", "5", "--steps", "1"): (  # m = 120
+        "267b21d0a59a19abbe72ff94e4a786c3f4725337b3c8edaf83bb01e9b3d3b970"
+    ),
+    ("group", "--dim", "9", "--which", "clifford"): (  # m = 72
+        "8f78bdb4bc9114f65c305c7d6a2edaff5d645e92f9282500f2f85d7029ac4a7d"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EMBEDDING_SIDE_SHA256))
+def test_embedding_side_stdout_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMBEDDING_SIDE_SHA256[argv]
+
+
 class TestCqs:
     def test_dim2_step1_counts(self, capsys):
         code, out = run(capsys, "cqs", "--dim", "2", "--steps", "1")

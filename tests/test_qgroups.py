@@ -9,7 +9,7 @@ from functools import cache, cached_property
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import nonzero_cyclotomics
 from finiteqm import qgroups
@@ -572,7 +572,8 @@ class TestFieldProduct:
     """_field_matmul against entrywise Cyclotomic arithmetic.
 
     At m = 168 (d = 48) and K = 7 the budget allows 4 columns per right
-    operator, so 7 columns run as blocks of 4 and 3.
+    operator, so 7 columns run as blocks of 4 and 3 on the operator route
+    (``_operator_matmul``), which the block tests call directly.
     """
 
     M, K, C = 168, 7, 7
@@ -612,7 +613,7 @@ class TestFieldProduct:
                         for _ in range(2)])
         y = self.right_factor(kind, rng)
         dtypes = self.kernel_dtypes(monkeypatch)
-        out = _field_matmul(x, y, _context(self.M))
+        out = qgroups._operator_matmul(x, y, _context(self.M))
         assert dtypes == [np.int64, np.int64]
         assert out.dtype == np.int64 and out.shape == (2, self.C, d)
         assert np.array_equal(out.astype(object), oracle_field_matmul(x, y, self.M))
@@ -640,7 +641,7 @@ class TestFieldProduct:
         y = self.right_factor("dense", rng)
         y[:, 4:] *= 1 << 40  # only the second block passes the bound
         dtypes = self.kernel_dtypes(monkeypatch)
-        out = _field_matmul(x, y, _context(self.M))
+        out = qgroups._operator_matmul(x, y, _context(self.M))
         assert dtypes == [np.int64, object]
         assert out.dtype == object
         assert np.array_equal(out, oracle_field_matmul(x, y, self.M))
@@ -670,6 +671,227 @@ class TestFieldProduct:
             tracemalloc.stop()
         assert np.array_equal(out.num, want)
         assert peak < 25 * 2**20
+
+
+def field_eps_d(k: int, d: int) -> float:
+    """eps * d of the embedding route's bound, eps = 16 delta + 16 u (d + K)."""
+    return (16 * 2.0**-48 + 16 * 2.0**-53 * (d + k)) * d
+
+
+@st.composite
+def field_factor(draw, shape, m):
+    """An integer coefficient array shape + (phi(m),): zero, monomial (one
+    signed root of unity per column) or dense."""
+    d = _context(m).degree
+    kind = draw(st.sampled_from(["zero", "monomial", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = np.zeros(shape + (d,), dtype=np.int64)
+    if kind == "dense":
+        out[:] = rng.integers(-9, 10, out.shape)
+    elif kind == "monomial":
+        *lead, rows, cols = shape
+        for at in np.ndindex(*lead, cols):
+            sign = rng.choice([-1, 1])
+            out[at[:-1] + (rng.integers(rows), at[-1])] = sign * qgroups._power_rows(m)[
+                rng.integers(m)
+            ]
+    return out
+
+
+# leading axes of (x, y): none, on either side, and broadcast against each other
+LEADS = [((), ()), ((2,), ()), ((), (2,)), ((2, 1), (3,)), ((1,), (2, 1))]
+
+
+class RouteRecorder:
+    """Records which route each _field_matmul takes."""
+
+    def __init__(self, monkeypatch):
+        self.routes = []
+        for name in ("_operator_matmul", "_embedded_matmul"):
+            real = getattr(qgroups, name)
+
+            def record(*args, real=real, name=name):
+                self.routes.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(qgroups, name, record)
+
+
+class TestEmbeddingRoute:
+    """The complex-embedding route of _field_matmul against the operator
+    route and entrywise Cyclotomic arithmetic."""
+
+    @given(st.data())
+    def test_matches_operator_route_and_oracle(self, data):
+        m = data.draw(st.sampled_from([48, 72, 120, 168, 312]))
+        ctx = _context(m)
+        r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+        xlead, ylead = data.draw(st.sampled_from(LEADS))
+        x = data.draw(field_factor(xlead + (r, k), m))
+        y = data.draw(field_factor(ylead + (k, c), m))
+        out = qgroups._embedded_matmul(x.astype(np.float64), y.astype(np.float64), ctx)
+        want = qgroups._operator_matmul(x, y, ctx)
+        assert out.dtype == np.int64 and out.shape == want.shape
+        assert np.array_equal(out, want)
+        assert np.array_equal(_field_matmul(x, y, ctx), want)
+        assert np.array_equal(want.astype(object), oracle_field_matmul(x, y, m))
+
+    # x = k and y = k zeta^5 at m = 168: max S = k^2, and eps d k^2 crosses
+    # 1/2 between K0 and K0 + 1
+    K0 = 269_064
+
+    @given(st.integers(K0 - 2000, K0 + 2000))
+    @example(K0)
+    @example(K0 + 1)
+    def test_route_follows_the_bound_across_one_half(self, k):
+        eps_d = field_eps_d(1, 48)
+        assert eps_d * self.K0**2 < 0.5 <= eps_d * (self.K0 + 1) ** 2
+        ctx = _context(168)
+        x = np.zeros((1, 1, 48), dtype=np.int64)
+        y = np.zeros((1, 1, 48), dtype=np.int64)
+        x[0, 0, 0], y[0, 0, 5] = k, k
+        with pytest.MonkeyPatch.context() as patch:
+            recorder = RouteRecorder(patch)
+            out = _field_matmul(x, y, ctx)
+        embedded = eps_d * k * k < 0.5
+        route = "_embedded_matmul" if embedded else "_operator_matmul"
+        assert recorder.routes == [route]
+        want = np.zeros((1, 1, 48), dtype=np.int64)
+        want[0, 0, 5] = k * k
+        assert np.array_equal(out, want)
+
+    def test_object_factors_take_the_operator_route(self, monkeypatch):
+        ctx = _context(168)
+        x = _int_array([[[1 << 70] + [0] * 47]])
+        y = _int_array([[[0, 1] + [0] * 46]])
+        recorder = RouteRecorder(monkeypatch)
+        out = _field_matmul(x, y, ctx)
+        assert recorder.routes == ["_operator_matmul"]
+        assert out.dtype == object and out[0, 0, 1] == 1 << 70
+
+    def test_closure_routes_follow_the_degree(self, monkeypatch):
+        recorder = RouteRecorder(monkeypatch)
+        assert clifford_group(6).order == 124416  # m = 24, d = 8
+        assert recorder.routes and set(recorder.routes) == {"_operator_matmul"}
+        recorder.routes.clear()
+        clifford_group(7)  # m = 168, d = 48
+        assert recorder.routes and set(recorder.routes) == {"_embedded_matmul"}
+
+
+def oracle_weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
+    """(a, b) when mat = c X^a Z^b, by entrywise Cyclotomic comparisons."""
+    n, m = mat.dim, mat.m
+    support = mat.num.any(axis=2)
+    a = int(np.argmax(support[:, 0]))
+    cols = np.arange(n)
+    shifted = np.zeros((n, n), dtype=bool)
+    shifted[(cols + a) % n, cols] = True
+    if not np.array_equal(support, shifted):
+        return None
+    entries = [mat.entry((j + a) % n, j) for j in range(n)]
+    omega = zeta(m, m // n)
+    powers = [omega**k for k in range(n)]
+    b = next(
+        (k for k in range(n) if entries[1 % n] == entries[0] * powers[k]), None
+    )
+    if b is None:
+        return None
+    if any(entries[j] != entries[0] * powers[b * j % n] for j in range(n)):
+        return None
+    return a, b
+
+
+def weyl_cases(n: int):
+    """Conjugates of X and Z by the CL and WH generators of dimension n, and
+    by the tensored CRT generators when n = 6."""
+    tau, x, z = wh_generators(n)
+    gens = list(clifford_generators(n).values())
+    gens += [UMatrix.identity(n, x.m).scale(tau), x, z]
+    if n == 6:
+        from finiteqm.decomposition import _tensored_generators
+
+        gens += _tensored_generators(crt_split(6), x.m)[0]
+    for g in gens:
+        dag = g.dagger()
+        yield g @ x @ dag
+        yield g @ z @ dag
+
+
+class TestWeylExponents:
+    """_weyl_exponents on integer rows against the Cyclotomic oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_conjugates_match_oracle(self, n):
+        answers = [
+            (qgroups._weyl_exponents(c), oracle_weyl_exponents(c))
+            for c in weyl_cases(n)
+        ]
+        assert all(got == want for got, want in answers)
+        assert any(want is not None for _, want in answers)
+        if n == 6:  # the tensored CRT generators normalize P W_6 P^-1, not W_6
+            assert any(want is None for _, want in answers)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_planted_non_weyl_matrices(self, n):
+        _, x, z = wh_generators(n)
+        m, d = x.m, _context(x.m).degree
+        weyl = (x.matpow(1 % n) @ z.matpow(2 % n)).scale(zeta(m, 5) * 3)
+        want = (1 % n, 2 % n)
+        assert qgroups._weyl_exponents(weyl) == oracle_weyl_exponents(weyl) == want
+        planted = []
+        # one entry off by a factor that is no n-th root of unity
+        for j in range(n):
+            for change in (Fraction(1, 2), zeta(m, 1), -zeta(m, 1)):
+                num = weyl.num.astype(object)
+                row, col = (j + 1) % n, j
+                e = Cyclotomic(m, num[row, col].tolist(), weyl.den) * change
+                planted.append(UMatrix.from_entries(
+                    [[e if (r, c) == (row, col) else weyl.entry(r, c) for c in range(n)]
+                     for r in range(n)], m))
+        extra = weyl.num.copy()
+        extra[0, 0, 0] += 1  # off the support unless a = 0
+        planted.append(UMatrix(n, m, extra, weyl.den))
+        ratio = np.zeros((n, n, d), dtype=np.int64)
+        ratio[np.arange(n), np.arange(n)] = qgroups._power_rows(m)[np.arange(n)]
+        planted.append(UMatrix(n, m, ratio))  # diag(z^j): z is no n-th root
+        for mat in planted:
+            got = qgroups._weyl_exponents(mat)
+            assert got is None and oracle_weyl_exponents(mat) is None
+
+
+def oracle_coeff_json(num, den, m):
+    """The formatter that writes every coefficient."""
+    g = np.gcd(num, den)
+    return [
+        {"m": m, "c": [f"{p}/{q}" for p, q in zip(top, bottom)]}
+        for top, bottom in zip((num // g).tolist(), (den // g).tolist())
+    ]
+
+
+class TestCoeffJson:
+    """_coeff_json formats only nonzero coefficients, with the same strings."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2**62), st.booleans())
+    def test_matches_the_full_formatter(self, seed, den, huge):
+        rng = random.Random(seed)
+        top = (1 << 90) if huge else (1 << 62)
+        rows = [[rng.choice([0, 0, 0, rng.randint(-top, top)]) for _ in range(8)]
+                for _ in range(rng.randint(0, 5))]
+        num = _int_array(rows).reshape(-1, 8)
+        fits = all(abs(v) < 2**63 for row in rows for v in row)
+        assert (num.dtype == object) == (not fits)
+        # a denominator past int64 comes with Python-integer numerators
+        for d in (den, den << 70) if num.dtype == object else (den,):
+            assert qgroups._coeff_json(num, d, 24) == oracle_coeff_json(num, d, 24)
+
+    def test_zeros_negatives_and_shared_factors(self):
+        num = _int_array([[0, -6, 4, 0], [0, 0, 0, 0], [9, -1, 0, 3]])
+        assert qgroups._coeff_json(num, 6, 12) == oracle_coeff_json(num, 6, 12)
+        assert qgroups._coeff_json(num, 6, 12)[0]["c"] == ["0/1", "-1/1", "2/3", "0/1"]
+        big = _int_array([[1 << 64, 0, -(3 << 70), 5]])
+        assert big.dtype == object
+        den = 1 << 66
+        assert qgroups._coeff_json(big, den, 8) == oracle_coeff_json(big, den, 8)
 
 
 class TestOddConductors:
