@@ -50,55 +50,67 @@ emission chunks of ``states``.  Results are content-reduced by one batch
 canonicalizer, the only place where coefficients are narrowed to int64; a
 coefficient that does not fit raises CoefficientOverflowError.
 
-Breadth-first closure has one engine: it counts in GL_n(F_p), as in the
-congruence-image method of Detinko, Flannery and O'Brien (J. Symb. Comput.
-50, 2013), and needs an exact finiteness certificate; without one a
-closure raises UncertifiedGeneratorsError.  Every generator g must be
-unitary, normalize the Weyl-Heisenberg group W_n = <X, Z> up to scalars,
-and have a power g^r = c * I with c a root of unity.  Then G modulo
-scalars embeds in the normalizer of W_n modulo scalars, a finite group
-whose order divides n^2 |SL(2, Z_n)|; and det(g)^r = c^n makes every
-determinant in G, hence every scalar in G, one of the finitely many roots
-of unity of Q(zeta_m).  So G is finite.  Evaluating the power basis at a
-primitive m-th root of unity mod p, for a prime p = 1 (mod lcm(2, m))
-dividing no generator denominator, is a ring map onto F_p whose kernel is
-a prime above p.  That prime is unramified and p is odd, so by the
-Minkowski-Serre lemma the kernel of reduction on matrices has no torsion:
-reduction is injective on G, and the number of residue matrices is |G|.
+Breadth-first closure has one engine, and needs an exact finiteness
+certificate; without one a closure raises UncertifiedGeneratorsError.
+Every generator g must be unitary, normalize the Weyl-Heisenberg group
+W_n = <X, Z> up to scalars, and have a power g^r = c * I with c a root of
+unity.  Then G modulo scalars embeds in the normalizer of W_n modulo
+scalars, a finite group whose order divides n^2 |SL(2, Z_n)|; and
+det(g)^r = c^n makes every determinant in G, hence every scalar in G, one
+of the finitely many roots of unity of Q(zeta_m).  So G is finite.
 
-Projectively, each residue matrix is divided by its first nonzero entry,
-which counts G modulo the elements whose reduction is scalar.  Such an
-element is a scalar: its part of p-power order reduces to lambda * I with
-lambda a p-power root of unity in F_p, so lambda = 1 and that part is the
-identity; its part of order prime to p has eigenvalues that are roots of
-unity of order prime to p and all congruent mod p, hence equal.  The count
-is therefore |G| over its scalar subgroup, and projective residue classes
-are exactly the classes of G modulo scalars.  p never divides the count,
-since p > 2n while every prime factor of n^2 |SL(2, Z_n)| is at most
-n + 1; the closure asserts this rather than trying another prime.
+The search keys each element t on its Weyl images (Appleby, J. Math. Phys.
+46, 052107, 2005): t X t^dagger = zeta_m^s X^a Z^b and
+t Z t^dagger = zeta_m^u X^c Z^d, six integers with a, b, c, d mod n and
+s, u mod m, packed into one integer below n^4 m^2.  The scalars are m-th
+roots of unity: the n-th power of t X t^dagger is I, so the scalar's n-th
+power is a root of unity, and m is even, so the roots of unity of
+Q(zeta_m) are mu_m.  The certificate reads the images of the generators
+(``_certified_images``), and those of a product t g follow from the
+images of t and of g alone (``_image_law``): a few integer operations per
+product, and no matrix.  The key is injective on G modulo scalars: two
+elements with the same images differ by a matrix that commutes with X and
+Z, and so, as X and Z generate the full matrix algebra, by a scalar
+(Schur's lemma); a scalar multiple of t has t's images.  So the
+projective search counts G/S, S the scalar subgroup of G, exactly, with no
+prime and no reduction.
 
-A search carries an element as one row of residues, keyed by its raw
-bytes, and records the breadth-first tree: each new element's parent and
-generator.  Because reduction is injective and respects projective
-classes, it meets new elements in the same order as an exact search over
-canonical (scalar-canonical) forms would.
+Only the scalars are counted mod p, as in the congruence-image method of
+Detinko, Flannery and O'Brien (J. Symb. Comput. 50, 2013).  Evaluating the
+power basis at a primitive m-th root of unity mod p, for a prime
+p = 1 (mod lcm(2, m)) dividing no generator denominator, is a ring map
+onto F_p.  p does not divide lcm(2, m), so x^lcm(2, m) - 1 has distinct
+roots mod p and reduction is injective on the roots of unity of
+Q(zeta_m).  The plain key of t is its Weyl key times p plus its lead
+residue, the first nonzero entry of its first row mod p.  It is injective
+on G: two elements with the same images are t and c t for a scalar c in
+G, a root of unity, and the first row of c t is c times that of t, so its
+lead residue differs unless c = 1.  The residues of a search are only the
+first rows, one (b, n) @ (n, n) product per chunk.  No count rests on
+reduction being injective beyond the roots of unity, so nothing about p
+needs checking after a search: the projective count takes no residue at
+all.
+
+A search carries an element as one integer row: its key, its six images
+and, when it needs them, its first row mod p.  It records the
+breadth-first tree: each new element's parent and generator.  Because the
+keys are injective on the same classes as canonical (scalar-canonical)
+exact forms, it meets new elements in the same order as an exact search
+would.
 
 Every closure, plain or projective, runs the projective search, which
-makes 3 |G/S| products for three generators, S the scalar subgroup of G;
-a plain closure also reads S from it.
-The representative t_x of each class is the residue of the element of G
+makes 3 |G/S| products for three generators; a plain closure also reads S
+from it.  The representative t_x of each class is the element of G
 reached along the tree: t_y = t_x g when y is first reached from x by g.
 These representatives form a transversal of S in G, and along a tree
-edge t_x g t_y^-1 is the identity.  Every other product t_x g lands on
-a class already found, with representative t_y, and the quotient
-t_x g t_y^-1 is an element of G whose reduction is the scalar
-c = lead(t_x g) / lead(t_y): a scalar, as above.  By Schreier's lemma
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 4.1) these Schreier scalars generate S, so |G| = |G/S| |S|
-without a search of G.  S is read as residues, and each decodes to one
-root of unity: the roots of unity of Q(zeta_m) are mu_lcm(2, m), and
-p = 1 (mod lcm(2, m)) does not divide lcm(2, m), so x^lcm(2, m) - 1 has
-distinct roots mod p and reduction is injective on mu_lcm(2, m).
+edge t_x g t_y^-1 is the identity.  Every other product t_x g lands on a
+class already found, with representative t_y, and the quotient
+t_x g t_y^-1 is a scalar c of G, whose residue is
+lead(t_x g) / lead(t_y), as the first row of t_x g is c times that of
+t_y.  By Schreier's lemma (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, section 4.1) these Schreier scalars
+generate S, so |G| = |G/S| |S| without a search of G.  S is read as
+residues, and each decodes to its one root of unity.
 
 A closure keeps the keys and the tree, and its cap bounds that one
 search: more than max_size classes of G/S raise ClosureCapError, while a
@@ -106,12 +118,13 @@ plain order |G/S| |S| may exceed the cap.  Element bodies and words are
 built on first access, along a tree, with one exact product (parent
 times generator) per element; for a plain closure that is the tree of
 the plain search, which keys every element of G, runs only then and
-stops at the same cap.  Membership is read from residues: a query q that
-carries the certificate itself and has no p in its denominator
-generates, with G, a finite certified group that is p-integral, so
-reduction stays injective there and q lies in G exactly when its residue
-does, that is when its key is present and, on a plain closure, its lead
-over the representative's lies in S.
+stops at the same cap.  Membership is read from the keys: a query q that
+is unitary and carries the certificate itself has Weyl images, and when
+they are the key of a class with representative t, q = c t for a scalar
+c, a root of unity, since q and t each have a power that is a root of
+unity times I.  So on a projective table q is present exactly when its
+key is, and on a plain one when, also, c lies in S: its residue is the
+lead residue of q over that of t.
 """
 
 from __future__ import annotations
@@ -184,8 +197,9 @@ class CoefficientOverflowError(OverflowError):
 
 
 class UncertifiedGeneratorsError(ValueError):
-    """Generators that the closure cannot count mod p: one fails the
-    finiteness certificate, or no prime keeps the residue products exact."""
+    """Generators that the closure cannot count: one fails the finiteness
+    certificate, no prime keeps the residue products exact, or their keys
+    do not fit int64."""
 
 
 # -- exact coefficient kernel ------------------------------------------------------
@@ -384,7 +398,7 @@ def _operator_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
     *lead, r, k, d = x.shape
     c = y.shape[-2]
     left = x.reshape(*lead, r, k * d)
-    width = max(1, _GRAM_BUDGET // (k * d * d))
+    width = max(1, _GRAM_BUDGET // max(1, k * d * d))
     if c <= width:
         out = _exact_matmul(left, _right_operator(y, ctx))
     else:
@@ -394,7 +408,7 @@ def _operator_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
         ]
         # int64 parts join an object part as Python integers
         out = np.concatenate(parts, axis=-1)
-    return out.reshape(out.shape[:-1] + (-1, d))
+    return out.reshape(out.shape[:-1] + (c, d))
 
 
 # -- the trace form ----------------------------------------------------------------
@@ -849,12 +863,13 @@ class GroupTable:
     """Closure of a matrix generating set, held as its projective search.
 
     The projective search (``_mod_p_closure`` with projective=True) holds
-    one residue key per element of G/S, S the scalar subgroup of G, and
-    the breadth-first tree.  A projective table is that search, of order
+    one Weyl key per element of G/S, S the scalar subgroup of G, and the
+    breadth-first tree.  A projective table is that search, of order
     |G/S|.  A plain table runs it with scalars, so that it also holds the
-    lead of each key's representative and S as residues; its order is
-    |G/S| |S|, it answers contains and center_of from the same search, and
-    it holds no key per element of G.
+    lead residue of each key's representative and S as residues; its order
+    is |G/S| |S|, it answers contains and center_of from the same search,
+    and it holds no key per element of G.  Both keep the Weyl images of
+    the generators, which every search and query starts from.
 
     Element bodies and words are built on first access to .elements or
     .words, exactly, along a tree (one product per element), and kept.  A
@@ -870,6 +885,7 @@ class GroupTable:
         generators: list[UMatrix],
         names: tuple[str, ...],
         projective: bool,
+        images: np.ndarray,
         search: _Search,
         max_size: int,
     ):
@@ -879,6 +895,7 @@ class GroupTable:
         self.generator_names = names
         self.order = len(search.keys) * (1 if projective else len(search.scalars))
         self._generators = generators
+        self._images = images
         self._search = search
         self._max_size = max_size
 
@@ -894,7 +911,9 @@ class GroupTable:
     def _sorted_bodies(self):
         tree = self._search
         if not self.projective:
-            tree = _mod_p_closure(self._generators, False, self._max_size)
+            tree = _mod_p_closure(
+                self._generators, self._images, False, self._max_size
+            )
         compute = _exact_products(self._generators, self.projective)
         start = _exact_rows(UMatrix.identity(self.dim, self.conductor).num[None], 1)
         rows, words = _bodies(
@@ -923,37 +942,37 @@ class GroupTable:
     def contains(self, mat: UMatrix) -> bool:
         """Whether mat is an element (projectively: an element times a scalar).
 
-        The answer is read from residues, exactly (module docstring).  Every
-        element is unitary, carries the finiteness certificate and has no p
-        in its denominator, so a query without all three is absent; so is
-        the zero matrix, which is not unitary.  On a projective table, c * g
-        for an element g is therefore present exactly when c is a root of
-        unity: c * g is unitary only when |c| = 1, and has a power equal to
-        a root of unity times I only when c is a root of unity.  The bodies
-        of a projective table are divided by their lead entry, so they are
+        The answer is read from the Weyl key of mat, exactly (module
+        docstring).  Every element is unitary and carries the finiteness
+        certificate, so a query without both is absent; so is the zero
+        matrix, which is not unitary.  On a projective table, c * g for an
+        element g is therefore present exactly when c is a root of unity:
+        c * g is unitary only when |c| = 1, and has a power equal to a root
+        of unity times I only when c is a root of unity.  The bodies of a
+        projective table are divided by their lead entry, so they are
         present only when that entry is a root of unity; their products
         along .words are unitary representatives.
 
-        The key of the residue, divided by its lead, must be present.  On a
-        plain table the lead over that of the key's representative t_j must
-        also lie in S: the residues of G are c t_j for c in S.
+        The key of mat's images must be present.  On a plain table mat is
+        then c t_j for the key's representative t_j and a root of unity c,
+        which must also lie in S: its residue is mat's lead residue over
+        t_j's.  p divides no denominator of t_j, nor so of c t_j.
         """
-        if mat.dim != self.dim or mat.m != self.conductor:
+        if mat.dim != self.dim or mat.m != self.conductor or not mat.is_unitary():
+            return False
+        try:
+            image = _certified_images([mat], ("query",))
+        except UncertifiedGeneratorsError:
             return False
         p, search = self.prime, self._search
-        if (
-            mat.den % p == 0
-            or not mat.is_unitary()
-            or _certificate_failure([mat], ("query",))
-        ):
-            return False
-        res = _residues([mat], p).astype(np.int64).ravel()
-        lead = int(res[np.argmax(res != 0)])
-        key = (res * pow(lead, -1, p) % p).astype(_residue_dtype(p)).tobytes()
+        key = int(_weyl_keys(image, self.dim, self.conductor)[0])
         if self.projective:
             return key in search.keys
         first = search.leads.get(key)
-        return first is not None and lead * pow(first, -1, p) % p in search.scalars
+        if first is None or mat.den % p == 0:
+            return False
+        lead = int(_leads(_residues([mat], p)[0, :1])[0])
+        return lead * pow(first, -1, p) % p in search.scalars
 
     def to_json(self, include_elements: bool = False) -> dict:
         obj = {
@@ -1015,15 +1034,19 @@ def _scalar_canonical_batch(nums: np.ndarray, ctx):
     return out.reshape(nums.shape), _int_array([inv.den for inv in invs])[which]
 
 
-def _weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
-    """(a, b) when mat = c X^a Z^b for a scalar c, else None.
+def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
+    """(a, b, s) when mat = zeta_m^s X^a Z^b, else None.
 
     a is read from the support, and b from the first k with
     e_1 = e_0 omega^k on the entries e_j = mat[j + a, j]; then every e_j is
     compared with e_0 omega^(b j).  The entries share one denominator, so
     they compare as integer rows, and multiplying by omega^k = z^s is a
     gather: e z^s = sum_i e_i z^(i + s) takes rows i + s of the reduction
-    table.
+    table.  The scalar is e_0, since (X^a Z^b)[a, 0] = 1, and s is the row
+    of the reduction table that it equals; a scalar that is no m-th root of
+    unity gives None.  A unitary conjugate of X or Z never has one: its
+    n-th power is I, so c^n is a root of unity, and the roots of unity of
+    Q(zeta_m) are mu_m for even m.
     """
     n, m = mat.dim, mat.m
     support = mat.num.any(axis=2)
@@ -1041,7 +1064,10 @@ def _weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
     hits = np.flatnonzero((powers == entries[1 % n]).all(axis=1))
     if not hits.size or not (powers[hits[0] * cols % n] == entries).all():
         return None
-    return a, int(hits[0])
+    phase = np.flatnonzero((_power_rows(m) == entries[0]).all(axis=1))
+    if mat.den != 1 or not phase.size:
+        return None
+    return a, int(hits[0]), int(phase[0])
 
 
 def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
@@ -1062,39 +1088,115 @@ def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
     return k
 
 
-def _certificate_failure(gens: list[UMatrix], names) -> str | None:
-    """The first clause of the finiteness certificate that unitary gens
-    fail, naming the generator, or None when an exact certificate shows
-    that they generate a finite group.
+def _times_weyl(g: UMatrix) -> tuple[UMatrix, UMatrix]:
+    """(g X, g Z) without a field product.
 
-    The conductor must be a multiple of 2n.  Each generator g must map X
-    and Z to scalar multiples of elements X^a Z^b under conjugation, act
-    invertibly on the exponents (a, b) mod n, and have a power g^r = c * I
-    with c^lcm(2, m) == 1.  With k the order of g's action on the
-    exponents, g^k commutes with X and Z up to scalars, so it is a scalar
-    multiple of some X^u Z^v and r = k n makes g^r a scalar.
+    (g X)[i, j] = g[i, j + 1], a cyclic shift of the columns, and
+    (g Z)[i, j] = g[i, j] omega^j: column j times z^(j m / n), a gather
+    through the reduction rows as in ``_weyl_exponents``, batched over the
+    columns.
+    """
+    n, m = g.dim, g.m
+    d = g.num.shape[2]
+    turns = (np.arange(d) + (m // n) * np.arange(n)[:, None]) % m
+    cols = _exact_matmul(g.num.transpose(1, 0, 2), _power_rows(m)[turns])
+    gx = UMatrix(n, m, np.roll(g.num, -1, axis=1), g.den)
+    return gx, UMatrix(n, m, cols.transpose(1, 0, 2), g.den)
+
+
+def _certified_images(gens: list[UMatrix], names) -> np.ndarray:
+    """The Weyl images of unitary gens, (k, 6) int64: row (a, b, s, c, d, u)
+    for g X g^dagger = zeta_m^s X^a Z^b and g Z g^dagger = zeta_m^u X^c Z^d.
+
+    They are read while checking the finiteness certificate, which raises
+    UncertifiedGeneratorsError naming the first generator that fails and the
+    clause it fails.  The conductor must be a multiple of 2n.  Each
+    generator g must map X and Z to scalar multiples of elements X^a Z^b
+    under conjugation, act invertibly on the exponents (a, b) mod n, and
+    have a power g^r = c * I with c^lcm(2, m) == 1.  With k the order of g's
+    action on the exponents, g^k commutes with X and Z up to scalars, so it
+    is a scalar multiple of some X^u Z^v and r = k n makes g^r a scalar.
     """
     n, m = gens[0].dim, gens[0].m
+
+    def fail(name, clause):
+        raise UncertifiedGeneratorsError(
+            f"no finiteness certificate: generator {name!r}: {clause}"
+        )
+
     if m % (2 * n):
-        return f"generator {names[0]!r}: conductor {m} is not a multiple of {2 * n}"
-    _, x, z = wh_generators(n, m)
+        fail(names[0], f"conductor {m} is not a multiple of {2 * n}")
     roots = math.lcm(2, m)
     weyl = "is not a scalar times X^a Z^b"
+    images = []
     for g, name in zip(gens, names):
         g_dag = g.dagger()
-        image_x = _weyl_exponents(g @ x @ g_dag)
+        gx, gz = _times_weyl(g)
+        image_x = _weyl_exponents(gx @ g_dag)
         if image_x is None:
-            return f"generator {name!r}: conjugate of X {weyl}"
-        image_z = _weyl_exponents(g @ z @ g_dag)
+            fail(name, f"conjugate of X {weyl}")
+        image_z = _weyl_exponents(gz @ g_dag)
         if image_z is None:
-            return f"generator {name!r}: conjugate of Z {weyl}"
-        k = _symplectic_order(*image_x, *image_z, n)
+            fail(name, f"conjugate of Z {weyl}")
+        k = _symplectic_order(*image_x[:2], *image_z[:2], n)
         if k is None:
-            return f"generator {name!r}: singular action on (a, b) mod {n}"
+            fail(name, f"singular action on (a, b) mod {n}")
         c = g.matpow(k * n).is_scalar()
         if c is None or not (c**roots).is_one():
-            return f"generator {name!r}: no power is a root of unity times I"
-    return None
+            fail(name, "no power is a root of unity times I")
+        images.append(image_x + image_z)
+    return np.array(images, dtype=np.int64)
+
+
+def _image_law(g: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(law (9, 6), offset (6,)) for one generator's Weyl images g, (6,):
+    the images of t g, before reduction, are features(t) @ law + offset,
+    where features(t) = (a, b, s, c, d, u, a b, c d, b c) for t's images
+    (a, b, s, c, d, u).
+
+    (t g) X (t g)^dagger = t (zeta^s X^a Z^b) t^dagger
+    = zeta^s (t X t^dagger)^a (t Z t^dagger)^b for g's image (a, b, s) of X,
+    and likewise for Z.  Two identities evaluate it, with omega = z^(m / n):
+    (zeta^s X^a Z^b)^k = zeta^(k s) omega^(a b k (k - 1) / 2) X^(k a) Z^(k b),
+    and Z^B X^C = omega^(B C) X^C Z^B, which moves the second factor's X past
+    the first one's Z.  So X^a' Z^b' has a' = a t_a + b t_c and
+    b' = a t_b + b t_d, and its phase is s + a t_s + b t_u plus m / n times
+    t_a t_b a (a - 1) / 2 + t_c t_d b (b - 1) / 2 + (a t_b)(b t_c).
+    """
+    law = np.zeros((9, 6), np.int64)
+    offset = np.zeros(6, np.int64)
+    w = m // n
+    for col, (a, b, s) in ((0, g[:3]), (3, g[3:])):
+        law[[0, 1, 2], [col, col + 1, col + 2]] = a  # (t X t^dagger)^a
+        law[[3, 4, 5], [col, col + 1, col + 2]] = b  # (t Z t^dagger)^b
+        law[6:, col + 2] = w * (a * (a - 1) // 2), w * (b * (b - 1) // 2), w * a * b
+        offset[col + 2] = s
+    return law, offset
+
+
+def _image_product(t: np.ndarray, law, offset, n: int, m: int) -> np.ndarray:
+    """The Weyl images of the products t_i g, (b, 6), from those of each
+    t_i, t (b, 6), and g's ``_image_law``."""
+    features = np.concatenate((t, t[:, [0, 4, 1]] * t[:, [1, 3, 3]]), axis=1)
+    return (features @ law + offset) % np.array([n, n, m, n, n, m])
+
+
+def _weyl_keys(images: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Weyl images (b, 6) packed into one integer each, below n^4 m^2:
+    a, b, c, d are digits mod n, s and u digits mod m."""
+    # digits in the order a, b, c, d, s, u
+    return images @ np.array([n**3 * m * m, n * n * m * m, m, n * m * m, m * m, 1])
+
+
+def _check_key_size(n: int, m: int, p: int = 1) -> None:
+    """UncertifiedGeneratorsError unless keys below n^4 m^2 p fit in int64:
+    the Weyl key, times p with a lead residue below it for the plain key."""
+    size = n**4 * m**2 * p
+    if size >= 1 << 63:
+        raise UncertifiedGeneratorsError(
+            f"closure keys of dimension {n} over conductor {m} (times the prime "
+            f"{p}) take {size.bit_length()} bits, past the 63 of int64"
+        )
 
 
 def _closure_prime(gens: list[UMatrix]) -> int:
@@ -1133,10 +1235,9 @@ def _residues(gens: list[UMatrix], p: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def _residue_dtype(p: int):
-    if p < 1 << 8:
-        return np.uint8
-    return np.uint16 if p < 1 << 16 else np.uint32
+def _leads(first: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of a 2-D array."""
+    return first[np.arange(len(first)), np.argmax(first != 0, axis=1)]
 
 
 def _row_keys(flat: np.ndarray) -> list[bytes]:
@@ -1144,6 +1245,11 @@ def _row_keys(flat: np.ndarray) -> list[bytes]:
     flat = np.ascontiguousarray(flat)
     row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
     return flat.view(row).ravel().tolist()
+
+
+def _first_column(rows: np.ndarray) -> list[int]:
+    """The first entry of each row, as Python integers."""
+    return rows[:, 0].tolist()
 
 
 def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
@@ -1158,14 +1264,13 @@ def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
     return rows
 
 
-def _breadth_first(start, compute, n_gens, max_size, width=None, landed=None):
+def _breadth_first(start, compute, n_gens, max_size, keys=_row_keys, landed=None):
     """Breadth-first closure from one element under right multiplication.
 
-    Each element is one integer row, keyed by the raw bytes of its first
-    width entries (all of them by default; the closure's rows are residues
-    mod p).  Entries past width ride along with the row without being
-    compared: the projective search of a plain closure carries each
-    representative's lead there.  start is a (1, L) row array;
+    Each element is one integer row, and keys(rows) gives one hashable key
+    per row of a batch, by default its raw bytes.  The closure's rows are
+    keyed by their first entry, the packed key, and their other entries
+    ride along without being compared.  start is a (1, L) row array;
     compute(rows, gi) maps a chunk of frontier rows through generator gi
     and returns the rows of the products, in canonical form.  Products are
     formed generator by generator in _CHUNK batches, each new key is kept
@@ -1180,7 +1285,7 @@ def _breadth_first(start, compute, n_gens, max_size, width=None, landed=None):
     start is element 0), parents[i] is the element it was first reached
     from and gens[i] the generator, both -1 for the start.
     """
-    seen: set[bytes] = set(_row_keys(start[:, :width]))
+    seen = set(keys(start))
     parents = [np.array([-1])]
     gens = [np.array([-1])]
     frontier = start
@@ -1194,16 +1299,16 @@ def _breadth_first(start, compute, n_gens, max_size, width=None, landed=None):
         # leaves BLAS threads spinning while Python checks keys
         results = [compute(frontier[lo : lo + _CHUNK], gi) for gi, lo in jobs]
         for (gi, lo), out in zip(jobs, results):
-            keys = _row_keys(out[:, :width])
+            batch = keys(out)
             keep = []
-            for t, key in enumerate(keys):
+            for t, key in enumerate(batch):
                 if key not in seen:
                     seen.add(key)
                     keep.append(t)
             if len(seen) > max_size:
                 raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
             if landed is not None:
-                landed(out, keys, keep)
+                landed(out, batch, keep)
             if keep:
                 keep = np.array(keep)
                 found.append(out[keep])
@@ -1215,79 +1320,79 @@ def _breadth_first(start, compute, n_gens, max_size, width=None, landed=None):
 
 
 class _Search(NamedTuple):
-    """One breadth-first search mod p: its key set and tree, as
-    _breadth_first returns them, and p.  A projective search run with
-    scalars also holds the lead of each key's representative, by key, and
+    """One breadth-first search: its key set and tree, as _breadth_first
+    returns them, and the prime p.  A projective search run with scalars
+    also holds the lead residue of each key's representative, by key, and
     the Schreier scalars S as a set of residues; other searches hold None
     there."""
 
-    keys: set[bytes]
+    keys: set[int]
     parents: np.ndarray
     gen_idx: np.ndarray
     prime: int
-    leads: dict[bytes, int] | None = None
+    leads: dict[int, int] | None = None
     scalars: frozenset[int] | None = None
 
 
-def _mod_p_closure(gens, projective, max_size, scalars=False) -> _Search:
-    """Closure of certified generators in GL_n(F_p).
+def _mod_p_closure(gens, images, projective, max_size, scalars=False) -> _Search:
+    """Closure of certified generators, keyed on the Weyl images of each
+    element (module docstring); images holds the generators' images.
 
-    The plain search keys each element on its residue row, the projective
-    one on the row divided by its first nonzero entry, so it finds G/S, S
-    the scalar subgroup of G (module docstring).  With scalars, the
-    projective search also finds S.  After the key its rows then carry the
-    lead of a representative t_x, the residue of the element of G reached
-    along the tree, so that t_x = lead * key.  A product t_x g whose key is
-    already present, with representative t_y, is c t_y for
-    c = lead(t_x g) / lead(t_y): c I is the residue of t_x g t_y^-1, an
-    element of G and so a scalar.  These Schreier scalars generate S
+    A row holds the packed key, the six image integers and, for a plain
+    search or one with scalars, the first row of the element mod p.  The
+    projective search keys the images alone, so it finds G/S, S the scalar
+    subgroup of G; the plain one keys images times p plus the lead residue
+    of the first row, so it finds G.  With scalars, the projective search
+    also finds S.  Its rows carry the first row of a representative t_x,
+    the element of G reached along the tree.  A product t_x g whose key is
+    already present, with representative t_y, is c t_y for a scalar c of G,
+    and its first row is c times that of t_y, so
+    c = lead(t_x g) / lead(t_y) mod p.  These Schreier scalars generate S
     (Schreier's lemma, for the transversal of the tree's representatives).
-    A projective table needs no S, and collecting it made the closure of
-    PCL(7) about a fifth slower, so only a plain table asks for it.
+    A projective table needs no S and no residues, so only a plain table
+    asks for them.
     """
     p = _closure_prime(gens)
-    n = gens[0].dim
-    width = n * n
-    residues = _residues(gens, p)
-    dtype = _residue_dtype(p)
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+    n, m = gens[0].dim, gens[0].m
+    _check_key_size(n, m, 1 if projective else p)
+    residues = None if projective and not scalars else _residues(gens, p)
+    laws = [_image_law(g, n, m) for g in images]
+
+    def keyed(rows):
+        rows[:, 0] = _weyl_keys(rows[:, 1:7], n, m)
+        if not projective:
+            rows[:, 0] = rows[:, 0] * p + _leads(rows[:, 7:])
+        return rows
 
     def compute(rows, gi):
-        b = rows.shape[0]
-        prod = rows[:, :width].astype(np.float64).reshape(b * n, n) @ residues[gi]
-        prod = prod.astype(np.int64).reshape(b, width)
-        prod %= p
-        if not projective:
-            return prod.astype(dtype)
-        lead = prod[np.arange(b), np.argmax(prod != 0, axis=1)]
-        prod *= inverse[lead][:, None]
-        if not scalars:
-            prod %= p
-            return prod.astype(dtype)
-        out = np.empty((b, width + 1), dtype)
-        np.remainder(prod, p, out=out[:, :width], casting="unsafe")
-        out[:, width] = lead * rows[:, width] % p
-        return out
+        out = np.empty_like(rows)
+        out[:, 1:7] = _image_product(rows[:, 1:7], *laws[gi], n, m)
+        if residues is not None:
+            prod = rows[:, 7:].astype(np.float64) @ residues[gi]
+            np.remainder(prod, p, out=out[:, 7:], casting="unsafe")
+        return keyed(out)
 
-    start = np.eye(n, dtype=dtype).reshape(1, width)
-    if scalars:
-        leads = dict.fromkeys(_row_keys(start), 1)  # the identity's
-        ratios = {1}
+    # the identity: X and Z map to themselves, and its first row is e_0
+    start = np.zeros((1, 7 if residues is None else 7 + n), np.int64)
+    start[0, [1, 5]] = 1
+    if residues is not None:
+        start[0, 7] = 1
+    keyed(start)
+    if not scalars:
+        found = _breadth_first(start, compute, len(gens), max_size, _first_column)
+        return _Search(*found, p)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+    leads = {int(start[0, 0]): 1}  # the identity's
+    ratios = {1}
 
-        def landed(out, keys, keep):
-            leads.update(zip([keys[t] for t in keep], out[keep, width].tolist()))
-            first = np.fromiter(map(leads.__getitem__, keys), np.int64, len(keys))
-            ratios.update((out[:, width] * inverse[first] % p).tolist())
+    def landed(out, keys, keep):
+        lead = _leads(out[:, 7:])
+        leads.update(zip([keys[t] for t in keep], lead[keep].tolist()))
+        rep = np.fromiter(map(leads.__getitem__, keys), np.int64, len(keys))
+        ratios.update((lead * inverse[rep] % p).tolist())
 
-        start = np.hstack([start, np.ones((1, 1), dtype)])
-        found = _breadth_first(start, compute, len(gens), max_size, width, landed)
-        search = _Search(*found, p, leads, _subgroup(ratios, p))
-    else:
-        search = _Search(*_breadth_first(start, compute, len(gens), max_size), p)
-    if projective and len(search.keys) % p == 0:
-        # p > 2n, and every prime factor of n^2 |SL(2, Z_n)| is at most n + 1
-        raise AssertionError(f"{p} divides the projective count {len(search.keys)}")
-    return search
+    found = _breadth_first(start, compute, len(gens), max_size, _first_column, landed)
+    return _Search(*found, p, leads, _subgroup(ratios, p))
 
 
 def _subgroup(gens, p: int) -> frozenset[int]:
@@ -1365,21 +1470,26 @@ def group_closure(
     The generators must carry the module's finiteness certificate (each
     normalizing <X, Z> up to scalars, with a power equal to a root of unity
     times I); otherwise UncertifiedGeneratorsError names the first
-    generator that fails and the clause it fails.  They are closed in
-    GL_n(F_p), for the smallest prime p = 1 (mod lcm(2, m)) dividing no
-    generator denominator; the table records p in .prime and answers
-    contains and center_of from its residues.  Reduction is injective
-    on a finite group (Minkowski-Serre), and projectively an element whose
-    reduction is scalar is itself scalar (module docstring), so the order
-    is exact.
+    generator that fails and the clause it fails.  The certificate also
+    reads each generator's Weyl images, g X g^dagger = zeta_m^s X^a Z^b
+    and g Z g^dagger = zeta_m^u X^c Z^d, and every element is keyed on its
+    own, which follow from the image law without a matrix product.  The
+    key is injective modulo scalars (Schur's lemma, module docstring), so
+    the projective order is exact and needs no prime.  The scalars are
+    counted mod the smallest prime p = 1 (mod lcm(2, m)) dividing no
+    generator denominator, where reduction is injective on the roots of
+    unity of Q(zeta_m); the table records p in .prime, and answers contains
+    and center_of from its keys and residues.
 
     Both kinds of table run the projective search (module docstring).  A
     projective table holds its keys and its breadth-first tree.  A plain
-    table runs it with the lead of each representative and collects the
-    Schreier scalars S, and its order is |G/S| |S|; it keeps no key per
-    element of G.  max_size bounds the search the table holds, so |G/S|
-    for either kind: past it, ClosureCapError carries the number of
-    classes reached.  A plain order |G/S| |S| may exceed max_size.
+    table runs it with the first row of each representative mod p and
+    collects the Schreier scalars S, and its order is |G/S| |S|; it keeps
+    no key per element of G.  max_size bounds the search the table holds,
+    so |G/S| for either kind: past it, ClosureCapError carries the number
+    of classes reached.  A plain order |G/S| |S| may exceed max_size.
+    Keys must fit int64, n^4 m^2 of them, times p for the plain search;
+    past that the closure raises UncertifiedGeneratorsError.
 
     Element bodies and words are built on first access: exactly, along a
     breadth-first tree, one product per element, sorted by UMatrix.key();
@@ -1405,11 +1515,9 @@ def group_closure(
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    failure = _certificate_failure(gens, names)
-    if failure:
-        raise UncertifiedGeneratorsError(f"no finiteness certificate: {failure}")
-    search = _mod_p_closure(gens, True, max_size, scalars=not projective)
-    return GroupTable(gens, names, projective, search, max_size)
+    images = _certified_images(gens, names)
+    search = _mod_p_closure(gens, images, True, max_size, scalars=not projective)
+    return GroupTable(gens, names, projective, images, search, max_size)
 
 
 def wh_group(n: int, **kwargs) -> GroupTable:

@@ -778,8 +778,27 @@ class TestEmbeddingRoute:
         assert recorder.routes and set(recorder.routes) == {"_embedded_matmul"}
 
 
-def oracle_weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
-    """(a, b) when mat = c X^a Z^b, by entrywise Cyclotomic comparisons."""
+class TestEmptyOperands:
+    """A factor with no rows or an empty inner dimension gives the empty or
+    the zero product on either route."""
+
+    @pytest.mark.parametrize("m", [24, 168])
+    @pytest.mark.parametrize("left,right", [((0, 2), (2, 3)), ((2, 0), (0, 3))])
+    def test_empty_and_zero_products(self, m, left, right):
+        ctx = _context(m)
+        d = ctx.degree
+        rng = np.random.default_rng(m)
+        x = rng.integers(-3, 4, size=left + (d,))
+        y = rng.integers(-3, 4, size=right + (d,))
+        want = np.zeros((left[0], right[1], d), dtype=np.int64)
+        embedded = qgroups._embedded_matmul(x.astype(np.float64), y.astype(np.float64), ctx)
+        for out in (qgroups._operator_matmul(x, y, ctx), embedded, _field_matmul(x, y, ctx)):
+            assert out.shape == want.shape and np.array_equal(out, want)
+
+
+def oracle_weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
+    """(a, b, s) when mat = zeta_m^s X^a Z^b, by entrywise Cyclotomic
+    comparisons."""
     n, m = mat.dim, mat.m
     support = mat.num.any(axis=2)
     a = int(np.argmax(support[:, 0]))
@@ -798,7 +817,10 @@ def oracle_weyl_exponents(mat: UMatrix) -> tuple[int, int] | None:
         return None
     if any(entries[j] != entries[0] * powers[b * j % n] for j in range(n)):
         return None
-    return a, b
+    s = next((k for k in range(m) if entries[0] == zeta(m, k)), None)
+    if s is None:
+        return None
+    return a, b, s
 
 
 def weyl_cases(n: int):
@@ -835,10 +857,11 @@ class TestWeylExponents:
     def test_planted_non_weyl_matrices(self, n):
         _, x, z = wh_generators(n)
         m, d = x.m, _context(x.m).degree
-        weyl = (x.matpow(1 % n) @ z.matpow(2 % n)).scale(zeta(m, 5) * 3)
-        want = (1 % n, 2 % n)
+        weyl = (x.matpow(1 % n) @ z.matpow(2 % n)).scale(zeta(m, 5))
+        want = (1 % n, 2 % n, 5)
         assert qgroups._weyl_exponents(weyl) == oracle_weyl_exponents(weyl) == want
-        planted = []
+        # scalars that are no roots of unity, with and without a denominator
+        planted = [weyl.scale(zeta(m, 0) * k) for k in (3, Fraction(1, 2))]
         # one entry off by a factor that is no n-th root of unity
         for j in range(n):
             for change in (Fraction(1, 2), zeta(m, 1), -zeta(m, 1)):
@@ -1190,7 +1213,9 @@ class TestQuotientSearch:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_order_is_the_plain_key_count(self, group, n):
         table = group(n)
-        plain = qgroups._mod_p_closure(table._generators, False, table.order)
+        plain = qgroups._mod_p_closure(
+            table._generators, table._images, False, table.order
+        )
         assert plain.prime == table.prime
         assert table.order == len(plain.keys)
 
@@ -1209,9 +1234,9 @@ class TestQuotientSearch:
         searches = []
         closure = qgroups._mod_p_closure
 
-        def recording(gens, projective, max_size, scalars=False):
+        def recording(gens, images, projective, max_size, scalars=False):
             searches.append("scalars" if scalars else projective)
-            return closure(gens, projective, max_size, scalars)
+            return closure(gens, images, projective, max_size, scalars)
 
         monkeypatch.setattr(qgroups, "_mod_p_closure", recording)
         assert clifford_group(6).order == 124416
@@ -1235,10 +1260,152 @@ class TestQuotientSearch:
         assert clifford_group(6, max_size=10_000).order == 124416
         assert len(calls) == 1
 
-    def test_residues_are_one_byte_below_256(self):
-        assert qgroups._residue_dtype(73) == qgroups._residue_dtype(251) == np.uint8
-        assert qgroups._residue_dtype(257) == np.uint16
-        assert qgroups._residue_dtype(65537) == np.uint32
+    def test_key_size_guard_raises_a_typed_error(self):
+        # n^4 m^2 keys, times p for the plain key, must stay below 2^63
+        qgroups._check_key_size(13, 312, 313)
+        with pytest.raises(UncertifiedGeneratorsError, match="68 bits, past the 63"):
+            qgroups._check_key_size(200, 4800, 4801)
+        # (2^3)^4 (2^8)^2 2^35 = 2^63
+        qgroups._check_key_size(2**3, 2**8, 2**35 - 1)
+        with pytest.raises(UncertifiedGeneratorsError, match="64 bits"):
+            qgroups._check_key_size(2**3, 2**8, 2**35)
+        assert not issubclass(UncertifiedGeneratorsError, OverflowError)
+
+    def test_every_search_checks_its_key_size(self, monkeypatch):
+        checked = []
+        check = qgroups._check_key_size
+
+        def recording(n, m, p=1):
+            checked.append((n, m, p))
+            return check(n, m, p)
+
+        monkeypatch.setattr(qgroups, "_check_key_size", recording)
+        table = clifford_group(3)
+        assert len(table.elements) == 2592
+        clifford_group(3, projective=True)
+        # the quotient search with scalars, the plain one behind .elements
+        assert checked == [(3, 24, 1), (3, 24, 73), (3, 24, 1)]
+
+
+def residue_search(gens, projective, max_size, scalars=False):
+    """The residue-row search that the Weyl-keyed one replaced, the oracle of
+    its trees: (keys, parents, gen_idx, S).
+
+    Each element is its residue matrix mod p, divided by its first nonzero
+    entry when projective, keyed by the raw bytes of those n^2 residues.  A
+    projective row carries the lead of its representative after them, and
+    with scalars the search collects the Schreier scalars S (else None).
+    """
+    p = qgroups._closure_prime(gens)
+    n = gens[0].dim
+    width = n * n
+    residues = qgroups._residues(gens, p)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+
+    def compute(rows, gi):
+        b = rows.shape[0]
+        prod = rows[:, :width].astype(np.float64).reshape(b * n, n) @ residues[gi]
+        prod = prod.astype(np.int64).reshape(b, width) % p
+        if not projective:
+            return prod
+        lead = qgroups._leads(prod)
+        out = np.empty((b, width + 1), np.int64)
+        out[:, :width] = prod * inverse[lead][:, None] % p
+        out[:, width] = lead * rows[:, width] % p
+        return out
+
+    def keys(rows):
+        return qgroups._row_keys(rows[:, :width])
+
+    start = np.eye(n, dtype=np.int64).reshape(1, width)
+    if projective:
+        start = np.hstack([start, np.ones((1, 1), np.int64)])
+    leads = dict.fromkeys(keys(start), 1)
+    ratios = {1}
+
+    def landed(out, batch, keep):
+        leads.update(zip([batch[t] for t in keep], out[keep, width].tolist()))
+        first = np.array([leads[key] for key in batch], np.int64)
+        ratios.update((out[:, width] * inverse[first] % p).tolist())
+
+    found = qgroups._breadth_first(
+        start, compute, len(gens), max_size, keys, landed if scalars else None
+    )
+    return *found, qgroups._subgroup(ratios, p) if scalars else None
+
+
+def named_generators(which: str, n: int):
+    """(generators, names) of CL(n) or of WH(n)."""
+    if which == "clifford":
+        gens = clifford_generators(n)
+        return list(gens.values()), tuple(gens)
+    tau, x, z = wh_generators(n)
+    return [UMatrix.identity(n, x.m).scale(tau), x, z], ("t", "X", "Z")
+
+
+def read_images(t: UMatrix) -> tuple[int, ...]:
+    """t's Weyl images (a, b, s, c, d, u), read from exact conjugates."""
+    _, x, z = wh_generators(t.dim, t.m)
+    dag = t.dagger()
+    return qgroups._weyl_exponents(t @ x @ dag) + qgroups._weyl_exponents(t @ z @ dag)
+
+
+# (projective, scalars): the plain search, the quotient search, and the
+# quotient search with the Schreier scalars
+KINDS = [(False, False), (True, False), (True, True)]
+
+
+class TestWeylKeys:
+    """The closure keys each element on its Weyl images: the law for t g
+    against exact products, and the trees against the residue-row search."""
+
+    @pytest.mark.parametrize(
+        "which,n",
+        [("clifford", n) for n in range(2, 10)] + [("wh", n) for n in (3, 4, 6)],
+    )
+    def test_image_law_matches_exact_products(self, which, n):
+        gens, names = named_generators(which, n)
+        m = gens[0].m
+        images = qgroups._certified_images(gens, names)
+        assert [tuple(row) for row in images] == [read_images(g) for g in gens]
+        rng = random.Random(n)
+        words = [[rng.randrange(3) for _ in range(rng.randint(0, 7))] for _ in range(4)]
+        ts = [word_product(dict(enumerate(gens)), w) for w in words]
+        t_images = np.array([read_images(t) for t in ts])
+        for g, image in zip(gens, images):
+            got = qgroups._image_product(t_images, *qgroups._image_law(image, n, m), n, m)
+            want = np.array([read_images(t @ g) for t in ts])
+            assert np.array_equal(got, want)
+            # the packed key holds the six digits
+            keys = qgroups._weyl_keys(got, n, m).tolist()
+            for key, row in zip(keys, want.tolist()):
+                digits = []
+                for base in (m, m, n, n, n, n):
+                    key, digit = divmod(key, base)
+                    digits.append(digit)
+                a, b, c, d, s, u = reversed(digits)
+                assert key == 0 and [a, b, s, c, d, u] == row
+
+    @pytest.mark.parametrize(
+        "which,n", [("clifford", n) for n in range(2, 8)] + [("wh", n) for n in (3, 4, 6)]
+    )
+    def test_same_trees_as_the_residue_search(self, which, n):
+        gens, names = named_generators(which, n)
+        images = qgroups._certified_images(gens, names)
+        for projective, scalars in KINDS[1:2] if n == 7 else KINDS:  # PCL(7)
+            args = (projective, qgroups._DEFAULT_MAX_SIZE, scalars)
+            new = qgroups._mod_p_closure(gens, images, *args)
+            keys, parents, gen_idx, ratios = residue_search(gens, *args)
+            assert len(new.keys) == len(keys)
+            assert np.array_equal(new.parents, parents)
+            assert np.array_equal(new.gen_idx, gen_idx)
+            assert new.scalars == ratios
+            cap = len(keys) // 2
+            with pytest.raises(ClosureCapError) as counted:
+                qgroups._mod_p_closure(gens, images, projective, cap, scalars)
+            with pytest.raises(ClosureCapError) as oracle:
+                residue_search(gens, projective, cap, scalars)
+            assert counted.value.partial_size == oracle.value.partial_size > cap
 
 
 @cache
