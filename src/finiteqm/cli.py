@@ -115,7 +115,10 @@ def cmd_group(args) -> int:
         table = clifford_group(args.dim, projective=True, **closure)
     else:
         raise ValueError(f"unknown group kind {which}")
-    if args.elements:
+    # only a plain table's scalars and its --elements search read the prime
+    if which == "projective":
+        path = "exact bodies, projective" if args.elements else "order-only, projective"
+    elif args.elements:
         path = f"mod {table.prime}, exact bodies"
     else:
         path = f"order-only mod {table.prime}"

@@ -30,6 +30,7 @@ import json
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,57 +87,74 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (low degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("polynomial division is not exact")
-        out[k - dd] = q
-        for j in range(dd + 1):
-            num[k - dd + j] -= q * den[j]
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), for n >= 1."""
+    factors = _factorize(n)
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
 
 
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-_PHI_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, low degree first, monic.
 
-    Computed by exact division of x^m - 1 by the Phi_d of the proper
-    divisors; results are cached per conductor.
+    Phi_m(x) = Phi_r(x^(m / r)) for r = rad(m), the product of the primes
+    dividing m, and for r > 1 the Moebius product
+    Phi_r = prod_(e | r) (1 - x^e)^mu(r / e) holds (the signs of
+    x^e - 1 = -(1 - x^e) cancel, as sum_(e | r) mu(r / e) = 0).  It is
+    taken as a power series mod x^(phi(r) + 1), on Python integers: each
+    factor 1 - x^e is one shift-subtract, and each inverse factor
+    1 / (1 - x^e) a running sum with stride e.  The factors of exponent +1
+    go first, so every partial product is a polynomial.
     """
     if m < 1:
         raise ValueError(f"conductor must be >= 1, got {m}")
-    with _PHI_LOCK:
-        cached = _PHI_CACHE.get(m)
-    if cached is not None:
-        return cached
-    if m == 1:
-        poly: tuple[int, ...] = (-1, 1)
-    else:
-        num = [0] * (m + 1)
-        num[0] = -1
-        num[m] = 1
-        rest = list(num)
-        for d in range(1, m):
-            if m % d == 0:
-                rest = _poly_div_exact(rest, list(cyclotomic_polynomial(d)))
-        poly = tuple(rest)
-    with _PHI_LOCK:
-        _PHI_CACHE[m] = poly
-    return poly
+    primes = list(_factorize(m))
+    r = math.prod(primes)
+    if r == 1:
+        return (-1, 1)
+    d = euler_phi(r)
+    divisors = [1]
+    for p in primes:
+        divisors += [e * p for e in divisors]
+    series = [1] + [0] * d
+    for sign in (1, -1):
+        for e in divisors:
+            if _mobius(r // e) != sign:
+                continue
+            if sign == 1:
+                for k in range(d, e - 1, -1):
+                    series[k] -= series[k - e]
+            else:
+                for k in range(e, d + 1):
+                    series[k] += series[k - e]
+    poly = [0] * ((m // r) * d + 1)
+    poly[:: m // r] = series
+    return tuple(poly)
+
+
+def _reduction_rows(m: int, phi: tuple[int, ...]) -> np.ndarray:
+    """The (m, phi(m)) int64 array whose row k holds the coefficients of z^k.
+
+    With r = rad(m) and s = m / r, Phi_m(x) = Phi_r(x^s), so y = z^s is a
+    root of Phi_r, and for 0 <= j < s, z^(q s + j) = y^q z^j has the
+    coefficients of y^q mod Phi_r at the positions a s + j: the table of
+    the squarefree conductor r, spread over m.  Its r rows come from
+    y^(q + 1) = y y^q, one shift and one subtraction of Phi_r's tail per
+    row, on Python integers.
+    """
+    d = len(phi) - 1
+    s = m // math.prod(_factorize(m))
+    tail = phi[:d:s]  # Phi_r without its leading 1
+    cur = [1] + [0] * (len(tail) - 1)
+    small = [cur]
+    for _ in range(1, m // s):
+        top = cur[-1]
+        cur = [-top * tail[0]] + [c - top * t for c, t in zip(cur, tail[1:])]
+        small.append(cur)
+    rows = np.zeros((m // s, s, len(tail), s), dtype=np.int64)
+    spread = np.arange(s)
+    rows[:, spread, :, spread] = small
+    return rows.reshape(m, d)
 
 
 def _unit_chain(m: int) -> tuple[tuple[int, int], ...]:
@@ -163,13 +181,21 @@ def _unit_chain(m: int) -> tuple[tuple[int, int], ...]:
 
 
 class _Context:
-    """Per-conductor reduction tables and inverses, built once and shared."""
+    """Per-conductor reduction tables and inverses, built once and shared.
+
+    The one table built from Phi_m is ``powers``, the read-only int64
+    (m, phi(m)) array of the reduction rows (``_reduction_rows``): row k
+    holds the coefficients of z^k.  The others are gathers from it: the
+    scalar code's tuple ``rows`` (built on first use), the Galois rows, the
+    conjugation table and the multiplication table.
+    """
 
     __slots__ = (
         "m",
         "degree",
         "phi_poly",
-        "rows",
+        "powers",
+        "_rows",
         "_galois",
         "galois_chain",
         "_inverses",
@@ -184,31 +210,25 @@ class _Context:
         self.phi_poly = cyclotomic_polynomial(m)
         d = len(self.phi_poly) - 1
         self.degree = d
-        # rows[k] = coefficients of z^k mod Phi_m, for 0 <= k < m
-        rows: list[tuple[int, ...]] = []
-        cur = [0] * d
-        if d > 0:
-            cur[0] = 1
-        rows.append(tuple(cur))
-        tail = self.phi_poly[:d]
-        for _ in range(1, m):
-            top = cur[d - 1]
-            nxt = [0] * d
-            for j in range(1, d):
-                nxt[j] = cur[j - 1] - top * tail[j]
-            nxt[0] = -top * tail[0]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.rows = tuple(rows)
+        self.powers = _reduction_rows(m, self.phi_poly)
+        self.powers.setflags(write=False)
+        self._rows = None
         self._galois: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.galois_chain = _unit_chain(m)
         self._inverses: dict[tuple[int, ...], Cyclotomic] = {}  # see inverse()
         self._lock = threading.Lock()
         self._mult = None
-        self.conj_np = np.array(self.galois_rows(-1), dtype=np.int64)
+        self.conj_np = self.powers[-np.arange(d) % m]  # row j: z^(-j)
         self.conj_np.setflags(write=False)
         # complex embedding of the power basis, z -> exp(2*pi*i/m)
         self.embed = np.exp(2j * math.pi * np.arange(d) / m)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``powers`` as tuples of Python integers."""
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.powers.tolist()))
+        return self._rows
 
     def galois_rows(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Rows of sigma_k: row j holds z^(j k) mod Phi_m; needs gcd(k, m) = 1."""
@@ -258,8 +278,7 @@ class _Context:
                     d = self.degree
                     # every row z^0 .. z^(2d-2) appears in the table; when
                     # 2d - 1 > m, z^k is the row of k mod m, since z^m = 1
-                    red = [self.rows[k % self.m] for k in range(2 * d - 1)]
-                    red = np.array(red, dtype=np.int64)
+                    red = self.powers[np.arange(2 * d - 1) % self.m]
                     bound = max(int(np.abs(red).max()), 1)
                     t = red.astype(np.float64)[np.add.outer(np.arange(d), np.arange(d))]
                     t = t.reshape(d, d * d)
@@ -616,8 +635,7 @@ def conductor_for(n: int) -> int:
 
 def zeta(m: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_m^k."""
-    ctx = _context(m)
-    return _normalized(m, list(ctx.rows[k % m]), 1)
+    return _normalized(m, _context(m).powers[k % m].tolist(), 1)
 
 
 def _legendre(t: int, p: int) -> int:
@@ -630,32 +648,35 @@ def sqrt_embed(n: int, m: int) -> Cyclotomic:
 
     Built from quadratic Gauss sums: for an odd prime p the sum
     g = sum_t legendre(t, p) * zeta_p^t squares to +p or -p, and sqrt(2)
-    is zeta_8 + zeta_8^7.  A one-time floating evaluation fixes the sign;
-    everything else is exact.
+    is zeta_8 + zeta_8^7.  Their product is formed on the exponents of
+    zeta_m, as an integer vector w with w[k] the coefficient of zeta_m^k:
+    a factor sum_k c_k zeta_m^k is the signed sum of the rolls of w by k.
+    Its power-basis coefficients are then w @ rows, a weighted sum of the
+    conductor's reduction rows, and the rational part of the root
+    multiplies the result.  A one-time floating evaluation fixes the sign,
+    and the exact square-back check, one field product, certifies it.
     """
     if n <= 0:
         raise ValueError(f"sqrt_embed needs a positive integer, got {n}")
     factors = _factorize(n)
-    root = math.prod(p ** (e // 2) for p, e in factors.items())
-    result = Cyclotomic.from_rational(m, root)
+    w = np.zeros(m, dtype=np.int64)
+    w[0] = 1
     for p in [p for p, e in factors.items() if e % 2]:
         if p == 2:
             if m % 8:
                 raise SqrtConstructionError(f"sqrt(2) needs 8 | m, got m={m}")
-            e = m // 8
-            result = result * (zeta(m, e) + zeta(m, 7 * e))
-            continue
-        if m % p:
-            raise SqrtConstructionError(f"sqrt({p}) needs {p} | m, got m={m}")
-        e = m // p
-        gauss = Cyclotomic.zero(m)
-        for t in range(1, p):
-            gauss = gauss + _legendre(t, p) * zeta(m, e * t)
-        if p % 4 == 3:
-            if m % 4:
-                raise SqrtConstructionError(f"sqrt({p}) needs 4 | m, got m={m}")
-            gauss = gauss * (-zeta(m, m // 4))
-        result = result * gauss
+            terms = {m // 8: 1, 7 * m // 8: 1}
+        else:
+            if m % p:
+                raise SqrtConstructionError(f"sqrt({p}) needs {p} | m, got m={m}")
+            terms = {m // p * t: _legendre(t, p) for t in range(1, p)}
+            if p % 4 == 3:
+                if m % 4:
+                    raise SqrtConstructionError(f"sqrt({p}) needs 4 | m, got m={m}")
+                terms = {(k + m // 4) % m: -c for k, c in terms.items()}  # times -i
+        w = sum(c * np.roll(w, k) for k, c in terms.items())
+    root = math.prod(p ** (e // 2) for p, e in factors.items())
+    result = _normalized(m, (w @ _context(m).powers).tolist(), 1) * root
     approx = result.to_complex()
     if abs(approx.imag) > 1e-9 or abs(approx.real**2 - n) > 1e-6 * max(n, 1):
         raise SqrtConstructionError(f"gauss-sum construction failed for n={n}, m={m}")

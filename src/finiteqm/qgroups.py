@@ -142,7 +142,9 @@ from .cyclotomic import (
     FieldMismatchError,
     _context,
     _factorize,
+    _mobius,
     conductor_for,
+    euler_phi,
     sqrt_embed,
     zeta,
 )
@@ -414,13 +416,10 @@ def _operator_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
 # -- the trace form ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _power_rows(m: int) -> np.ndarray:
-    """The conductor's reduction rows as a read-only int64 array (m, d):
-    row k holds the coefficients of z^k."""
-    rows = np.array(_context(m).rows, dtype=np.int64)
-    rows.setflags(write=False)
-    return rows
+    """The conductor's reduction rows, the read-only int64 array (m, d) of
+    ``_Context.powers``: row k holds the coefficients of z^k."""
+    return _context(m).powers
 
 
 @lru_cache(maxsize=None)
@@ -433,26 +432,25 @@ def _trace_form(m: int):
     coefficients c and T[j, i] = Tr(z^(i - j)); a pair contributes
     2 Re(sigma_k(x) z^(-j k)), so y = trace @ X + 2 sin @ Y, where trace
     holds the cosines of embed doubled (single for the real embedding of
-    m <= 2) and sin = embed[:, h:].  inverse = m T^-1 is integral, as the
-    trace dual of Z[zeta_m] lies in (1/m) Z[zeta_m] (the different divides
-    m; Washington, *Introduction to Cyclotomic Fields*, ch. 2):
-    Gauss-Jordan without pivots (T = V V* is positive definite), rounded,
-    and certified by the exact T @ inverse == m I.
+    m <= 2) and sin = embed[:, h:].  Tr(z^r) is the Ramanujan sum
+    mu(q) phi(m) / phi(q), q = m / gcd(r, m).  inverse = m T^-1 is
+    integral, as the trace dual of Z[zeta_m] lies in (1/m) Z[zeta_m] (the
+    different divides m; Washington, *Introduction to Cyclotomic Fields*,
+    ch. 2): one LAPACK inverse of T, scaled by m and rounded, and certified
+    by the exact T @ inverse == m I, which raises ArithmeticError when it
+    fails.  That inverse is the only floating step of the exact tables.
     """
     d = _context(m).degree
-    units = np.array([k for k in range(m) if math.gcd(k, m) == 1])
+    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
     half = units[2 * units <= m]
     turns = 2 * np.pi * (np.outer(np.arange(d), half) % m) / m
     embed = np.hstack((np.cos(turns), np.sin(turns)))
     trace = np.cos(turns) * np.where(2 * half % m, 2.0, 1.0)
-    # Tr(z^r) is an integer, so it is the constant coefficient of sum z^(r k)
-    tr = _power_rows(m)[np.outer(np.arange(m), units) % m, 0].sum(axis=1)
-    t = tr[(np.arange(d) - np.arange(d)[:, None]) % m]  # t[j, i] = tr[i - j]
-    a = np.hstack((t, m * np.eye(d)))
-    for k in range(d):
-        a[k] /= a[k, k]
-        a -= np.outer(np.where(np.arange(d) == k, 0, a[:, k]), a[k])
-    inverse = np.rint(a[:, d:]).astype(np.int64)
+    q = m // np.gcd((np.arange(d) - np.arange(d)[:, None]) % m, m)
+    tr = [_mobius(k) * d // euler_phi(k) if m % k == 0 else 0 for k in range(1, m + 1)]
+    t = np.array(tr)[q - 1]  # t[j, i] = Tr(z^(i - j)), which is tr[q - 1]
+    with np.errstate(invalid="ignore"):  # a value past int64 fails the certificate
+        inverse = np.rint(m * np.linalg.inv(t)).astype(np.int64)
     if not np.array_equal(_exact_matmul(t, inverse), m * np.eye(d, dtype=np.int64)):
         raise ArithmeticError(f"m T^-1 is not integral for m = {m}")
     for table in (embed, trace, inverse):  # shared by every caller
@@ -574,11 +572,7 @@ class UMatrix:
 
     @classmethod
     def identity(cls, dim: int, m: int) -> "UMatrix":
-        d = _context(m).degree
-        num = np.zeros((dim, dim, d), dtype=np.int64)
-        for i in range(dim):
-            num[i, i, 0] = 1
-        return cls(dim, m, num, 1)
+        return _diagonal_rows(_power_rows(m)[np.zeros(dim, dtype=np.int64)], m)
 
     @classmethod
     def from_entries(cls, entries, m: int | None = None) -> "UMatrix":
@@ -610,11 +604,10 @@ class UMatrix:
     @classmethod
     def permutation(cls, dim: int, m: int, row_of_col) -> "UMatrix":
         """0/1 matrix with a single 1 per column j, at row row_of_col[j]."""
-        d = _context(m).degree
-        num = np.zeros((dim, dim, d), dtype=np.int64)
-        for j in range(dim):
-            num[row_of_col[j] % dim, j, 0] = 1
-        return cls(dim, m, num, 1)
+        rows = _power_rows(m)
+        num = np.zeros((dim, dim, rows.shape[1]), dtype=np.int64)
+        num[np.asarray(row_of_col, dtype=np.int64) % dim, np.arange(dim)] = rows[0]
+        return cls._from_canonical(dim, m, num, 1)
 
     # -- views ------------------------------------------------------------------
 
@@ -733,50 +726,72 @@ class UMatrix:
 # -- generator matrices ------------------------------------------------------------
 
 
-def wh_generators(n: int, m: int | None = None):
-    """(tau, X, Z): phase, cyclic shift and clock matrix for dimension n.
-
-    m overrides the working conductor; it must be a multiple of 2n.
-    """
+def _working_conductor(n: int, m: int | None) -> int:
+    """m, by default conductor_for(n); ValueError unless it is a multiple of 2n."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if m is None:
         m = conductor_for(n)
     if m % (2 * n):
         raise ValueError(f"conductor {m} must be a multiple of {2 * n}")
+    return m
+
+
+def _diagonal_rows(entries: np.ndarray, m: int) -> UMatrix:
+    """diag of integer coefficient rows (n, d), over the denominator 1."""
+    n, d = entries.shape
+    num = np.zeros((n, n, d), dtype=np.int64)
+    num[np.arange(n), np.arange(n)] = entries
+    return UMatrix._from_canonical(n, m, num, 1)
+
+
+def _omega_operators(n: int, m: int) -> np.ndarray:
+    """(n, d, d): the multiplication matrices of omega^k, omega = z^(m / n).
+
+    Row i of the k-th holds z^i omega^k = z^(i + k m / n), a gather of the
+    reduction rows, so e @ [k] is e omega^k for a coefficient row e.
+    """
+    d = _context(m).degree
+    return _power_rows(m)[(np.arange(d) + (m // n) * np.arange(n)[:, None]) % m]
+
+
+def wh_generators(n: int, m: int | None = None):
+    """(tau, X, Z): phase, cyclic shift and clock matrix for dimension n.
+
+    m overrides the working conductor; it must be a multiple of 2n.  The
+    entries are rows of the conductor's reduction table: Z[k, k] is the row
+    of z^(k m / n).
+    """
+    m = _working_conductor(n, m)
     tau = -zeta(m, m // (2 * n))
-    x = UMatrix.permutation(n, m, [(j + 1) % n for j in range(n)])
-    z = UMatrix.diagonal([zeta(m, (m // n) * k % m) for k in range(n)], m)
+    x = UMatrix.permutation(n, m, (np.arange(n) + 1) % n)
+    z = _diagonal_rows(_power_rows(m)[(m // n) * np.arange(n)], m)
     return tau, x, z
 
 
 def fourier_matrix(n: int, m: int | None = None) -> UMatrix:
-    """Discrete Fourier matrix (1/sqrt(n)) * omega^(ij), exactly."""
-    if m is None:
-        m = conductor_for(n)
-    if m % (2 * n):
-        raise ValueError(f"conductor {m} must be a multiple of {2 * n}")
+    """Discrete Fourier matrix (1/sqrt(n)) * omega^(ij), exactly.
+
+    The numerators sqrt(n) omega^k, k < n, are one batched product of
+    sqrt(n) against the ``_omega_operators``, over the denominator n.
+    """
+    m = _working_conductor(n, m)
     root = sqrt_embed(n, m)
     if root.den != 1:
         raise AssertionError("sqrt(n) should be an algebraic integer")
-    ctx = _context(m)
-    d = ctx.degree
-    num = np.zeros((n, n, d), dtype=np.int64)
-    omega_pow = [zeta(m, (m // n) * k % m) for k in range(n)]
-    cache = {}
-    for k, om in enumerate(omega_pow):
-        cache[k] = root * om
-    for i in range(n):
-        for j in range(n):
-            e = cache[(i * j) % n]
-            num[i, j, :] = e.num
-    return UMatrix(n, m, num, n)
+    scaled = _exact_matmul(_int_array([root.num]), _omega_operators(n, m))[:, 0]
+    return UMatrix(n, m, scaled[np.outer(np.arange(n), np.arange(n)) % n], n)
 
 
 def s_matrix(n: int, m: int | None = None) -> UMatrix:
-    """Diagonal quadratic phase matrix diag(tau^(i(i+n)))."""
-    tau, _, _ = wh_generators(n, m)
-    return UMatrix.diagonal([tau ** (i * (i + n)) for i in range(n)], tau.m)
+    """Diagonal quadratic phase matrix diag(tau^(i(i+n))).
+
+    tau = -zeta_m^(m / 2n) = zeta_m^(m / 2n + m / 2), so entry i is the
+    reduction row of the exponent (m / 2n + m / 2) i (i + n) mod m.
+    """
+    m = _working_conductor(n, m)
+    i = np.arange(n)
+    return _diagonal_rows(_power_rows(m)[(m // (2 * n) + m // 2) * i * (i + n) % m], m)
 
 
 def clifford_generators(n: int, m: int | None = None) -> dict[str, UMatrix]:
@@ -822,11 +837,8 @@ def galois_generators(field: GaloisField, nu: GFElement, mu: GFElement):
     for gamma in field.elements():
         shift[gamma.index] = (gamma + nu).index
     x_nu = UMatrix.permutation(q, m, shift)
-    p = field.p
-    diag = [
-        zeta(m, (m // p) * gf_trace_int(mu * gamma) % m) for gamma in field.elements()
-    ]
-    z_mu = UMatrix.diagonal(diag, m)
+    traces = [gf_trace_int(mu * gamma) for gamma in field.elements()]
+    z_mu = _diagonal_rows(_power_rows(m)[(m // field.p) * np.array(traces) % m], m)
     return x_nu, z_mu
 
 
@@ -1042,11 +1054,11 @@ def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
     compared with e_0 omega^(b j).  The entries share one denominator, so
     they compare as integer rows, and multiplying by omega^k = z^s is a
     gather: e z^s = sum_i e_i z^(i + s) takes rows i + s of the reduction
-    table.  The scalar is e_0, since (X^a Z^b)[a, 0] = 1, and s is the row
-    of the reduction table that it equals; a scalar that is no m-th root of
-    unity gives None.  A unitary conjugate of X or Z never has one: its
-    n-th power is I, so c^n is a root of unity, and the roots of unity of
-    Q(zeta_m) are mu_m for even m.
+    table (``_omega_operators``).  The scalar is e_0, since
+    (X^a Z^b)[a, 0] = 1, and s is the row of the reduction table that it
+    equals; a scalar that is no m-th root of unity gives None.  A unitary
+    conjugate of X or Z never has one: its n-th power is I, so c^n is a
+    root of unity, and the roots of unity of Q(zeta_m) are mu_m for even m.
     """
     n, m = mat.dim, mat.m
     support = mat.num.any(axis=2)
@@ -1058,9 +1070,7 @@ def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
         return None
     # (X^a Z^b)[j + a, j] = omega^(b j), omega = z^(m / n)
     entries = mat.num[(cols + a) % n, cols]
-    d = entries.shape[1]
-    turns = (np.arange(d) + (m // n) * cols[:, None]) % m
-    powers = _exact_matmul(entries[:1], _power_rows(m)[turns])[:, 0]  # e_0 omega^k
+    powers = _exact_matmul(entries[:1], _omega_operators(n, m))[:, 0]  # e_0 omega^k
     hits = np.flatnonzero((powers == entries[1 % n]).all(axis=1))
     if not hits.size or not (powers[hits[0] * cols % n] == entries).all():
         return None
@@ -1092,14 +1102,11 @@ def _times_weyl(g: UMatrix) -> tuple[UMatrix, UMatrix]:
     """(g X, g Z) without a field product.
 
     (g X)[i, j] = g[i, j + 1], a cyclic shift of the columns, and
-    (g Z)[i, j] = g[i, j] omega^j: column j times z^(j m / n), a gather
-    through the reduction rows as in ``_weyl_exponents``, batched over the
-    columns.
+    (g Z)[i, j] = g[i, j] omega^j: column j against the j-th of the
+    ``_omega_operators``, batched over the columns.
     """
     n, m = g.dim, g.m
-    d = g.num.shape[2]
-    turns = (np.arange(d) + (m // n) * np.arange(n)[:, None]) % m
-    cols = _exact_matmul(g.num.transpose(1, 0, 2), _power_rows(m)[turns])
+    cols = _exact_matmul(g.num.transpose(1, 0, 2), _omega_operators(n, m))
     gx = UMatrix(n, m, np.roll(g.num, -1, axis=1), g.den)
     return gx, UMatrix(n, m, cols.transpose(1, 0, 2), g.den)
 
@@ -1113,9 +1120,12 @@ def _certified_images(gens: list[UMatrix], names) -> np.ndarray:
     clause it fails.  The conductor must be a multiple of 2n.  Each
     generator g must map X and Z to scalar multiples of elements X^a Z^b
     under conjugation, act invertibly on the exponents (a, b) mod n, and
-    have a power g^r = c * I with c^lcm(2, m) == 1.  With k the order of g's
-    action on the exponents, g^k commutes with X and Z up to scalars, so it
-    is a scalar multiple of some X^u Z^v and r = k n makes g^r a scalar.
+    have a power g^r = c * I with c a root of unity.  With k the order of
+    g's action on the exponents, g^k commutes with X and Z up to scalars,
+    so g^k = c X^u Z^v (Schur's lemma), and g^(k n) = c^n
+    omega^(u v n (n - 1) / 2) I is a root of unity times I exactly when c
+    is a root of unity: an m-th one, as m is even.  So the clause reads g^k
+    as zeta_m^s X^u Z^v with ``_weyl_exponents``.
     """
     n, m = gens[0].dim, gens[0].m
 
@@ -1126,7 +1136,6 @@ def _certified_images(gens: list[UMatrix], names) -> np.ndarray:
 
     if m % (2 * n):
         fail(names[0], f"conductor {m} is not a multiple of {2 * n}")
-    roots = math.lcm(2, m)
     weyl = "is not a scalar times X^a Z^b"
     images = []
     for g, name in zip(gens, names):
@@ -1141,8 +1150,7 @@ def _certified_images(gens: list[UMatrix], names) -> np.ndarray:
         k = _symplectic_order(*image_x[:2], *image_z[:2], n)
         if k is None:
             fail(name, f"singular action on (a, b) mod {n}")
-        c = g.matpow(k * n).is_scalar()
-        if c is None or not (c**roots).is_one():
+        if _weyl_exponents(g.matpow(k)) is None:
             fail(name, "no power is a root of unity times I")
         images.append(image_x + image_z)
     return np.array(images, dtype=np.int64)

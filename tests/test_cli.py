@@ -114,6 +114,20 @@ class TestGroup:
             capsys.readouterr().err,
         )
 
+    def test_stderr_names_no_prime_for_projective(self, capsys):
+        # the projective count reads no residue, so the message names no prime
+        argv = ["group", "--dim", "3", "--which", "projective"]
+        assert cli.main(argv) == 0
+        assert re.fullmatch(
+            r"closure in \d+\.\d\ds \(order-only, projective\)\n",
+            capsys.readouterr().err,
+        )
+        assert cli.main(argv + ["--elements"]) == 0
+        assert re.fullmatch(
+            r"closure in \d+\.\d\ds \(exact bodies, projective\)\n",
+            capsys.readouterr().err,
+        )
+
     def test_order_off_the_closed_forms_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_order_fits", lambda which, n, order: False)
         code, out = run(capsys, "group", "--dim", "2", "--which", "wh")
