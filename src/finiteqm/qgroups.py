@@ -62,18 +62,23 @@ of the finitely many roots of unity of Q(zeta_m).  So G is finite.
 The search keys each element t on its Weyl images (Appleby, J. Math. Phys.
 46, 052107, 2005): t X t^dagger = zeta_m^s X^a Z^b and
 t Z t^dagger = zeta_m^u X^c Z^d, six integers with a, b, c, d mod n and
-s, u mod m, packed into one integer below n^4 m^2.  The scalars are m-th
-roots of unity: the n-th power of t X t^dagger is I, so the scalar's n-th
-power is a root of unity, and m is even, so the roots of unity of
-Q(zeta_m) are mu_m.  The certificate reads the images of the generators
-(``_certified_images``), and those of a product t g follow from the
-images of t and of g alone (``_image_law``): a few integer operations per
-product, and no matrix.  The key is injective on G modulo scalars: two
-elements with the same images differ by a matrix that commutes with X and
-Z, and so, as X and Z generate the full matrix algebra, by a scalar
-(Schur's lemma); a scalar multiple of t has t's images.  So the
-projective search counts G/S, S the scalar subgroup of G, exactly, with no
-prime and no reduction.
+s, u mod m.  The phases lie on a lattice: (t X t^dagger)^n = I, and
+(zeta_m^s X^a Z^b)^n = zeta_m^(s n) omega^(a b n (n - 1) / 2) I,
+omega = zeta_m^(m / n), where the omega factor is 1 for odd n and +-1 for
+even n.  So s, and likewise u, is a multiple of m / N, N = n for odd n and
+2 n for even n, an integer as the certificate makes 2 n divide m.  The key
+is sym N^2 + (s N / m) N + u N / m, sym = ((a n + b) n + c) n + d, below
+n^4 N^2 (``_weyl_keys``).  The certificate reads the images of the
+generators (``_certified_images``), and those of a product t g follow from
+the images of t and of g alone (``_image_law``), with no term mixing t's
+phases with its sym: so the key of t g is a few integer gathers from that
+of t, through tables over the syms and the N^2 phase pairs
+(``_KeyProducts``), and no matrix.  The key is injective on G modulo
+scalars: two elements with the same images differ by a matrix that
+commutes with X and Z, and so, as X and Z generate the full matrix
+algebra, by a scalar (Schur's lemma); a scalar multiple of t has t's
+images.  So the projective search counts G/S, S the scalar subgroup of G,
+exactly, with no prime and no reduction.
 
 Only the scalars are counted mod p, as in the congruence-image method of
 Detinko, Flannery and O'Brien (J. Symb. Comput. 50, 2013).  Evaluating the
@@ -86,17 +91,20 @@ residue, the first nonzero entry of its first row mod p.  It is injective
 on G: two elements with the same images are t and c t for a scalar c in
 G, a root of unity, and the first row of c t is c times that of t, so its
 lead residue differs unless c = 1.  The residues of a search are only the
-first rows, one (b, n) @ (n, n) product per chunk.  No count rests on
-reduction being injective beyond the roots of unity, so nothing about p
-needs checking after a search: the projective count takes no residue at
-all.
+first rows, one (b, n) @ (n, n) product per generator and level.  No count
+rests on reduction being injective beyond the roots of unity, so nothing
+about p needs checking after a search: the projective count takes no
+residue and no prime at all.
 
-A search carries an element as one integer row: its key, its six images
-and, when it needs them, its first row mod p.  It records the
-breadth-first tree: each new element's parent and generator.  Because the
-keys are injective on the same classes as canonical (scalar-canonical)
-exact forms, it meets new elements in the same order as an exact search
-would.
+A search carries the keys of its frontier and, when it needs them, their
+first rows mod p.  It takes a level's products with every generator at
+once and looks their keys up in a two-level dense index (``_KeyIndex``), a
+top array over the n^4 syms and a block of N^2 keys (N^2 p for the plain
+key) per sym met: 4 n^4 bytes plus 4 N^2 bytes per sym met, of which there
+are at most |SL(2, Z_n)| < n^3.  It records the breadth-first tree: each
+new element's parent and generator.  Because the keys are injective on the
+same classes as canonical (scalar-canonical) exact forms, it meets new
+elements in the same order as an exact search would.
 
 Every closure, plain or projective, runs the projective search, which
 makes 3 |G/S| products for three generators; a plain closure also reads S
@@ -875,10 +883,10 @@ class GroupTable:
     """Closure of a matrix generating set, held as its projective search.
 
     The projective search (``_mod_p_closure`` with projective=True) holds
-    one Weyl key per element of G/S, S the scalar subgroup of G, and the
+    an index of the Weyl keys of G/S, S the scalar subgroup of G, and the
     breadth-first tree.  A projective table is that search, of order
     |G/S|.  A plain table runs it with scalars, so that it also holds the
-    lead residue of each key's representative and S as residues; its order
+    lead residue of each class's representative and S as residues; its order
     is |G/S| |S|, it answers contains and center_of from the same search,
     and it holds no key per element of G.  Both keep the Weyl images of
     the generators, which every search and query starts from.
@@ -905,15 +913,16 @@ class GroupTable:
         self.conductor = generators[0].m
         self.projective = projective
         self.generator_names = names
-        self.order = len(search.keys) * (1 if projective else len(search.scalars))
+        self.order = search.index.size * (1 if projective else len(search.scalars))
         self._generators = generators
         self._images = images
         self._search = search
         self._max_size = max_size
 
     @property
-    def prime(self) -> int:
-        """The prime p the closure ran modulo."""
+    def prime(self) -> int | None:
+        """The prime p of the closure's residues; None for a projective
+        table, whose search reads no residue."""
         return self._search.prime
 
     def __len__(self) -> int:
@@ -977,12 +986,12 @@ class GroupTable:
         except UncertifiedGeneratorsError:
             return False
         p, search = self.prime, self._search
-        key = int(_weyl_keys(image, self.dim, self.conductor)[0])
-        if self.projective:
-            return key in search.keys
-        first = search.leads.get(key)
-        if first is None or mat.den % p == 0:
+        found = int(search.index.get(_weyl_keys(image, self.dim, self.conductor))[0])
+        if self.projective or not found:
+            return found > 0
+        if mat.den % p == 0:
             return False
+        first = int(search.leads[found - 1])
         lead = int(_leads(_residues([mat], p)[0, :1])[0])
         return lead * pow(first, -1, p) % p in search.scalars
 
@@ -1189,22 +1198,126 @@ def _image_product(t: np.ndarray, law, offset, n: int, m: int) -> np.ndarray:
     return (features @ law + offset) % np.array([n, n, m, n, n, m])
 
 
+def _phase_order(n: int) -> int:
+    """N, with every Weyl phase a multiple of m / N (module docstring)."""
+    return n if n % 2 else 2 * n
+
+
 def _weyl_keys(images: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Weyl images (b, 6) packed into one integer each, below n^4 m^2:
-    a, b, c, d are digits mod n, s and u digits mod m."""
-    # digits in the order a, b, c, d, s, u
-    return images @ np.array([n**3 * m * m, n * n * m * m, m, n * m * m, m * m, 1])
+    """Weyl images (b, 6) packed into one integer each, below n^4 N^2:
+    sym = ((a n + b) n + c) n + d, then s and u in units of m / N, as
+    digits mod N (``_phase_order``)."""
+    big = _phase_order(n)
+    unit = m // big
+    sym = images[:, [0, 1, 3, 4]] @ np.array([n**3, n * n, n, 1])
+    return (sym * big + images[:, 2] // unit) * big + images[:, 5] // unit
 
 
-def _check_key_size(n: int, m: int, p: int = 1) -> None:
-    """UncertifiedGeneratorsError unless keys below n^4 m^2 p fit in int64:
+class _KeyProducts:
+    """The packed keys of t g from those of t, for the generators g whose
+    images are the rows of images (k, 6), as gathers from tables.
+
+    The image law has no term mixing t's phases with its sym, so the key
+    of t g is at[i] + reduce[phase[i] + linear[j]] for t's key i N^2 + j:
+    at[i] and phase[i] are the law at sym i with t's phases zero, split
+    into key and phases, and linear[j] the phases that t's pair j adds.
+    Phase pairs are held in units of m / N as 2 N s + u, so that a sum does
+    not carry, and reduce[2 N s + u] = (s mod N) N + u mod N.  All come
+    from ``_image_product``, linear over the N^2 pairs and at and phase at
+    each sym when it is first met (``learn``): a search meets few of the
+    n^4 syms (one for W_n), so the tables take 4 n^4 bytes for the map of
+    syms met plus 16 k bytes per sym met.
+    """
+
+    def __init__(self, images: np.ndarray, n: int, m: int):
+        big = _phase_order(n)
+        self.n, self.m, self.width = n, m, big * big
+        self._unit, self._wide = m // big, np.array([2 * big, 1])
+        self._laws = [_image_law(g, n, m) for g in images]
+        pairs = np.zeros((big * big, 6), np.int64)
+        pairs[:, [2, 5]] = np.indices((big, big)).reshape(2, -1).T * self._unit
+        self._linear = [
+            self._pairs(_image_product(pairs, law, 0, n, m)) for law, _ in self._laws
+        ]
+        s, u = np.divmod(np.arange(4 * big * big), 2 * big)
+        self._reduce = s % big * big + u % big
+        self._row = np.zeros(n**4, np.int32)
+        self._at = self._phase = np.zeros((len(images), 0), np.int64)
+
+    def _pairs(self, images: np.ndarray) -> np.ndarray:
+        return (images[:, [2, 5]] // self._unit) @ self._wide
+
+    def learn(self, syms: np.ndarray) -> None:
+        """Evaluate the law at syms, distinct and not met before."""
+        n, m, known = self.n, self.m, self._at.shape[1]
+        self._row[syms] = np.arange(known, known + syms.size)
+        rows = np.zeros((syms.size, 6), np.int64)
+        rows[:, [0, 1, 3, 4]] = np.stack(np.unravel_index(syms, (n,) * 4), axis=1)
+        image = np.array([_image_product(rows, *law, n, m) for law in self._laws])
+        image = image.reshape(-1, 6)
+        phase = self._pairs(image).reshape(len(self._laws), -1)
+        image[:, [2, 5]] = 0
+        at = _weyl_keys(image, n, m).reshape(phase.shape)
+        self._at = np.concatenate((self._at, at), axis=1)
+        self._phase = np.concatenate((self._phase, phase), axis=1)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        """The keys of t g for every generator g, generator-major."""
+        sym, pair = np.divmod(keys, self.width)
+        row = self._row[sym]
+        tables = zip(self._at, self._phase, self._linear)
+        return np.concatenate(
+            [at[row] + self._reduce[ph[row] + lin[pair]] for at, ph, lin in tables]
+        )
+
+
+def _check_key_size(n: int, p: int = 1) -> None:
+    """UncertifiedGeneratorsError unless keys below n^4 N^2 p fit in int64:
     the Weyl key, times p with a lead residue below it for the plain key."""
-    size = n**4 * m**2 * p
+    size = n**4 * _phase_order(n) ** 2 * p
     if size >= 1 << 63:
         raise UncertifiedGeneratorsError(
-            f"closure keys of dimension {n} over conductor {m} (times the prime "
-            f"{p}) take {size.bit_length()} bits, past the 63 of int64"
+            f"closure keys of dimension {n} (times the prime {p}) take "
+            f"{size.bit_length()} bits, past the 63 of int64"
         )
+
+
+class _KeyIndex:
+    """The element index + 1 of each packed key met, 0 for any other; size
+    counts the keys met.
+
+    A key is sym * width + slot: a top array over the n^4 syms holds each
+    sym's block of width slots, allocated when the sym is first met, and
+    block 0, that of every sym not met, stays empty.  So a lookup is two
+    gathers, and the index takes 4 n^4 bytes plus 4 width bytes per sym met.
+    """
+
+    def __init__(self, syms: int, width: int):
+        self.width, self.size = width, 0
+        self._top = np.zeros(syms, np.int32)
+        self._blocks = np.zeros((2, width), np.int32)
+        self._used = 1  # blocks allocated, the empty one included
+
+    def get(self, keys: np.ndarray) -> np.ndarray:
+        sym, slot = np.divmod(keys, self.width)
+        return self._blocks[self._top[sym], slot]
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Number keys, distinct and not met, in order after those met;
+        returns the syms met for the first time."""
+        sym, slot = np.divmod(keys, self.width)
+        fresh = np.sort(sym[self._top[sym] == 0])
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+        used = self._used + fresh.size
+        if used > len(self._blocks):
+            grown = np.zeros((2 * used, self.width), np.int32)
+            grown[: self._used] = self._blocks[: self._used]
+            self._blocks = grown
+        self._top[fresh] = np.arange(self._used, used)
+        self._used, size = used, self.size + keys.size
+        self._blocks[self._top[sym], slot] = np.arange(self.size + 1, size + 1)
+        self.size = size
+        return fresh
 
 
 def _closure_prime(gens: list[UMatrix]) -> int:
@@ -1248,18 +1361,6 @@ def _leads(first: np.ndarray) -> np.ndarray:
     return first[np.arange(len(first)), np.argmax(first != 0, axis=1)]
 
 
-def _row_keys(flat: np.ndarray) -> list[bytes]:
-    """The raw bytes of each row of a 2-D array."""
-    flat = np.ascontiguousarray(flat)
-    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
-    return flat.view(row).ravel().tolist()
-
-
-def _first_column(rows: np.ndarray) -> list[int]:
-    """The first entry of each row, as Python integers."""
-    return rows[:, 0].tolist()
-
-
 def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
     """Exact rows of canonical int64 arrays (b, ...) over dens.
 
@@ -1272,135 +1373,103 @@ def _exact_rows(nums: np.ndarray, dens) -> np.ndarray:
     return rows
 
 
-def _breadth_first(start, compute, n_gens, max_size, keys=_row_keys, landed=None):
-    """Breadth-first closure from one element under right multiplication.
-
-    Each element is one integer row, and keys(rows) gives one hashable key
-    per row of a batch, by default its raw bytes.  The closure's rows are
-    keyed by their first entry, the packed key, and their other entries
-    ride along without being compared.  start is a (1, L) row array;
-    compute(rows, gi) maps a chunk of frontier rows through generator gi
-    and returns the rows of the products, in canonical form.  Products are
-    formed generator by generator in _CHUNK batches, each new key is kept
-    in first-occurrence order and the cap is checked after every batch, so
-    the order and any ClosureCapError.partial_size depend only on which
-    products are new.
-    When landed is given, landed(out, keys, keep) is called after each
-    batch is keyed, with the key of every product row and the list of the
-    rows whose keys were new, in first-occurrence order.
-
-    Returns the key set and the tree: for the i-th element found (the
-    start is element 0), parents[i] is the element it was first reached
-    from and gens[i] the generator, both -1 for the start.
-    """
-    seen = set(keys(start))
-    parents = [np.array([-1])]
-    gens = [np.array([-1])]
-    frontier = start
-    base = 0  # index of the first frontier element
-    while frontier.shape[0]:
-        next_base = len(seen)
-        found = []
-        b = frontier.shape[0]
-        jobs = [(gi, lo) for gi in range(n_gens) for lo in range(0, b, _CHUNK)]
-        # all products of a level before any key: interleaving the two
-        # leaves BLAS threads spinning while Python checks keys
-        results = [compute(frontier[lo : lo + _CHUNK], gi) for gi, lo in jobs]
-        for (gi, lo), out in zip(jobs, results):
-            batch = keys(out)
-            keep = []
-            for t, key in enumerate(batch):
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(t)
-            if len(seen) > max_size:
-                raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
-            if landed is not None:
-                landed(out, batch, keep)
-            if keep:
-                keep = np.array(keep)
-                found.append(out[keep])
-                parents.append(base + lo + keep)
-                gens.append(np.full(keep.size, gi))
-        frontier = np.concatenate(found, axis=0) if found else frontier[:0]
-        base = next_base
-    return seen, np.concatenate(parents), np.concatenate(gens)
-
-
 class _Search(NamedTuple):
-    """One breadth-first search: its key set and tree, as _breadth_first
-    returns them, and the prime p.  A projective search run with scalars
-    also holds the lead residue of each key's representative, by key, and
-    the Schreier scalars S as a set of residues; other searches hold None
-    there."""
+    """One breadth-first search: its key index, its tree (the parent and
+    generator of each element, -1 for the identity, element 0) and the
+    prime of its residues, None when it reads none.  A projective search
+    run with scalars also holds the lead residue of each element's
+    representative and the Schreier scalars S as residues; other searches
+    hold None there."""
 
-    keys: set[int]
+    index: _KeyIndex
     parents: np.ndarray
     gen_idx: np.ndarray
-    prime: int
-    leads: dict[int, int] | None = None
+    prime: int | None
+    leads: np.ndarray | None = None
     scalars: frozenset[int] | None = None
 
 
 def _mod_p_closure(gens, images, projective, max_size, scalars=False) -> _Search:
-    """Closure of certified generators, keyed on the Weyl images of each
-    element (module docstring); images holds the generators' images.
+    """Breadth-first closure of certified generators under right
+    multiplication, keyed on the Weyl images of each element (module
+    docstring); images holds the generators' images.
 
-    A row holds the packed key, the six image integers and, for a plain
-    search or one with scalars, the first row of the element mod p.  The
-    projective search keys the images alone, so it finds G/S, S the scalar
-    subgroup of G; the plain one keys images times p plus the lead residue
-    of the first row, so it finds G.  With scalars, the projective search
-    also finds S.  Its rows carry the first row of a representative t_x,
-    the element of G reached along the tree.  A product t_x g whose key is
-    already present, with representative t_y, is c t_y for a scalar c of G,
-    and its first row is c times that of t_y, so
-    c = lead(t_x g) / lead(t_y) mod p.  These Schreier scalars generate S
-    (Schreier's lemma, for the transversal of the tree's representatives).
-    A projective table needs no S and no residues, so only a plain table
-    asks for them.
+    Every Weyl phase is a multiple of m / N (N = n for odd n, 2 n for even
+    n), so the Weyl key packs sym = ((a n + b) n + c) n + d and the phases
+    in units of m / N below n^4 N^2.  The frontier is the keys of its
+    elements and, for a plain search or one with scalars, their first rows
+    mod p; only those choose a prime.  Each level takes the products with
+    every generator at once, generator-major: each key a few gathers from
+    ``_KeyProducts``, the first rows one (b, n) @ (n, n) product per
+    generator.  The projective search keys the Weyl key alone, so it finds
+    G/S, S the scalar subgroup of G; the plain one keys it times p plus the
+    lead residue of the first row, so it finds G.  The keys are looked up
+    in a ``_KeyIndex`` of 4 n^4 bytes plus 4 N^2 bytes (times p for the
+    plain key) per sym met, and a stable argsort of those not in it gives
+    the first occurrence of each new one.  The cap is checked as if after
+    every (generator, _CHUNK) batch, so the tree and any
+    ClosureCapError.partial_size depend only on which products are new.
+
+    With scalars, the projective search also finds S.  Its rows carry the
+    first row of a representative t_x, the element of G reached along the
+    tree.  A product t_x g that lands on the element with representative
+    t_y is c t_y for a scalar c of G, and its first row is c times that of
+    t_y, so c = lead(t_x g) / lead(t_y) mod p, with lead(t_y) read by
+    element.  These Schreier scalars generate S (Schreier's lemma, for the
+    transversal of the tree's representatives).  A projective table needs
+    no S and no residues, so only a plain table asks for them.
     """
-    p = _closure_prime(gens)
     n, m = gens[0].dim, gens[0].m
-    _check_key_size(n, m, 1 if projective else p)
-    residues = None if projective and not scalars else _residues(gens, p)
-    laws = [_image_law(g, n, m) for g in images]
-
-    def keyed(rows):
-        rows[:, 0] = _weyl_keys(rows[:, 1:7], n, m)
-        if not projective:
-            rows[:, 0] = rows[:, 0] * p + _leads(rows[:, 7:])
-        return rows
-
-    def compute(rows, gi):
-        out = np.empty_like(rows)
-        out[:, 1:7] = _image_product(rows[:, 1:7], *laws[gi], n, m)
-        if residues is not None:
-            prod = rows[:, 7:].astype(np.float64) @ residues[gi]
-            np.remainder(prod, p, out=out[:, 7:], casting="unsafe")
-        return keyed(out)
-
+    p = None if projective and not scalars else _closure_prime(gens)
+    _check_key_size(n, 1 if projective else p)
+    products = _KeyProducts(images, n, m)
+    residues = None if p is None else _residues(gens, p)
+    index = _KeyIndex(n**4, products.width * (1 if projective else p))
     # the identity: X and Z map to themselves, and its first row is e_0
-    start = np.zeros((1, 7 if residues is None else 7 + n), np.int64)
-    start[0, [1, 5]] = 1
-    if residues is not None:
-        start[0, 7] = 1
-    keyed(start)
+    weyl = _weyl_keys(np.array([[1, 0, 0, 0, 1, 0]]), n, m)
+    rows = None if p is None else np.eye(1, n, dtype=np.int64)
+    products.learn(index.add(weyl if projective else weyl * p + 1))
+    parents, gen_idx = [np.array([-1])], [np.array([-1])]
+    if scalars:
+        leads = np.ones(1, np.int64)  # the identity's
+        inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+        ratios = np.arange(p) == 1
+    base = 0  # index of the first frontier element
+    while weyl.size:
+        b = weyl.size
+        weyl = keys = products(weyl)
+        if residues is not None:
+            rows = (rows.astype(np.float64) @ residues % p).reshape(-1, n)
+            rows = rows.astype(np.int64)
+            lead = _leads(rows)
+            if not projective:
+                keys = weyl * p + lead
+        miss = np.flatnonzero(index.get(keys) == 0)
+        miss = miss[np.argsort(keys[miss], kind="stable")]
+        first = np.zeros(keys.size, bool)
+        first[miss[np.diff(keys[miss], prepend=-1) != 0]] = True
+        new = np.flatnonzero(first)
+        if index.size + new.size > max_size:
+            ends = np.minimum(np.arange(_CHUNK, b + _CHUNK, _CHUNK), b)
+            ends = (np.arange(len(gens))[:, None] * b + ends).ravel()
+            reached = index.size + np.searchsorted(new, ends)
+            partial = int(reached[reached > max_size][0])
+            raise ClosureCapError(f"closure exceeded cap {max_size}", partial)
+        parents.append(base + new % b)
+        gen_idx.append(new // b)
+        base = index.size
+        products.learn(index.add(keys[new]))
+        if scalars:
+            leads = np.concatenate((leads, lead[new]))
+            rep = leads[index.get(keys) - 1]
+            ratios[lead * inverse[rep] % p] = True
+        weyl = weyl[new]
+        if rows is not None:
+            rows = rows[new]
+    tree = index, np.concatenate(parents), np.concatenate(gen_idx), p
     if not scalars:
-        found = _breadth_first(start, compute, len(gens), max_size, _first_column)
-        return _Search(*found, p)
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
-    leads = {int(start[0, 0]): 1}  # the identity's
-    ratios = {1}
-
-    def landed(out, keys, keep):
-        lead = _leads(out[:, 7:])
-        leads.update(zip([keys[t] for t in keep], lead[keep].tolist()))
-        rep = np.fromiter(map(leads.__getitem__, keys), np.int64, len(keys))
-        ratios.update((lead * inverse[rep] % p).tolist())
-
-    found = _breadth_first(start, compute, len(gens), max_size, _first_column, landed)
-    return _Search(*found, p, leads, _subgroup(ratios, p))
+        return _Search(*tree)
+    return _Search(*tree, leads, _subgroup(np.flatnonzero(ratios).tolist(), p))
 
 
 def _subgroup(gens, p: int) -> frozenset[int]:
@@ -1486,18 +1555,20 @@ def group_closure(
     the projective order is exact and needs no prime.  The scalars are
     counted mod the smallest prime p = 1 (mod lcm(2, m)) dividing no
     generator denominator, where reduction is injective on the roots of
-    unity of Q(zeta_m); the table records p in .prime, and answers contains
+    unity of Q(zeta_m); a plain table records p in .prime (a projective
+    one, which reads no residue, holds None there), and answers contains
     and center_of from its keys and residues.
 
     Both kinds of table run the projective search (module docstring).  A
-    projective table holds its keys and its breadth-first tree.  A plain
+    projective table holds its key index and its breadth-first tree.  A plain
     table runs it with the first row of each representative mod p and
     collects the Schreier scalars S, and its order is |G/S| |S|; it keeps
     no key per element of G.  max_size bounds the search the table holds,
     so |G/S| for either kind: past it, ClosureCapError carries the number
     of classes reached.  A plain order |G/S| |S| may exceed max_size.
-    Keys must fit int64, n^4 m^2 of them, times p for the plain search;
-    past that the closure raises UncertifiedGeneratorsError.
+    Keys must fit int64, n^4 N^2 of them (N = n for odd n, 2 n for even
+    n), times p for the plain search; past that the closure raises
+    UncertifiedGeneratorsError.
 
     Element bodies and words are built on first access: exactly, along a
     breadth-first tree, one product per element, sorted by UMatrix.key();

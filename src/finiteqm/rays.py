@@ -156,23 +156,26 @@ class Ray:
             self._norm_inv = self.norm_sq().inv()
         return self._norm_inv
 
+    def _body(self):
+        """The raw bytes of num, or its Python integers when it holds
+        objects; canonical form makes it equal exactly for equal rays."""
+        num = self.num
+        return num.tobytes() if num.dtype != object else tuple(num.flat)
+
     def __eq__(self, other):
         if not isinstance(other, Ray):
             return NotImplemented
         return (
             self.m == other.m
             and self.den == other.den
-            and np.array_equal(self.num, other.num)
+            and self.num.shape == other.num.shape
+            and self._body() == other._body()
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            num = self.num
-            body = num.tobytes() if num.dtype != object else tuple(num.flat)
-            h = hash((self.den, body))
-            self._hash = h
-        return h
+        if self._hash is None:
+            self._hash = hash((self.den, self._body()))
+        return self._hash
 
     def __repr__(self):
         return f"Ray({', '.join(repr(a) for a in self.amps)})"

@@ -1047,14 +1047,70 @@ def sl2_order(n):
     )
 
 
+def row_keys(flat: np.ndarray) -> list[bytes]:
+    """The raw bytes of each row of a 2-D array."""
+    flat = np.ascontiguousarray(flat)
+    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+    return flat.view(row).ravel().tolist()
+
+
+def breadth_first(start, compute, n_gens, max_size, keys=row_keys, landed=None):
+    """The oracles' breadth-first closure, on a Python set of keys.
+
+    Each element is one integer row, and keys(rows) gives one hashable key
+    per row of a batch, by default its raw bytes.  start is a (1, L) row
+    array; compute(rows, gi) maps a chunk of frontier rows through
+    generator gi.  Products are formed generator by generator in _CHUNK
+    batches, each new key is kept in first-occurrence order and the cap is
+    checked after every batch, as the closure's own search does.  When
+    landed is given, landed(out, keys, keep) is called after each batch is
+    keyed, with the key of every product row and the list of the rows
+    whose keys were new, in first-occurrence order.
+
+    Returns the key set and the tree: for the i-th element found (the
+    start is element 0), parents[i] is the element it was first reached
+    from and gens[i] the generator, both -1 for the start.
+    """
+    seen = set(keys(start))
+    parents = [np.array([-1])]
+    gens = [np.array([-1])]
+    frontier = start
+    base = 0  # index of the first frontier element
+    while frontier.shape[0]:
+        next_base = len(seen)
+        found = []
+        b = frontier.shape[0]
+        for gi in range(n_gens):
+            for lo in range(0, b, qgroups._CHUNK):
+                out = compute(frontier[lo : lo + qgroups._CHUNK], gi)
+                batch = keys(out)
+                keep = []
+                for t, key in enumerate(batch):
+                    if key not in seen:
+                        seen.add(key)
+                        keep.append(t)
+                if len(seen) > max_size:
+                    raise ClosureCapError(f"closure exceeded cap {max_size}", len(seen))
+                if landed is not None:
+                    landed(out, batch, keep)
+                if keep:
+                    keep = np.array(keep)
+                    found.append(out[keep])
+                    parents.append(base + lo + keep)
+                    gens.append(np.full(keep.size, gi))
+        frontier = np.concatenate(found, axis=0) if found else frontier[:0]
+        base = next_base
+    return seen, np.concatenate(parents), np.concatenate(gens)
+
+
 class ExactClosure:
     """The oracle of the mod p closure: exact breadth-first enumeration.
 
     Each element is one row of its canonical int64 numerators (divided by
     the first nonzero entry when projective) followed by its denominator,
-    keyed by the row's raw bytes; no residue is taken.  The search and the
-    tree are qgroups' own _breadth_first, fed with _exact_products from the
-    identity row, so no certificate is needed: a generator set of infinite
+    keyed by the row's raw bytes; no residue is taken.  The search is the
+    set-based breadth_first above, fed with qgroups' _exact_products from
+    the identity row, so no certificate is needed: a generator set of infinite
     order runs until a coefficient overflows int64 or the cap is reached.
     Bodies are built along the tree, and their keys must be the enumerated
     key set.
@@ -1075,16 +1131,14 @@ class ExactClosure:
         compute = qgroups._exact_products(gens, projective)
         ident = UMatrix.identity(self.dim, self.conductor)
         start = qgroups._exact_rows(ident.num[None], 1)
-        self.keys, parents, gen_idx = qgroups._breadth_first(
-            start, compute, len(gens), max_size
-        )
+        self.keys, parents, gen_idx = breadth_first(start, compute, len(gens), max_size)
         self.order = len(self.keys)
         self._tree = (start, compute, parents, gen_idx)
 
     @cached_property
     def _sorted_bodies(self):
         rows, words = qgroups._bodies(*self._tree, self.names)
-        assert set(qgroups._row_keys(rows)) == self.keys
+        assert set(row_keys(rows)) == self.keys
         shape = (self.dim, self.dim, -1)
         mats = [
             UMatrix(self.dim, self.conductor, row[:-1].reshape(shape), int(row[-1]))
@@ -1108,7 +1162,7 @@ class ExactClosure:
         if self.projective:
             mat = mat.scalar_canonical()
         row = qgroups._exact_rows(mat.num[None], mat.den)
-        return qgroups._row_keys(row)[0] in self.keys
+        return row_keys(row)[0] in self.keys
 
 
 @pytest.fixture
@@ -1139,7 +1193,7 @@ class TestOrderOnlyModP:
     def test_projective_paths_agree(self, n, exact_closure):
         counted = clifford_group(n, projective=True)
         exact = exact_closure(clifford_group, n, projective=True)
-        assert counted.prime is not None
+        assert counted.prime is None
         assert counted.order == exact.order
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -1153,13 +1207,13 @@ class TestOrderOnlyModP:
     def test_projective_order_is_appleby(self, n):
         # Appleby, J. Math. Phys. 46, 052107 (2005): |PCL(N)| = N^2 |SL(2, Z_N)|
         table = clifford_group(n, projective=True)
-        assert table.prime is not None
+        assert table.prime is None
         assert table.order == n * n * sl2_order(n)
 
     @pytest.mark.parametrize("n,order", [(11, 159720), (12, 165888)])
     def test_projective_order_is_appleby_past_ten(self, n, order):
         table = clifford_group(n, projective=True)
-        assert table.prime is not None
+        assert table.prime is None
         assert table.order == n * n * sl2_order(n) == order
 
     def test_dim6_order_only(self):
@@ -1193,7 +1247,7 @@ class TestOrderOnlyModP:
     def test_bodies_and_words_match_exact(self, n, projective, exact_closure):
         counted = clifford_group(n, projective=projective)
         exact = exact_closure(clifford_group, n, projective=projective)
-        assert counted.prime == 73
+        assert counted.prime == (None if projective else 73)
         assert counted.elements == exact.elements
         assert counted.words == exact.words
 
@@ -1217,7 +1271,7 @@ class TestQuotientSearch:
             table._generators, table._images, False, table.order
         )
         assert plain.prime == table.prime
-        assert table.order == len(plain.keys)
+        assert table.order == plain.index.size
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_center_matches_one_lookup_per_root(self, n):
@@ -1261,30 +1315,32 @@ class TestQuotientSearch:
         assert len(calls) == 1
 
     def test_key_size_guard_raises_a_typed_error(self):
-        # n^4 m^2 keys, times p for the plain key, must stay below 2^63
-        qgroups._check_key_size(13, 312, 313)
-        with pytest.raises(UncertifiedGeneratorsError, match="68 bits, past the 63"):
-            qgroups._check_key_size(200, 4800, 4801)
-        # (2^3)^4 (2^8)^2 2^35 = 2^63
-        qgroups._check_key_size(2**3, 2**8, 2**35 - 1)
+        # n^4 N^2 keys (N = n for odd n, 2 n for even n), times p for the
+        # plain key, must stay below 2^63: 13^4 26^2 313 takes 33 bits,
+        # 400^4 800^2 4801 takes 67
+        qgroups._check_key_size(13, 313)
+        with pytest.raises(UncertifiedGeneratorsError, match="67 bits, past the 63"):
+            qgroups._check_key_size(400, 4801)
+        # (2^3)^4 (2^4)^2 2^43 = 2^63
+        qgroups._check_key_size(2**3, 2**43 - 1)
         with pytest.raises(UncertifiedGeneratorsError, match="64 bits"):
-            qgroups._check_key_size(2**3, 2**8, 2**35)
+            qgroups._check_key_size(2**3, 2**43)
         assert not issubclass(UncertifiedGeneratorsError, OverflowError)
 
     def test_every_search_checks_its_key_size(self, monkeypatch):
         checked = []
         check = qgroups._check_key_size
 
-        def recording(n, m, p=1):
-            checked.append((n, m, p))
-            return check(n, m, p)
+        def recording(n, p=1):
+            checked.append((n, p))
+            return check(n, p)
 
         monkeypatch.setattr(qgroups, "_check_key_size", recording)
         table = clifford_group(3)
         assert len(table.elements) == 2592
         clifford_group(3, projective=True)
         # the quotient search with scalars, the plain one behind .elements
-        assert checked == [(3, 24, 1), (3, 24, 73), (3, 24, 1)]
+        assert checked == [(3, 1), (3, 73), (3, 1)]
 
 
 def residue_search(gens, projective, max_size, scalars=False):
@@ -1315,7 +1371,7 @@ def residue_search(gens, projective, max_size, scalars=False):
         return out
 
     def keys(rows):
-        return qgroups._row_keys(rows[:, :width])
+        return row_keys(rows[:, :width])
 
     start = np.eye(n, dtype=np.int64).reshape(1, width)
     if projective:
@@ -1328,7 +1384,7 @@ def residue_search(gens, projective, max_size, scalars=False):
         first = np.array([leads[key] for key in batch], np.int64)
         ratios.update((out[:, width] * inverse[first] % p).tolist())
 
-    found = qgroups._breadth_first(
+    found = breadth_first(
         start, compute, len(gens), max_size, keys, landed if scalars else None
     )
     return *found, qgroups._subgroup(ratios, p) if scalars else None
@@ -1376,15 +1432,77 @@ class TestWeylKeys:
             got = qgroups._image_product(t_images, *qgroups._image_law(image, n, m), n, m)
             want = np.array([read_images(t @ g) for t in ts])
             assert np.array_equal(got, want)
-            # the packed key holds the six digits
+            # the packed key holds the six digits: the phases in units of
+            # m / N below N, then d, c, b, a below n
+            big = n if n % 2 else 2 * n
             keys = qgroups._weyl_keys(got, n, m).tolist()
             for key, row in zip(keys, want.tolist()):
                 digits = []
-                for base in (m, m, n, n, n, n):
+                for base in (big, big, n, n, n, n):
                     key, digit = divmod(key, base)
                     digits.append(digit)
                 a, b, c, d, s, u = reversed(digits)
-                assert key == 0 and [a, b, s, c, d, u] == row
+                assert key == 0 and [a, b, s * m // big, c, d, u * m // big] == row
+        # the gathers give the same keys as the law
+        keys = qgroups._weyl_keys(t_images, n, m)
+        products = qgroups._KeyProducts(images, n, m)
+        products.learn(np.unique(keys // products.width))
+        got = products(keys).reshape(len(gens), -1)
+        for g, row in zip(gens, got):
+            want = np.array([read_images(t @ g) for t in ts])
+            assert np.array_equal(row, qgroups._weyl_keys(want, n, m))
+
+    @pytest.mark.parametrize(
+        "which,n",
+        [("clifford", n) for n in range(2, 14)] + [("wh", n) for n in (3, 4, 6)],
+    )
+    def test_phases_lie_on_the_lattice(self, which, n):
+        # every element's phases s, u are multiples of m / N (N = n for odd
+        # n, 2 n for even n), the lattice the packed key rests on: images
+        # closed under the law, with raw phases mod m, on a set of rows
+        gens, names = named_generators(which, n)
+        m = gens[0].m
+        images = qgroups._certified_images(gens, names)
+        laws = [qgroups._image_law(g, n, m) for g in images]
+        start = np.array([[1, 0, 0, 0, 1, 0]])
+        found, _, _ = breadth_first(
+            start,
+            lambda rows, gi: qgroups._image_product(rows, *laws[gi], n, m),
+            len(gens),
+            qgroups._DEFAULT_MAX_SIZE,
+        )
+        rows = np.frombuffer(b"".join(found), np.int64).reshape(-1, 6)
+        big = n if n % 2 else 2 * n
+        assert not (rows[:, [2, 5]] % (m // big)).any()
+        table = group_closure(gens, names=names, projective=True)
+        assert len(rows) == table.order
+        keys = qgroups._weyl_keys(rows, n, m)
+        assert keys.min() >= 0 and keys.max() < n**4 * big**2
+        assert (table._search.index.get(keys) > 0).all()
+
+    def test_index_matches_a_dict(self):
+        # random distinct keys added in batches, against a dict of the same
+        # numbering; 2 blocks are allocated first, so the blocks grow
+        rng = np.random.default_rng(7)
+        syms, width = 50, 40
+        index = qgroups._KeyIndex(syms, width)
+        want, met = {}, set()
+        pool = rng.permutation(syms * width)
+        lo = 0
+        for size in (1, 3, 17, 60, 200, 400):
+            keys = pool[lo : lo + size]
+            lo += size
+            fresh = index.add(keys)
+            hit = {key // width for key in keys.tolist()}
+            assert sorted(fresh.tolist()) == sorted(hit - met)
+            met.update(fresh.tolist())
+            for key in keys.tolist():
+                want[key] = len(want) + 1
+            assert index.size == len(want)
+            probe = rng.integers(0, syms * width, 500)
+            got = index.get(probe).tolist()
+            assert got == [want.get(k, 0) for k in probe.tolist()]
+        assert index._used == len(met) + 1 > 2
 
     @pytest.mark.parametrize(
         "which,n", [("clifford", n) for n in range(2, 8)] + [("wh", n) for n in (3, 4, 6)]
@@ -1396,7 +1514,7 @@ class TestWeylKeys:
             args = (projective, qgroups._DEFAULT_MAX_SIZE, scalars)
             new = qgroups._mod_p_closure(gens, images, *args)
             keys, parents, gen_idx, ratios = residue_search(gens, *args)
-            assert len(new.keys) == len(keys)
+            assert new.index.size == len(keys)
             assert np.array_equal(new.parents, parents)
             assert np.array_equal(new.gen_idx, gen_idx)
             assert new.scalars == ratios
@@ -1501,6 +1619,13 @@ class TestFinitenessCertificate:
         with pytest.raises(UncertifiedGeneratorsError, match="float64 bound 10368"):
             clifford_group(2)
 
+    def test_projective_closure_needs_no_prime(self, monkeypatch):
+        # the projective search reads no residue, so the bound that leaves
+        # a plain closure without a prime does not stop it
+        monkeypatch.setattr(qgroups, "_FLOAT_EXACT", 2 * 72**2)
+        table = clifford_group(2, projective=True)
+        assert table.order == 24 and table.prime is None
+
 
 class TestResidueMembership:
     """contains on a table closed mod p, against exact answers."""
@@ -1522,7 +1647,7 @@ class TestResidueMembership:
             names=names,
             projective=True,
         )
-        assert counted.prime == 73
+        assert counted.prime is None
         assert counted.order == exact.order == 5184
         assert len(set(exact.elements)) == exact.order
         x, f, s = clifford_generators(6, m).values()
@@ -1563,7 +1688,7 @@ class TestResidueMembership:
         zero = UMatrix.identity(2, 24).scale(Cyclotomic.zero(24))
         counted = clifford_group(2, projective=projective)
         exact = exact_closure(clifford_group, 2, projective=projective)
-        assert counted.prime == 73
+        assert counted.prime == (None if projective else 73)
         assert not counted.contains(zero)
         assert not exact.contains(zero)
 
@@ -1597,7 +1722,7 @@ def test_certified_closures_never_run_exact(monkeypatch, capsys):
 
     def recording(*args, **kwargs):
         table = closure(*args, **kwargs)
-        primes.append(table.prime)
+        primes.append((table.projective, table.prime))
         return table
 
     monkeypatch.setattr(qgroups, "group_closure", recording)
@@ -1617,4 +1742,6 @@ def test_certified_closures_never_run_exact(monkeypatch, capsys):
             assert cli.main(["group", "--dim", "3", "--which", which, *extra]) == 0
     capsys.readouterr()
     assert len(primes) == 4 + 4 + 2 + 1 + 6
-    assert None not in primes
+    # a plain table counts its scalars mod p; a projective one reads no residue
+    assert all((prime is None) == projective for projective, prime in primes)
+    assert {projective for projective, _ in primes} == {False, True}

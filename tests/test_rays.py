@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -49,6 +50,36 @@ class TestCanonicalForm:
         r = Ray([Cyclotomic.zero(M3), zeta(M3, 5), zeta(M3, 11)])
         assert r.amps[0].is_zero()
         assert r.amps[1].is_one()
+
+
+class TestEquality:
+    """Equality reads m, den, the shape and the body that hashing reads:
+    the raw bytes of num, or its Python integers when num holds objects."""
+
+    def test_equal_rays(self):
+        a, b = zeta(M2, 3), Cyclotomic.from_rational(M2, Fraction(1, 2))
+        r, s = Ray([a, b]), Ray([a * zeta(M2, 5), b * zeta(M2, 5)])
+        assert r is not s and r == s and hash(r) == hash(s)
+        assert {r: 1}[s] == 1
+        assert r != Ray([a, b + 1])
+        assert ontic_ray(2, 0, M2) != ontic_ray(3, 0, M2)
+        assert ontic_ray(2, 0, M2) != ontic_ray(2, 0, conductor_for(5))
+        assert r.__eq__("ray") is NotImplemented
+
+    def test_different_denominator(self):
+        r = Ray([Cyclotomic.one(M2), Cyclotomic.from_rational(M2, Fraction(1, 2))])
+        s = Ray._from_canonical(r.m, r.num.copy(), r.den * 3)
+        assert np.array_equal(r.num, s.num) and r != s
+
+    def test_big_integer_rays(self):
+        big = Cyclotomic.from_rational(M2, 2**70)
+        r = Ray([Cyclotomic.one(M2), big])
+        s = Ray([Cyclotomic.one(M2) * 3, big * 3])
+        assert r.num.dtype == object
+        assert r == s and hash(r) == hash(s) and len({r, s}) == 1
+        assert r != Ray([Cyclotomic.one(M2), big + 1])
+        small = Ray([Cyclotomic.one(M2), Cyclotomic.from_rational(M2, 2)])
+        assert small.num.dtype != object and r != small
 
 
 class TestProbabilities:
