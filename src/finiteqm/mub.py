@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import conductor_for
+from .cyclotomic import _context, conductor_for
 from .galois import GaloisField, GFElement, gf_build, gf_trace_int, is_prime
-from .qgroups import _power_rows
 from .rays import Ray, ontic_ray, probabilities
 
 __all__ = [
@@ -149,7 +148,7 @@ def _slope_basis(field: GaloisField, slope: GFElement, m: int) -> list[Ray]:
         phase[idx] = phase[prev.index] + step * gf_trace_int(slope * units[j] * prev)
     k = base + step * digits  # k[t, j]
     exps = (np.array(phase) - k @ digits.T) % m  # exps[t, gamma]
-    nums = _power_rows(m)[exps]
+    nums = _context(m).powers[exps]
     return [Ray._from_canonical(m, num, 1) for num in nums]
 
 

@@ -10,27 +10,27 @@ every partial sum stays below 2**53, and on Python integers otherwise.
 Every product of field arrays, (..., r, K, d) @ (..., K, c, d) with
 d = phi(m), is ``_field_matmul``, which takes one of two routes.
 
-From d >= 24 on, a product of integer arrays runs in the complex
-embedding when an a-priori bound holds (``_embedded_matmul``): both
-factors are evaluated at one embedding per conjugate pair in real
-arithmetic, multiplied per embedding, and the traces Tr(z zeta^-j) of each
-entry are rounded; its coefficients are (m T^-1) y / m through the trace
-form (``_trace_form``, ``_recover``), where T[j, i] = Tr(zeta^(i - j))
-and the integer matrix m T^-1 is certified once per conductor by
-T (m T^-1) = m I.  The bound reads the l1 norms of the entries:
-|sigma_k(z_ij)| <= S_ij = sum_t l1(x_it) l1(y_tj), and
-eps d max S < 1/2, eps = 16 delta + 16 u (d + K), keeps every trace within
-1/2 of its integer (derived in ``_field_matmul``).  The route follows the
-degree because the crossover does.  For F @ F^dagger of the Clifford
-generators (2 vCPU Xeon, numpy 2.4, median per call), the operator route
-against the embedding route took 53 against 78 us at d = 8 (n = 6),
-101 against 103 us at d = 16 (n = 8), 254 against 126 us at d = 24
-(n = 9), 661 against 144 us at d = 48 (n = 7) and 13.8 against 0.83 ms
-at d = 96 (n = 13).  The Gram kernel of ``rays`` reads the same trace
-form.
+From d >= 24 on, a product of integer arrays runs in the complex embedding
+when an a-priori bound holds (``_embedded_matmul``), with one evaluator,
+one bound and one recovery that the Gram kernel and the squared norm of
+``rays`` share.  ``_embed`` evaluates each entry at one embedding per
+conjugate pair in real arithmetic and returns its l1 norm, the sum of its
+|coefficients|.  ``_eps_d`` is the bound, derived there: with
+|sigma_k(z_ij)| <= S_ij = sum_t l1(x_it) l1(y_tj), eps d max S < 1/2,
+eps = 16 delta + 16 u (d + K), keeps every trace Tr(z zeta^-j) within 1/2
+of its integer.  ``_recover`` rounds the traces, and the coefficients are
+(m T^-1) y / m through the trace form (``_trace_form``), where
+T[j, i] = Tr(zeta^(i - j)) and the integer matrix m T^-1 is certified once
+per conductor by T (m T^-1) = m I.  The route follows the degree because
+the crossover does.  For F @ F^dagger of the Clifford generators (2 vCPU
+Xeon, numpy 2.4, median per call), the operator route against the
+embedding route took 53 against 78 us at d = 8 (n = 6), 101 against
+103 us at d = 16 (n = 8), 254 against 126 us at d = 24 (n = 9), 661
+against 144 us at d = 48 (n = 7) and 13.8 against 0.83 ms at d = 96
+(n = 13).
 
-Every other product, below d = 24, past the bound or on Python integers,
-runs the flat left array against ``_right_operator`` of the right one
+Every other product, below d = 24 or past the bound, runs the flat left
+array against ``_right_operator`` of the right one
 (``_operator_matmul``), a (K d, c d) integer matrix whose blocks are the
 multiplication matrices of its entries.  A caller that reuses an operator
 builds it once with ``_right_operator``.  That route is bounded in memory:
@@ -48,7 +48,9 @@ only the nonzero ones are multiplied; the multiplier of 0 is 0, so this
 is exact.  The same budget sizes the Gram tiles of ``rays`` and the
 emission chunks of ``states``.  Results are content-reduced by one batch
 canonicalizer, the only place where coefficients are narrowed to int64; a
-coefficient that does not fit raises CoefficientOverflowError.
+coefficient that does not fit raises CoefficientOverflowError.  The
+inverses of a batch, of the leads it is divided by or of Gram weights,
+come from ``_batch_inverse``, once per distinct row.
 
 Breadth-first closure has one engine, and needs an exact finiteness
 certificate; without one a closure raises UncertifiedGeneratorsError.
@@ -314,81 +316,75 @@ def _right_operator(y: np.ndarray, ctx) -> np.ndarray:
     return _multiplier(y, ctx).swapaxes(-3, -2).reshape(*lead, k * d, c * d)
 
 
-def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
-    """Exact field product of coefficient arrays (..., r, K, d) @ (..., K, c, d)
-    -> (..., r, c, d); the leading axes broadcast.
+def _eps_d(d: int, k: int) -> float:
+    """eps d of the embedding's rounding bound for a product of K = k terms
+    in degree d: every trace of a product z = x @ y is rounded to its
+    integer when eps d S < 1/2, S the bound on |sigma_k(z)| below.
 
-    From d = phi(m) >= ``_EMBED_DEGREE`` on, integer factors whose product
-    is bounded as below run in the complex embedding
-    (``_embedded_matmul``); every other product, and any on Python
-    integers, runs against right operators (``_operator_matmul``).  Both
-    give the same integers.
-
-    The bound.  With u = 2**-53 and gamma_k = k u / (1 - k u), a float64
-    dot product of k terms is off by at most gamma_k sum |x_i y_i|
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    §3.1), and the cosines and sines of 2 pi r / m are within
-    delta = 2**-48 (as ``rays._gram_tiles`` assumes).  |sigma_k(x_it)| <=
-    l1(x_it), the sum of its |coefficients|, so |sigma_k(z_ij)| <= S_ij =
-    sum_t l1(x_it) l1(y_tj) for z = x @ y, and a trace of z is at most
-    d S.  To first order, relative to l1, an embedded entry is off by
-    e1 = sqrt2 (delta + gamma_d).  The real and imaginary parts of
-    sigma_k(z_ij) are each two K-term real products and one addition, off
-    by gamma_2K sum_t (|xr yr| + |xi yi|) <= gamma_2K S, as
-    |xr yr| + |xi yi| <= |x| |y|; with the input errors, sigma_k(z_ij) is
-    off by S (2 e1 + sqrt2 gamma_2K).  A trace sums h = d / 2 pairs of
+    With u = 2**-53 and gamma_k = k u / (1 - k u), a float64 dot product of
+    k terms is off by at most gamma_k sum |x_i y_i| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.1), and the cosines and
+    sines of 2 pi r / m, 0 <= r < m, are assumed within delta = 2**-48
+    (three roundings of the argument, at most 3 u 2 pi, and a few ulps of
+    numpy's cos and sin).  |sigma_k(x_it)| <= l1(x_it), the sum of its
+    |coefficients|, so |sigma_k(z_ij)| <= S_ij = sum_t l1(x_it) l1(y_tj),
+    and a trace of z is at most d S.  To first order, relative to l1, an
+    embedded entry is off by e1 = sqrt2 (delta + gamma_d).  The real and
+    imaginary parts of sigma_k(z_ij) are each two K-term real products and
+    one addition, off by gamma_2K sum_t (|xr yr| + |xi yi|) <= gamma_2K S,
+    as |xr yr| + |xi yi| <= |x| |y|; with the input errors, sigma_k(z_ij)
+    is off by S (2 e1 + sqrt2 gamma_2K).  A trace sums h = d / 2 pairs of
     doubled cosine and sine terms (table entries off by 2 delta), at most
     d S in all by the same inequality, so it is off by
     d S (2 e1 + sqrt2 gamma_2K + sqrt2 delta + gamma_d).  That is below
     d S (4.3 delta + u (3.9 d + 2.9 K)) < eps d S with
     eps = 16 delta + 16 u (d + K), whose spare covers second-order terms,
-    coefficients past 2**53 rounded to float64, and the float64 l1 and S.
-    An entry whose partners are all zero adds nothing to S and nothing to
-    the product, as its terms are exact zeros.  When eps d max S < 1/2,
-    every trace rounds to its integer, below 2**44, and the recovery
-    through the trace form is exact.  The degree threshold is the measured
-    crossover (module docstring).
+    coefficients rounded to float64 and the float64 l1 and S.  An entry
+    whose partners are all zero adds nothing to S and nothing to the
+    product, as its terms are exact zeros.  Under the bound every trace is
+    below 2**44, and the recovery through the trace form is exact.
     """
-    if ctx.degree >= _EMBED_DEGREE and x.dtype != object and y.dtype != object:
-        xf, yf = x.astype(np.float64), y.astype(np.float64)
-        size = np.matmul(np.abs(xf).sum(axis=-1), np.abs(yf).sum(axis=-1))
-        eps = 2.0**-44 + 2.0**-49 * (ctx.degree + x.shape[-2])
-        if eps * ctx.degree * size.max(initial=0.0) < 0.5:
-            return _embedded_matmul(xf, yf, ctx)
+    return (2.0**-44 + 2.0**-49 * (d + k)) * d
+
+
+def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
+    """Exact field product of coefficient arrays (..., r, K, d) @ (..., K, c, d)
+    -> (..., r, c, d); the leading axes broadcast.
+
+    From d = phi(m) >= ``_EMBED_DEGREE`` on, a product with
+    ``_eps_d(d, K)`` max S < 1/2 runs in the complex embedding
+    (``_embedded_matmul``), S read from the l1 norms of ``_embed``; an
+    entry past 2**53 fails that bound.  Every other product runs against
+    right operators (``_operator_matmul``).  Both give the same integers.
+    The degree threshold is the measured crossover (module docstring).
+    """
+    m, d = ctx.m, ctx.degree
+    if d >= _EMBED_DEGREE:
+        (ex, lx), (ey, ly) = _embed(x, m), _embed(y, m)
+        if _eps_d(d, x.shape[-2]) * np.matmul(lx, ly).max(initial=0.0) < 0.5:
+            return _embedded_matmul(ex, ey, ctx)
     return _operator_matmul(x, y, ctx)
 
 
-def _embedded_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
-    """x @ y for float64 integer arrays (..., r, K, d) @ (..., K, c, d)
-    under the bound of ``_field_matmul``: int64 (..., r, c, d), or Python
-    integers when the recovery's own product needs them.
+def _embedded_matmul(ex: np.ndarray, ey: np.ndarray, ctx) -> np.ndarray:
+    """x @ y from the embeddings (``_embed``) of integer arrays
+    (..., r, K, d) and (..., K, c, d) under the bound of ``_field_matmul``:
+    int64 (..., r, c, d), or Python integers when the recovery's own
+    product needs them.
 
-    Each entry is evaluated at one embedding sigma_k per conjugate pair
-    {k, m - k}, as real and imaginary parts (one real product against the
-    cosine and sine table), and sigma_k(x @ y) = sigma_k(x) @ sigma_k(y) is
-    four real batched products per embedding, (h, ..., r, K) @
-    (h, ..., K, c).  ``_recover`` rounds the traces and returns the exact
-    coefficients through the trace form.
+    sigma_k(x @ y) = sigma_k(x) @ sigma_k(y) is four real batched products
+    per embedding, (h, ..., r, K) @ (h, ..., K, c), with the leading axes
+    padded to the broadcast rank.  ``_recover`` rounds the traces and
+    returns the exact coefficients through the trace form.
     """
-    m, d = ctx.m, ctx.degree
-    embed = _trace_form(m)[0]
-    h = embed.shape[1] // 2
-    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
-    r, c = x.shape[-3], y.shape[-2]
-
-    def evaluate(a):
-        # (2h, ..., rows, cols): real parts, then imaginary parts, with the
-        # leading axes padded to the broadcast rank
-        at = embed.T @ a.reshape(-1, d).T
-        pad = (1,) * (len(lead) + 3 - a.ndim)
-        return at.reshape(2 * h, *pad, *a.shape[:-1])
-
-    ex, ey = evaluate(x), evaluate(y)
+    h = len(ex) // 2
+    rank = max(ex.ndim, ey.ndim)
+    ex, ey = (a.reshape(len(a), *(1,) * (rank - a.ndim), *a.shape[1:]) for a in (ex, ey))
     xr, xi, yr, yi = ex[:h], ex[h:], ey[:h], ey[h:]
     re = xr @ yr - xi @ yi
     im = xr @ yi + xi @ yr
-    out = _recover(re.reshape(h, -1), m, im.reshape(h, -1))
-    return np.ascontiguousarray(out.T).reshape(*lead, r, c, d)
+    out = _recover(re.reshape(h, -1), ctx.m, im.reshape(h, -1))
+    return np.ascontiguousarray(out.T).reshape(*re.shape[1:], ctx.degree)
 
 
 def _operator_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
@@ -422,12 +418,6 @@ def _operator_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
 
 
 # -- the trace form ----------------------------------------------------------------
-
-
-def _power_rows(m: int) -> np.ndarray:
-    """The conductor's reduction rows, the read-only int64 array (m, d) of
-    ``_Context.powers``: row k holds the coefficients of z^k."""
-    return _context(m).powers
 
 
 @lru_cache(maxsize=None)
@@ -481,16 +471,18 @@ def _recover(re: np.ndarray, m: int, im: np.ndarray | None = None) -> np.ndarray
 
 
 def _embed(nums: np.ndarray, m: int):
-    """(embeddings (b, ..., 2h), l1 (b,)) of arrays (b, ..., d), real parts
-    first.  l1 sums |coefficient| in float64, 2**64 past that; past
-    l1 = 2**53, which no bound admits, an array embeds as 0."""
-    flat = np.abs(nums.reshape(len(nums), -1))
-    if flat.dtype == object:
-        l1 = np.array([float(min(v, 1 << 64)) for v in flat.sum(axis=1)])
+    """(embeddings (2h, ...), l1 (...)) of coefficient arrays (..., d): the
+    real, then the imaginary parts of each entry at one embedding per
+    conjugate pair, and the sum of its |coefficients| in float64, 2**64 past
+    that.  Past l1 = 2**53, which no bound admits, an entry embeds as 0."""
+    d = nums.shape[-1]
+    if nums.dtype == object:
+        l1 = np.minimum(np.abs(nums).sum(axis=-1), 1 << 64).astype(np.float64)
     else:
-        l1 = flat.sum(axis=1, dtype=np.float64)
-    big = (l1 >= 2.0**53).reshape((-1,) + (1,) * (nums.ndim - 1))
-    return np.where(big, 0, nums).astype(np.float64) @ _trace_form(m)[0], l1
+        l1 = np.abs(nums, dtype=np.float64).sum(axis=-1)  # |-2**63| wraps in int64
+    flat = np.where(l1[..., None] < 2.0**53, nums, 0).astype(np.float64).reshape(-1, d)
+    embed = _trace_form(m)[0]
+    return (embed.T @ flat.T).reshape(embed.shape[1], *nums.shape[:-1]), l1
 
 
 def _content_reduce(nums: np.ndarray, dens: np.ndarray):
@@ -580,7 +572,7 @@ class UMatrix:
 
     @classmethod
     def identity(cls, dim: int, m: int) -> "UMatrix":
-        return _diagonal_rows(_power_rows(m)[np.zeros(dim, dtype=np.int64)], m)
+        return _diagonal_rows(_context(m).powers[np.zeros(dim, dtype=np.int64)], m)
 
     @classmethod
     def from_entries(cls, entries, m: int | None = None) -> "UMatrix":
@@ -612,7 +604,7 @@ class UMatrix:
     @classmethod
     def permutation(cls, dim: int, m: int, row_of_col) -> "UMatrix":
         """0/1 matrix with a single 1 per column j, at row row_of_col[j]."""
-        rows = _power_rows(m)
+        rows = _context(m).powers
         num = np.zeros((dim, dim, rows.shape[1]), dtype=np.int64)
         num[np.asarray(row_of_col, dtype=np.int64) % dim, np.arange(dim)] = rows[0]
         return cls._from_canonical(dim, m, num, 1)
@@ -760,7 +752,7 @@ def _omega_operators(n: int, m: int) -> np.ndarray:
     reduction rows, so e @ [k] is e omega^k for a coefficient row e.
     """
     d = _context(m).degree
-    return _power_rows(m)[(np.arange(d) + (m // n) * np.arange(n)[:, None]) % m]
+    return _context(m).powers[(np.arange(d) + (m // n) * np.arange(n)[:, None]) % m]
 
 
 def wh_generators(n: int, m: int | None = None):
@@ -773,7 +765,7 @@ def wh_generators(n: int, m: int | None = None):
     m = _working_conductor(n, m)
     tau = -zeta(m, m // (2 * n))
     x = UMatrix.permutation(n, m, (np.arange(n) + 1) % n)
-    z = _diagonal_rows(_power_rows(m)[(m // n) * np.arange(n)], m)
+    z = _diagonal_rows(_context(m).powers[(m // n) * np.arange(n)], m)
     return tau, x, z
 
 
@@ -799,7 +791,7 @@ def s_matrix(n: int, m: int | None = None) -> UMatrix:
     """
     m = _working_conductor(n, m)
     i = np.arange(n)
-    return _diagonal_rows(_power_rows(m)[(m // (2 * n) + m // 2) * i * (i + n) % m], m)
+    return _diagonal_rows(_context(m).powers[(m // (2 * n) + m // 2) * i * (i + n) % m], m)
 
 
 def clifford_generators(n: int, m: int | None = None) -> dict[str, UMatrix]:
@@ -846,7 +838,7 @@ def galois_generators(field: GaloisField, nu: GFElement, mu: GFElement):
         shift[gamma.index] = (gamma + nu).index
     x_nu = UMatrix.permutation(q, m, shift)
     traces = [gf_trace_int(mu * gamma) for gamma in field.elements()]
-    z_mu = _diagonal_rows(_power_rows(m)[(m // field.p) * np.array(traces) % m], m)
+    z_mu = _diagonal_rows(_context(m).powers[(m // field.p) * np.array(traces) % m], m)
     return x_nu, z_mu
 
 
@@ -1032,27 +1024,34 @@ def center_of(table: GroupTable) -> list[Cyclotomic]:
     return out
 
 
+def _batch_inverse(rows: np.ndarray, ctx):
+    """(nums (s, d), dens (s,), slot (b,)) for a batch of nonzero integer
+    rows (b, d): row k inverts to nums[slot[k]] / dens[slot[k]].  Each
+    distinct row is inverted once, through the conductor's inverse table."""
+    slots: dict[tuple, int] = {}
+    slot = np.array(
+        [slots.setdefault(tuple(row), len(slots)) for row in rows.tolist()], dtype=np.intp
+    )
+    invs = [ctx.inverse(row) for row in slots]
+    nums = _int_array([inv.num for inv in invs]).reshape(len(invs), ctx.degree)
+    return nums, _int_array([inv.den for inv in invs]), slot
+
+
 def _scalar_canonical_batch(nums: np.ndarray, ctx):
     """Divide each array of a batch (b, ..., d) by its first nonzero entry.
 
     Any denominator cancels, so only the numerators are read.  Returns the
-    quotient numerators and the denominators of the lead inverses.  Each
-    distinct lead is inverted through the conductor's inverse table, and
-    their operators are built in one call.
+    quotient numerators and the denominators of the lead inverses.  The
+    leads are inverted by ``_batch_inverse``, and the operators of the
+    distinct inverses are built in one call.
     """
     b, d = nums.shape[0], nums.shape[-1]
     flat = nums.reshape(b, -1, d)
     first = np.argmax(np.any(flat != 0, axis=2), axis=1)
-    slots: dict[tuple, int] = {}
-    which = [
-        slots.setdefault(tuple(lead), len(slots))
-        for lead in flat[np.arange(b), first].tolist()
-    ]
-    invs = [ctx.inverse(lead) for lead in slots]
-    inv_nums = _int_array([inv.num for inv in invs]).reshape(-1, 1, 1, d)
-    ops = _right_operator(inv_nums, ctx)
-    out = _exact_matmul(flat, ops[which])
-    return out.reshape(nums.shape), _int_array([inv.den for inv in invs])[which]
+    inv_nums, inv_dens, slot = _batch_inverse(flat[np.arange(b), first], ctx)
+    ops = _right_operator(inv_nums.reshape(-1, 1, 1, d), ctx)
+    out = _exact_matmul(flat, ops[slot])
+    return out.reshape(nums.shape), inv_dens[slot]
 
 
 def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
@@ -1083,7 +1082,7 @@ def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
     hits = np.flatnonzero((powers == entries[1 % n]).all(axis=1))
     if not hits.size or not (powers[hits[0] * cols % n] == entries).all():
         return None
-    phase = np.flatnonzero((_power_rows(m) == entries[0]).all(axis=1))
+    phase = np.flatnonzero((_context(m).powers == entries[0]).all(axis=1))
     if mat.den != 1 or not phase.size:
         return None
     return a, int(hits[0]), int(phase[0])

@@ -9,19 +9,19 @@ amplitudes as ``Cyclotomic`` values.
 * ``apply_all`` maps a whole list of rays through one matrix as one
   ``_field_matmul``, the exact field product of ``qgroups``, then
   canonicalizes every image at once by dividing it by its lead amplitude
-  (``_scalar_canonical_batch``).  Each lead, like each irrational Gram
-  weight, is inverted once per conductor and primitive part
-  (``_Context.inverse``).
+  (``_scalar_canonical_batch``).
+* ``_norm_sq`` is the one squared norm, of a batch of coefficient arrays:
+  |x|^2 is recovered from the embeddings of x (``_embed``) through the
+  trace form (``_recover``) where the rounding bound of ``qgroups``
+  (``_eps_d``) holds, and taken by field products elsewhere.  The Gram
+  kernel and the candidate stage of ``states`` call it.
 * ``first_irrational`` and ``probabilities`` run one Gram kernel.  A
   transition probability is |<a|b>|^2 w_a w_b on numerators, with
-  w = 1 / |num|^2; each tile of pairs forms it in floating point at the
-  complex embeddings of Q(zeta_m) (``_embed``), and its exact
-  coefficients come back from the rounded traces through the integer
-  inverse of the trace form (``_recover``), under an a-priori rounding
-  bound, or else from ``_field_matmul`` products.  The product is
-  totally real, so it has no imaginary parts to recover.  The embedding
-  and the trace form live in ``qgroups``, where ``_field_matmul`` runs
-  its own products at phi(m) >= 24 through them.  When the column set is
+  w = 1 / |num|^2 inverted by ``_batch_inverse``; each tile of pairs forms
+  it in floating point from the embeddings that ``_norm_sq`` read, and
+  its exact coefficients come back through ``_recover`` under the same
+  bound, or else from ``_field_matmul`` products.  The product is totally
+  real, so it has no imaginary parts to recover.  When the column set is
   the row set (the same object: ``verify_requirements``, ``verify_mub``,
   the orbit MUB extraction), only the upper triangle of tiles is formed
   and mirrored.
@@ -43,10 +43,12 @@ from .cyclotomic import Cyclotomic, FieldMismatchError, _context, canonical_dump
 from .qgroups import (
     _GRAM_BUDGET,
     UMatrix,
+    _batch_inverse,
     _coeff_json,
     _conj,
     _content_reduce,
     _embed,
+    _eps_d,
     _field_matmul,
     _int_array,
     _recover,
@@ -261,41 +263,44 @@ def apply(mat: UMatrix, ray: Ray) -> Ray:
 _TILE_ROWS = 16  # a Gram tile's columns fill max(1, _GRAM_BUDGET // d) pairs
 
 
-def _norm_sq(nums: np.ndarray, ctx) -> np.ndarray:
-    """Coefficients (b, d) of sum_i conj(x_i) x_i for each array (n, d) of
-    a batch: one field product of the conjugate row against the column."""
-    return _field_matmul(_conj(nums, ctx)[:, None], nums[:, :, None], ctx)[:, 0, 0]
-
-
-def _gram_side(rays, ctx, eps_d: float):
-    """(order, nums, emb (h, b, 2n), wnum, wemb (h, b), dens, size) of the
-    rays, all but dens in ascending size: emb holds the real, then the
-    imaginary parts of the embedded entries; 1 / |num|^2 = wnum[k] / dens[k]
-    and size = l1(num)^2 l1(wnum).  Squared norms come from emb where
-    eps_d l1^2 < 1/2 (_gram_tiles), elsewhere from ``_norm_sq`` in chunks."""
+def _norm_sq(nums: np.ndarray, ctx):
+    """(norms (b, d), emb (h, b, 2n), l1 (b,)) of a batch (b, n, d):
+    |x|^2 = sum_i conj(x_i) x_i of each array x, its entries' embeddings
+    (``_embed``, real parts first) and l1(x).  |x|^2 is recovered from
+    sum_i |sigma_k(x_i)|^2 where ``_eps_d(d, n)`` l1(x)^2 < 1/2, and taken
+    by field products in chunks of the budget elsewhere."""
     m, d = ctx.m, ctx.degree
-    nums = np.stack([ray.num for ray in rays])
     b, n, _ = nums.shape
     emb, l1 = _embed(nums, m)
-    emb = emb.reshape(b, n, 2, -1).transpose(3, 0, 2, 1).reshape(-1, b, 2 * n)
-    ok = eps_d * l1 * l1 < 0.5
-    norms = np.zeros((b, d), dtype=object)
-    norms[ok] = _recover((emb[:, ok] ** 2).sum(axis=2), m).T
-    rest, step = np.flatnonzero(~ok), max(1, _GRAM_BUDGET // (n * d * d))
+    h = len(emb) // 2
+    emb = emb.reshape(2, h, b, n).transpose(1, 2, 0, 3).reshape(h, b, 2 * n)
+    l1 = l1.sum(axis=1)
+    ok = _eps_d(d, n) * l1 * l1 < 0.5
+    good, rest = np.flatnonzero(ok), np.flatnonzero(~ok)
+    parts = [_recover((emb[:, good] ** 2).sum(axis=2), m).T]
+    step = max(1, _GRAM_BUDGET // (n * d * d))
     for sel in (rest[lo : lo + step] for lo in range(0, len(rest), step)):
-        norms[sel] = _norm_sq(nums[sel], ctx)
-    norms = norms.tolist()
-    dens = [row[0] for row in norms]
-    wnum = [[1] + [0] * (d - 1)] * b
-    for k, row in enumerate(norms):
-        if any(row[1:]):
-            inv = ctx.inverse(tuple(row))
-            wnum[k], dens[k] = list(inv.num), inv.den
-    wnum = _int_array(wnum)
-    wemb, wl1 = _embed(wnum, m)
-    size = l1 * l1 * wl1
+        x = nums[sel]
+        parts.append(_field_matmul(_conj(x, ctx)[:, None], x[:, :, None], ctx)[:, 0, 0])
+    # int64 parts join an object part as Python integers
+    norms = np.concatenate(parts)[np.argsort(np.concatenate((good, rest)))]
+    return norms, emb, l1
+
+
+def _gram_side(rays, ctx):
+    """(order, nums, emb (h, b, 2n), wnum, wemb (h, b), dens, size) of the
+    rays, all but dens in ascending size: emb is the embedding of
+    ``_norm_sq``; 1 / |num|^2 = wnum[k] / dens[k] (``_batch_inverse``) and
+    size = l1(num)^2 l1(wnum)."""
+    nums = np.stack([ray.num for ray in rays])
+    norms, emb, l1 = _norm_sq(nums, ctx)
+    inv_nums, inv_dens, slot = _batch_inverse(norms, ctx)
+    wemb, wl1 = _embed(inv_nums, ctx.m)
+    size = l1 * l1 * wl1[slot]
     o = np.argsort(size, kind="stable")
-    return o, nums[o], emb[:, o], wnum[o], wemb[o, : emb.shape[0]].T, dens, size[o]
+    w = slot[o]
+    dens = inv_dens[slot].tolist()
+    return o, nums[o], emb[:, o], inv_nums[w], wemb[: len(emb), w], dens, size[o]
 
 
 def _exact_tile(a, b, wa, wb, ctx) -> np.ndarray:
@@ -325,23 +330,14 @@ def _gram_tiles(rows, cols):
     weights, with conj(a) b = (ar br + ai bi) + i (ar bi - ai br): two real
     products per embedding, (h, R, 2n) @ (h, 2n, C).
 
-    The bound.  With u = 2**-53 and gamma_k = k u / (1 - k u), a float64
-    dot product of k terms is off by at most gamma_k sum |x_i y_i|
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    §3.1).  The cosines and sines of 2 pi r / m, 0 <= r < m, are assumed
-    within delta = 2**-48 (three roundings of the argument, at most
-    3 u 2 pi, and a few ulps of numpy's cos and sin).  |sigma_k(a_t)| <=
-    l1(a_t), so |sigma_k(x)| <= S = size(a) size(b) and |y_j| <= d S.  To
-    first order, relative to these, an embedded entry is off by
-    e1 = sqrt2 (delta + gamma_d), sigma_k(<a|b>) by 2 e1 + sqrt2 gamma_2n,
-    x by 4 e1 + 2 sqrt2 gamma_2n + 2 delta + 2 gamma_d + 2 gamma_2, and a
-    trace (h doubled cosines, off by 2 delta) by d S times that plus
-    delta + gamma_h: below d S (9 delta + u (8.2 d + 5.7 n + 4)) <
-    eps d S, eps = 16 delta + 16 u (d + n), whose spare covers second-order
-    terms and the float64 l1 and S.  A tile whose largest row size times
-    largest column size meets eps d S < 1/2 rounds every trace to its
-    integer, below 2**53; any other takes ``_exact_tile``.  The squared
-    norms are the chain up to <a|a>.
+    The bound is that of ``_eps_d`` for K = n, with S = size(a) size(b)
+    bounding |sigma_k(x)|: to sigma_k(<a|b>), off by 2 e1 + sqrt2 gamma_2n
+    relative to its bound, x adds its square (doubling that), two embedded
+    weights (2 delta + 2 gamma_d) and two products (2 gamma_2), and its
+    traces are off by under d S (9 delta + u (8.2 d + 5.7 n + 4)), still
+    below eps d S.  A tile whose largest row size times largest column size
+    meets ``_eps_d(d, n)`` S < 1/2 rounds every trace to its integer; any
+    other takes ``_exact_tile``.
     """
     if not rows or not cols:
         return
@@ -352,9 +348,8 @@ def _gram_tiles(rows, cols):
             raise FieldMismatchError("rays of different dimension or conductor")
     ctx = _context(m)
     d = ctx.degree
-    eps_d = (2.0**-44 + 2.0**-49 * (d + n)) * d
-    ro, rn, remb, rw, rwemb, row_dens, rsize = row = _gram_side(rows, ctx, eps_d)
-    col = row if symmetric else _gram_side(cols, ctx, eps_d)
+    ro, rn, remb, rw, rwemb, row_dens, rsize = row = _gram_side(rows, ctx)
+    col = row if symmetric else _gram_side(cols, ctx)
     co, cn, cemb, cw, cwemb, col_dens, csize = col
     cre = np.ascontiguousarray(cemb.transpose(0, 2, 1))
     cim = np.concatenate((cre[:, n:], -cre[:, :n]), axis=1)
@@ -363,7 +358,7 @@ def _gram_tiles(rows, cols):
     for i0 in range(0, len(rows), r):
         for j0 in range(i0 if symmetric else 0, len(cols), c):
             i, j = slice(i0, i0 + r), slice(j0, j0 + c)
-            if eps_d * rsize[i].max() * csize[j].max() < 0.5:
+            if _eps_d(d, n) * rsize[i].max() * csize[j].max() < 0.5:
                 x = (remb[:, i] @ cre[:, :, j]) ** 2 + (remb[:, i] @ cim[:, :, j]) ** 2
                 x *= rwemb[:, i, None] * cwemb[:, None, j]
                 prod = _recover(x.reshape(len(x), -1), m).reshape(d, *x.shape[1:])

@@ -254,7 +254,7 @@ def seed_orbit(n: int) -> list[Ray]:
 
 def _rational_norms(states, ctx) -> list[Fraction]:
     """|ray|^2 of each state, which must be rational, from one batch."""
-    rows = _norm_sq(np.stack([ray.num for ray in states]), ctx)
+    rows = _norm_sq(np.stack([ray.num for ray in states]), ctx)[0]
     out = []
     for ray, row in zip(states, rows.tolist()):
         if any(row[1:]):
@@ -349,7 +349,7 @@ def interference_candidates(stateset: StateSet):
             ).reshape(len(sel) * n, 2 * d)
             emit = _exact_matmul(rows, op).reshape(len(sel), n, len(phases), d)
             emit = emit.transpose(0, 2, 1, 3).reshape(-1, n, d)
-            norm = _norm_sq(emit, ctx)
+            norm = _norm_sq(emit, ctx)[0]
             ok = ~(norm[:, 1:] != 0).any(axis=1) & (norm[:, 0] != 0)
             if ok.any():
                 kept.append(emit[ok])

@@ -430,6 +430,17 @@ class TestCandidateOracle:
         monkeypatch.setattr(qgroups, "_FLOAT_EXACT", 0)
         assert interference_candidates(ss) == want
 
+    def test_irrational_squared_norm_raises(self):
+        # |(1, 1 + z)|^2 = 3 + z + z^3 - z^7 over Q(zeta_24)
+        z = zeta(M2, 1)
+        bad = ray_of(M2, 1, 1 + z)
+        assert bad.norm_sq() == 3 + z + z**3 - z**7
+        seed = seed_orbit(2)
+        ss = StateSet(dim=2, conductor=M2, states={ray: 0 for ray in [*seed, bad]})
+        with pytest.raises(IntegrityError, match="state has irrational squared norm") as info:
+            interference_candidates(ss)
+        assert str(info.value).endswith(bad.key())
+
 
 def new_and_old(ss, step):
     orbits = [o for o in ss.orbits if ss.states[o[0]] == step]
@@ -711,7 +722,7 @@ class TestEmbeddedGram:
         sample = data.draw(st.lists(sparse_rays(2, m), min_size=1, max_size=3))
         rays = sample + planted_weights(m)
         want = scalar_probabilities(rays, rays)
-        sizes = rays_mod._gram_side(rays, _context(m), gram_eps_d(2, euler_phi(m)))[-1]
+        sizes = rays_mod._gram_side(rays, _context(m))[-1]
         embedded = gram_eps_d(2, euler_phi(m)) * sizes.max() ** 2 < 0.5
         with exact_route() as tiles:
             assert probabilities(rays, rays) == probabilities(rays, list(rays)) == want
@@ -752,3 +763,76 @@ class TestEmbeddedGram:
         want = exact_roots(m)[np.outer(np.arange(euler_phi(m)), half) % m]
         want = np.hstack((want.real, want.imag))
         assert np.abs(embed - want).max() <= 2.0**-48 - 2.0**-53
+
+
+class TestSquaredNorm:
+    """``_norm_sq``, the one batched squared norm, against ``Ray.norm_sq``:
+    the embedding recovery under the bound, field products past it."""
+
+    @staticmethod
+    def norms(rays, m, monkeypatch):
+        """The norms of the rays as one batch, checked against the scalar
+        norm, and the number of arrays each fallback product took."""
+        fallback = []
+        real = rays_mod._field_matmul
+
+        def record(x, y, ctx):
+            fallback.append(len(x))
+            return real(x, y, ctx)
+
+        monkeypatch.setattr(rays_mod, "_field_matmul", record)
+        nums = np.stack([ray.num for ray in rays])
+        norms = rays_mod._norm_sq(nums, _context(m))[0]
+        assert norms.shape == (len(rays), euler_phi(m))
+        for ray, row in zip(rays, norms.tolist()):
+            assert Cyclotomic(m, row, ray.den * ray.den) == ray.norm_sq()
+        return fallback
+
+    @staticmethod
+    def last_embedded(m):
+        """The largest k for which the ray (1, k) passes the bound."""
+        eps_d = gram_eps_d(2, euler_phi(m))
+        k = math.isqrt(int(0.5 / eps_d)) - 1
+        while eps_d * (k + 2) ** 2 < 0.5:
+            k += 1
+        return k
+
+    @pytest.mark.parametrize("m", [24, 72, 168, 312])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_embedding_route_matches_scalar(self, m, data):
+        rays = data.draw(st.lists(sparse_rays(2, m), min_size=1, max_size=4))
+        with pytest.MonkeyPatch.context() as patch:
+            assert self.norms(rays + planted_weights(m), m, patch) == []
+
+    @pytest.mark.parametrize("m", [24, 72, 168, 312])
+    def test_route_follows_the_bound(self, m, monkeypatch):
+        k = self.last_embedded(m)
+        assert self.norms([ray_of(m, 1, k)], m, monkeypatch) == []
+        assert self.norms([ray_of(m, 1, k + 1)], m, monkeypatch) == [1]
+
+    @pytest.mark.parametrize("m", [24, 72, 168, 312])
+    def test_mixed_batch_sends_only_large_rows_to_the_fallback(self, m, monkeypatch):
+        z = zeta(m, 1)
+        big = [ray_of(m, 1, 10**7 * z), ray_of(m, 1 + z, 10**7)]
+        small = planted_weights(m)
+        rays = [small[0], big[0], small[1], big[1], small[2]]
+        assert all(ray.num.dtype == np.int64 for ray in rays)
+        assert self.norms(rays, m, monkeypatch) == [2]
+
+    @pytest.mark.parametrize("m", [24, 72, 168, 312])
+    def test_object_coefficient_rays(self, m, monkeypatch):
+        # one object ray makes the batch an object array; its int64-sized
+        # rows still take the embedding
+        z = zeta(m, 1)
+        huge = [ray_of(m, 1, 2**70 * z + 3), ray_of(m, 2**65 + z, 1)]
+        assert all(ray.num.dtype == object for ray in huge)
+        assert self.norms(huge, m, monkeypatch) == [2]
+        rays = [*planted_weights(m), huge[0]]
+        assert self.norms(rays, m, monkeypatch) == [1]
+
+    @pytest.mark.parametrize("m", [24, 168])
+    def test_empty_batch(self, m):
+        d = euler_phi(m)
+        norms, emb, l1 = rays_mod._norm_sq(np.zeros((0, 2, d), dtype=np.int64), _context(m))
+        assert norms.shape == (0, d) and emb.shape == (d // 2, 0, 4) and l1.shape == (0,)

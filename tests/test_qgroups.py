@@ -287,6 +287,42 @@ class TestClosure:
             group_closure(gens, names=("X", "F"))
 
 
+class TestBatchInverse:
+    """``_batch_inverse`` against ``Cyclotomic.inv``, one slot per distinct row."""
+
+    @pytest.mark.parametrize("m", [24, 168])
+    @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int64", "object"])
+    def test_matches_scalar_inverse(self, m, scale):
+        d = _context(m).degree
+        rng = random.Random(m + scale)
+        units = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(3)]
+        for u in units:
+            u[1] = 1  # irrational, and primitive
+        rows = [
+            units[0],
+            [scale * v for v in units[1]],
+            units[0],  # repeated
+            [5] + [0] * (d - 1),  # rational
+            [-7 * v for v in units[0]],  # scaled c u
+            [scale] + [0] * (d - 1),
+            [2 * scale * v for v in units[2]],
+            [scale * v for v in units[1]],
+        ]
+        batch = _int_array(rows)
+        assert batch.dtype == (np.int64 if scale == 1 else object)
+        nums, dens, slot = qgroups._batch_inverse(batch, _context(m))
+        distinct = list(dict.fromkeys(map(tuple, rows)))
+        assert len(nums) == len(dens) == len(distinct)
+        assert slot.tolist() == [distinct.index(tuple(row)) for row in rows]
+        for row, k in zip(rows, slot.tolist()):
+            got = Cyclotomic(m, nums[k].tolist(), int(dens[k]))
+            assert got == Cyclotomic(m, row, 1).inv()
+
+    def test_empty_batch(self):
+        nums, dens, slot = qgroups._batch_inverse(np.zeros((0, 8), dtype=np.int64), _context(24))
+        assert nums.shape == (0, 8) and dens.shape == (0,) and slot.shape == (0,)
+
+
 class TestScalarCanonical:
     @given(nonzero_cyclotomics(24))
     def test_invariant_under_scaling(self, c):
@@ -692,7 +728,7 @@ def field_factor(draw, shape, m):
         *lead, rows, cols = shape
         for at in np.ndindex(*lead, cols):
             sign = rng.choice([-1, 1])
-            out[at[:-1] + (rng.integers(rows), at[-1])] = sign * qgroups._power_rows(m)[
+            out[at[:-1] + (rng.integers(rows), at[-1])] = sign * _context(m).powers[
                 rng.integers(m)
             ]
     return out
@@ -729,7 +765,7 @@ class TestEmbeddingRoute:
         xlead, ylead = data.draw(st.sampled_from(LEADS))
         x = data.draw(field_factor(xlead + (r, k), m))
         y = data.draw(field_factor(ylead + (k, c), m))
-        out = qgroups._embedded_matmul(x.astype(np.float64), y.astype(np.float64), ctx)
+        out = qgroups._embedded_matmul(qgroups._embed(x, m)[0], qgroups._embed(y, m)[0], ctx)
         want = qgroups._operator_matmul(x, y, ctx)
         assert out.dtype == np.int64 and out.shape == want.shape
         assert np.array_equal(out, want)
@@ -769,6 +805,17 @@ class TestEmbeddingRoute:
         assert recorder.routes == ["_operator_matmul"]
         assert out.dtype == object and out[0, 0, 1] == 1 << 70
 
+    def test_int64_minimum_takes_the_operator_route(self, monkeypatch):
+        # |-2**63| does not fit int64, so its l1 must be taken in float64
+        ctx = _context(168)
+        x = np.zeros((1, 1, 48), dtype=np.int64)
+        y = np.zeros((1, 1, 48), dtype=np.int64)
+        x[0, 0, 0], y[0, 0, :2] = -(2**63), 1
+        recorder = RouteRecorder(monkeypatch)
+        out = _field_matmul(x, y, ctx)
+        assert recorder.routes == ["_operator_matmul"]
+        assert out[0, 0, :2].tolist() == [-(2**63)] * 2 and not out[0, 0, 2:].any()
+
     def test_closure_routes_follow_the_degree(self, monkeypatch):
         recorder = RouteRecorder(monkeypatch)
         assert clifford_group(6).order == 124416  # m = 24, d = 8
@@ -791,7 +838,7 @@ class TestEmptyOperands:
         x = rng.integers(-3, 4, size=left + (d,))
         y = rng.integers(-3, 4, size=right + (d,))
         want = np.zeros((left[0], right[1], d), dtype=np.int64)
-        embedded = qgroups._embedded_matmul(x.astype(np.float64), y.astype(np.float64), ctx)
+        embedded = qgroups._embedded_matmul(qgroups._embed(x, m)[0], qgroups._embed(y, m)[0], ctx)
         for out in (qgroups._operator_matmul(x, y, ctx), embedded, _field_matmul(x, y, ctx)):
             assert out.shape == want.shape and np.array_equal(out, want)
 
@@ -875,7 +922,7 @@ class TestWeylExponents:
         extra[0, 0, 0] += 1  # off the support unless a = 0
         planted.append(UMatrix(n, m, extra, weyl.den))
         ratio = np.zeros((n, n, d), dtype=np.int64)
-        ratio[np.arange(n), np.arange(n)] = qgroups._power_rows(m)[np.arange(n)]
+        ratio[np.arange(n), np.arange(n)] = _context(m).powers[np.arange(n)]
         planted.append(UMatrix(n, m, ratio))  # diag(z^j): z is no n-th root
         for mat in planted:
             got = qgroups._weyl_exponents(mat)
