@@ -186,8 +186,9 @@ class _Context:
     The one table built from Phi_m is ``powers``, the read-only int64
     (m, phi(m)) array of the reduction rows (``_reduction_rows``): row k
     holds the coefficients of z^k.  The others are gathers from it: the
-    scalar code's tuple ``rows`` (built on first use), the Galois rows, the
-    conjugation table and the multiplication table.
+    scalar code's tuple ``rows``, the float64 ``roots`` and the row ->
+    exponent lookup of ``root_exponents`` (all built on first use), the
+    Galois rows, the conjugation table and the multiplication table.
     """
 
     __slots__ = (
@@ -196,6 +197,7 @@ class _Context:
         "phi_poly",
         "powers",
         "_rows",
+        "_roots",
         "_galois",
         "galois_chain",
         "_inverses",
@@ -213,6 +215,7 @@ class _Context:
         self.powers = _reduction_rows(m, self.phi_poly)
         self.powers.setflags(write=False)
         self._rows = None
+        self._roots = None
         self._galois: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.galois_chain = _unit_chain(m)
         self._inverses: dict[tuple[int, ...], Cyclotomic] = {}  # see inverse()
@@ -229,6 +232,35 @@ class _Context:
         if self._rows is None:
             self._rows = tuple(map(tuple, self.powers.tolist()))
         return self._rows
+
+    def _root_tables(self):
+        if self._roots is None:
+            table = self.powers.astype(np.float64)
+            table.setflags(write=False)
+            lookup = {row.tobytes(): k for k, row in enumerate(self.powers)}
+            self._roots = (lookup, table, max(int(np.abs(self.powers).max()), 1))
+        return self._roots
+
+    @property
+    def roots(self) -> tuple[np.ndarray, int]:
+        """(table, bound): ``powers`` as read-only float64, from which the
+        multiplication matrices of the roots of unity are gathered, and its
+        largest |entry|, so their products check the float64 bound a
+        priori."""
+        return self._root_tables()[1:]
+
+    def root_exponents(self, rows: np.ndarray) -> np.ndarray:
+        """For integer coefficient rows (b, d), the k with z^k equal to each
+        row, or -1 where a row is no row of ``powers``.  For even m those
+        rows are all the roots of unity of Q(zeta_m).  A row past int64 is
+        no root of unity, so a batch that does not fit int64 gives -1s."""
+        try:
+            flat = np.ascontiguousarray(rows, dtype=np.int64).tobytes()
+        except OverflowError:
+            return np.full(len(rows), -1, dtype=np.intp)
+        look, width = self._root_tables()[0].get, 8 * self.degree
+        keys = (flat[i : i + width] for i in range(0, len(flat), width))
+        return np.fromiter((look(key, -1) for key in keys), np.intp, len(rows))
 
     def galois_rows(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Rows of sigma_k: row j holds z^(j k) mod Phi_m; needs gcd(k, m) = 1."""

@@ -8,25 +8,47 @@ All coefficient arithmetic is one exact kernel, ``_exact_matmul``: an
 integer matrix product that runs in float64 BLAS when one bound shows that
 every partial sum stays below 2**53, and on Python integers otherwise.
 Every product of field arrays, (..., r, K, d) @ (..., K, c, d) with
-d = phi(m), is ``_field_matmul``, which takes one of two routes.
+d = phi(m), is ``_field_matmul``, which takes one of three routes.
 
-From d >= 24 on, a product of integer arrays runs in the complex embedding
-when an a-priori bound holds (``_embedded_matmul``), with one evaluator,
-one bound and one recovery that the Gram kernel and the squared norm of
-``rays`` share.  ``_embed`` evaluates each entry at one embedding per
-conjugate pair in real arithmetic and returns its l1 norm, the sum of its
-|coefficients|.  ``_eps_d`` is the bound, derived there: with
-|sigma_k(z_ij)| <= S_ij = sum_t l1(x_it) l1(y_tj), eps d max S < 1/2,
-eps = 16 delta + 16 u (d + K), keeps every trace Tr(z zeta^-j) within 1/2
-of its integer.  ``_recover`` rounds the traces, and the coefficients are
-(m T^-1) y / m through the trace form (``_trace_form``), where
-T[j, i] = Tr(zeta^(i - j)) and the integer matrix m T^-1 is certified once
-per conductor by T (m T^-1) = m I.  The route follows the degree because
-the crossover does.  For F @ F^dagger of the Clifford generators (2 vCPU
-Xeon, numpy 2.4, median per call), the operator route against the
-embedding route took 53 against 78 us at d = 8 (n = 6), 101 against
-103 us at d = 16 (n = 8), 254 against 126 us at d = 24 (n = 9), 661
-against 144 us at d = 48 (n = 7) and 13.8 against 0.83 ms at d = 96
+The first depends on the shape of the right factor, not the degree.  Most
+generators of the groups here are monomial with root-of-unity entries:
+X^a, Z^b, the phase S, the CRT index permutations and every
+zeta^s X^a Z^b.  When the right factor has no leading axes and each of
+its columns holds at most one nonzero entry z^(e_j), in row k_j
+(``_monomial_columns``; the row -> exponent lookup
+``_Context.root_exponents`` is built on first use), column j of x @ y is
+column k_j of x times z^(e_j) (``_monomial_matmul``): a gather of x's
+columns when every e_j is 0, and otherwise one batched product against
+the root-of-unity operators (``_root_operators``),
+x z^e = x @ powers[(i + e) mod m].  Other scalars, such as 2 zeta or
+1 + zeta, take the routes below.  The dimension-26 CRT alignment,
+P X_26 P^dagger against X_2 (x) X_13 at m = 312, is then three gathers
+and builds no field table: in process it fell from 16-21 to 7-8 ms (2
+vCPU Xeon, numpy 2.4, OPENBLAS_NUM_THREADS=1).  Per call, best of 15
+rounds, against the route taken before: F X took 15 against 31 us at
+n = 6 (d = 8), 19 against 99 us at n = 7 (d = 48) and 0.10 against
+1.9 ms at n = 26 (d = 96); F Z took 30 against 30 us, 47 against 101 us
+and 0.71 against 1.9 ms.  Recognizing a dense factor and passing it on
+costs about 3 us.
+
+Otherwise, from d >= 24 on, a product of integer arrays runs in the
+complex embedding when an a-priori bound holds (``_embedded_matmul``),
+with one evaluator, one bound and one recovery that the Gram kernel and
+the squared norm of ``rays`` share.  ``_embed`` evaluates each entry at
+one embedding per conjugate pair in real arithmetic and returns its l1
+norm, the sum of its |coefficients|.  ``_eps_d`` is the bound, derived
+there: with |sigma_k(z_ij)| <= S_ij = sum_t l1(x_it) l1(y_tj),
+eps d max S < 1/2, eps = 16 delta + 16 u (d + K), keeps every trace
+Tr(z zeta^-j) within 1/2 of its integer.  ``_recover`` rounds the traces,
+and the coefficients are (m T^-1) y / m through the trace form
+(``_trace_form``), where T[j, i] = Tr(zeta^(i - j)) and the integer
+matrix m T^-1, spread from the block of rad(m) with no LAPACK call, is
+certified once per conductor by T (m T^-1) = m I.  The route follows the
+degree because the crossover does.  For F @ F^dagger of the Clifford
+generators (2 vCPU Xeon, numpy 2.4, median per call), the operator route
+against the embedding route took 53 against 78 us at d = 8 (n = 6), 101
+against 103 us at d = 16 (n = 8), 254 against 126 us at d = 24 (n = 9),
+661 against 144 us at d = 48 (n = 7) and 13.8 against 0.83 ms at d = 96
 (n = 13).
 
 Every other product, below d = 24 or past the bound, runs the flat left
@@ -43,14 +65,15 @@ The blocks come from ``_multiplier``, which applies the kernel's bound a
 priori: its right operand is the conductor's multiplication table, kept
 once as float64 with its largest entry T, so max|w| * T * phi(m) < 2**53
 is checked without converting or scanning the table.  When at least half
-of the entries are zero (a permutation, a diagonal, a monomial factor),
-only the nonzero ones are multiplied; the multiplier of 0 is 0, so this
-is exact.  The same budget sizes the Gram tiles of ``rays`` and the
-emission chunks of ``states``.  Results are content-reduced by one batch
-canonicalizer, the only place where coefficients are narrowed to int64; a
-coefficient that does not fit raises CoefficientOverflowError.  The
-inverses of a batch, of the leads it is divided by or of Gram weights,
-come from ``_batch_inverse``, once per distinct row.
+of the entries are zero (a monomial factor that the first route does not
+take, the operator of a closure generator), only the nonzero ones are
+multiplied; the multiplier of 0 is 0, so this is exact.  The same budget
+sizes the Gram tiles of ``rays`` and the emission chunks of ``states``.
+Results are content-reduced by one batch canonicalizer, the only place
+where coefficients are narrowed to int64; a coefficient that does not fit
+raises CoefficientOverflowError.  The inverses of a batch, of the leads
+it is divided by or of Gram weights, come from ``_batch_inverse``, once
+per distinct row.
 
 Breadth-first closure has one engine, and needs an exact finiteness
 certificate; without one a closure raises UncertifiedGeneratorsError.
@@ -351,7 +374,11 @@ def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
     """Exact field product of coefficient arrays (..., r, K, d) @ (..., K, c, d)
     -> (..., r, c, d); the leading axes broadcast.
 
-    From d = phi(m) >= ``_EMBED_DEGREE`` on, a product with
+    A right factor (K, c, d) with no leading axes whose columns each hold
+    at most one nonzero entry, a root of unity, is monomial: its product is
+    a gather of x's columns and a root-of-unity operator per column
+    (``_monomial_matmul``).  Otherwise, from d = phi(m) >= ``_EMBED_DEGREE``
+    on, a product with
     ``_eps_d(d, K)`` max S < 1/2 runs in the complex embedding
     (``_embedded_matmul``), S read from the l1 norms of ``_embed``; an
     entry past 2**53 fails that bound.  Every other product runs against
@@ -359,11 +386,78 @@ def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
     The degree threshold is the measured crossover (module docstring).
     """
     m, d = ctx.m, ctx.degree
+    if y.ndim == 3 and y.size:
+        columns = _monomial_columns(y, ctx)
+        if columns is not None:
+            return _monomial_matmul(x, *columns, ctx)
     if d >= _EMBED_DEGREE:
         (ex, lx), (ey, ly) = _embed(x, m), _embed(y, m)
         if _eps_d(d, x.shape[-2]) * np.matmul(lx, ly).max(initial=0.0) < 0.5:
             return _embedded_matmul(ex, ey, ctx)
     return _operator_matmul(x, y, ctx)
+
+
+def _root_operators(exponents: np.ndarray, ctx) -> np.ndarray:
+    """(b, d, d) float64: the multiplication matrices of z^k for the
+    exponents k (b,), integers below ``ctx.roots``' bound.
+
+    Row i of the one of k holds z^(i + k), a gather of the reduction rows,
+    so e @ [k] is e z^k = sum_i e_i z^(i + k) for a coefficient row e.
+    """
+    d = ctx.degree
+    return ctx.roots[0][(np.arange(d) + exponents[:, None]) % ctx.m]
+
+
+def _monomial_columns(y: np.ndarray, ctx):
+    """(rows (c,), exponents (c,)) when each column j of a right factor
+    (K, c, d) holds at most one nonzero entry, at row k_j, equal to
+    z^(e_j) (``_Context.root_exponents``); a zero column has e_j = -1.
+    None when a column holds two nonzero entries or another scalar."""
+    support = (y != 0).any(axis=-1) if y.dtype == object else y.any(axis=-1)
+    nonzero = np.count_nonzero(support)
+    if nonzero > support.shape[1]:
+        return None
+    rows = support.argmax(axis=0)
+    exponents = ctx.root_exponents(y[rows, np.arange(len(rows))])
+    # a column adds one to each count when its one nonzero entry is a root
+    # of unity, and more to the first when it holds two
+    if np.count_nonzero(exponents >= 0) != nonzero:
+        return None
+    return rows, exponents
+
+
+def _monomial_matmul(x: np.ndarray, rows, exponents, ctx) -> np.ndarray:
+    """x @ y for a monomial right factor y (``_monomial_columns``): column j
+    of the product is column k_j of x times z^(e_j), exactly.
+
+    When every e_j is 0 or -1 (a permutation, the 0/1 factor of ``kron``)
+    the product is a gather of x's columns, zero for a zero column of y.
+    Otherwise the gathered columns go through one batched
+    (c, N, d) @ (c, d, d) product against ``_root_operators``, N the rows
+    of x with its leading axes, and the operator of a zero column is zero.
+    The operators' largest entry is known (``_Context.roots``), so the
+    kernel's bound max|x| * T * d < 2**53 is checked without scanning
+    them, as ``_table_product`` does: float64 under it, Python integers
+    through ``_exact_matmul`` past it.  A gather keeps x's dtype; the
+    product is int64 or Python integers.
+    """
+    zero = exponents < 0 if exponents.min() < 0 else None
+    if exponents.max() <= 0:
+        out = x[..., rows, :]
+        if zero is not None:
+            out[..., zero, :] = 0
+        return out
+    cols = x.swapaxes(0, -2)[rows]  # (c, r, ..., d)
+    ops = _root_operators(exponents, ctx)
+    if zero is not None:
+        ops[zero] = 0
+    # BLAS wants C order, which a gather from a swapped view need not have
+    flat = np.ascontiguousarray(cols).reshape(len(rows), -1, ctx.degree)
+    if max(_max_abs(flat), 1) * ctx.roots[1] * ctx.degree < _FLOAT_EXACT:
+        prod = _float_matmul(flat, ops)
+    else:
+        prod = _exact_matmul(flat, ops)
+    return np.ascontiguousarray(prod.reshape(cols.shape).swapaxes(0, -2))
 
 
 def _embedded_matmul(ex: np.ndarray, ey: np.ndarray, ctx) -> np.ndarray:
@@ -434,9 +528,12 @@ def _trace_form(m: int):
     mu(q) phi(m) / phi(q), q = m / gcd(r, m).  inverse = m T^-1 is
     integral, as the trace dual of Z[zeta_m] lies in (1/m) Z[zeta_m] (the
     different divides m; Washington, *Introduction to Cyclotomic Fields*,
-    ch. 2): one LAPACK inverse of T, scaled by m and rounded, and certified
-    by the exact T @ inverse == m I, which raises ArithmeticError when it
-    fails.  That inverse is the only floating step of the exact tables.
+    ch. 2).  With r = rad(m) and s = m / r, Tr(z^k) is 0 unless s | k
+    (mu(q) = 0 otherwise), and Tr(z^(s k)) = s Tr_r(zeta_r^k), so
+    T = s (T_r (x) I_s) and inverse = (r T_r^-1) (x) I_s: only the
+    phi(r) x phi(r) block is inverted, exactly (``_scaled_inverse``).  The
+    exact T @ inverse == m I certifies it, and raises ArithmeticError when
+    it fails.
     """
     d = _context(m).degree
     units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
@@ -447,13 +544,33 @@ def _trace_form(m: int):
     q = m // np.gcd((np.arange(d) - np.arange(d)[:, None]) % m, m)
     tr = [_mobius(k) * d // euler_phi(k) if m % k == 0 else 0 for k in range(1, m + 1)]
     t = np.array(tr)[q - 1]  # t[j, i] = Tr(z^(i - j)), which is tr[q - 1]
-    with np.errstate(invalid="ignore"):  # a value past int64 fails the certificate
-        inverse = np.rint(m * np.linalg.inv(t)).astype(np.int64)
+    r = math.prod(_factorize(m))
+    block = _scaled_inverse(t[:: m // r, :: m // r] // (m // r), r)
+    inverse = np.kron(block, np.eye(m // r, dtype=np.int64))
     if not np.array_equal(_exact_matmul(t, inverse), m * np.eye(d, dtype=np.int64)):
         raise ArithmeticError(f"m T^-1 is not integral for m = {m}")
     for table in (embed, trace, inverse):  # shared by every caller
         table.setflags(write=False)
     return embed, trace, inverse
+
+
+def _scaled_inverse(t: np.ndarray, k: int) -> np.ndarray:
+    """k T^-1 for an invertible integer matrix T with k T^-1 integral and
+    of entries below P / 2 in size, P = 2**31 - 1 a prime dividing neither
+    k nor det T: Gauss-Jordan mod P in int64 (every product of residues is
+    below 2**62), lifted to the residues of least size.  Only the caller's
+    exact check T (k T^-1) = k I certifies it."""
+    p, d = (1 << 31) - 1, len(t)
+    a = np.hstack((t % p, k * np.eye(d, dtype=np.int64) % p))
+    for col in range(d):
+        pivot = col + int(np.flatnonzero(a[col:, col])[0])
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
+        factor = a[:, col].copy()
+        factor[col] = 0
+        a = (a - np.outer(factor, a[col]) % p) % p
+    inverse = a[:, d:]
+    return np.where(inverse > p // 2, inverse - p, inverse)
 
 
 def _recover(re: np.ndarray, m: int, im: np.ndarray | None = None) -> np.ndarray:
@@ -745,16 +862,6 @@ def _diagonal_rows(entries: np.ndarray, m: int) -> UMatrix:
     return UMatrix._from_canonical(n, m, num, 1)
 
 
-def _omega_operators(n: int, m: int) -> np.ndarray:
-    """(n, d, d): the multiplication matrices of omega^k, omega = z^(m / n).
-
-    Row i of the k-th holds z^i omega^k = z^(i + k m / n), a gather of the
-    reduction rows, so e @ [k] is e omega^k for a coefficient row e.
-    """
-    d = _context(m).degree
-    return _context(m).powers[(np.arange(d) + (m // n) * np.arange(n)[:, None]) % m]
-
-
 def wh_generators(n: int, m: int | None = None):
     """(tau, X, Z): phase, cyclic shift and clock matrix for dimension n.
 
@@ -772,14 +879,16 @@ def wh_generators(n: int, m: int | None = None):
 def fourier_matrix(n: int, m: int | None = None) -> UMatrix:
     """Discrete Fourier matrix (1/sqrt(n)) * omega^(ij), exactly.
 
-    The numerators sqrt(n) omega^k, k < n, are one batched product of
-    sqrt(n) against the ``_omega_operators``, over the denominator n.
+    The numerators sqrt(n) omega^k, k < n, omega = z^(m / n), are one
+    batched product of sqrt(n) against ``_root_operators``, over the
+    denominator n.
     """
     m = _working_conductor(n, m)
     root = sqrt_embed(n, m)
     if root.den != 1:
         raise AssertionError("sqrt(n) should be an algebraic integer")
-    scaled = _exact_matmul(_int_array([root.num]), _omega_operators(n, m))[:, 0]
+    omegas = _root_operators((m // n) * np.arange(n), _context(m))
+    scaled = _exact_matmul(_int_array([root.num]), omegas)[:, 0]
     return UMatrix(n, m, scaled[np.outer(np.arange(n), np.arange(n)) % n], n)
 
 
@@ -1062,13 +1171,14 @@ def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
     compared with e_0 omega^(b j).  The entries share one denominator, so
     they compare as integer rows, and multiplying by omega^k = z^s is a
     gather: e z^s = sum_i e_i z^(i + s) takes rows i + s of the reduction
-    table (``_omega_operators``).  The scalar is e_0, since
+    table (``_root_operators``).  The scalar is e_0, since
     (X^a Z^b)[a, 0] = 1, and s is the row of the reduction table that it
-    equals; a scalar that is no m-th root of unity gives None.  A unitary
+    equals (``_Context.root_exponents``); a scalar that is no m-th root of
+    unity gives None.  A unitary
     conjugate of X or Z never has one: its n-th power is I, so c^n is a
     root of unity, and the roots of unity of Q(zeta_m) are mu_m for even m.
     """
-    n, m = mat.dim, mat.m
+    n, m, ctx = mat.dim, mat.m, _context(mat.m)
     support = mat.num.any(axis=2)
     a = int(np.argmax(support[:, 0]))
     cols = np.arange(n)
@@ -1078,14 +1188,15 @@ def _weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
         return None
     # (X^a Z^b)[j + a, j] = omega^(b j), omega = z^(m / n)
     entries = mat.num[(cols + a) % n, cols]
-    powers = _exact_matmul(entries[:1], _omega_operators(n, m))[:, 0]  # e_0 omega^k
+    omegas = _root_operators((m // n) * cols, ctx)
+    powers = _exact_matmul(entries[:1], omegas)[:, 0]  # e_0 omega^k
     hits = np.flatnonzero((powers == entries[1 % n]).all(axis=1))
     if not hits.size or not (powers[hits[0] * cols % n] == entries).all():
         return None
-    phase = np.flatnonzero((_context(m).powers == entries[0]).all(axis=1))
-    if mat.den != 1 or not phase.size:
+    phase = int(ctx.root_exponents(entries[:1])[0])
+    if mat.den != 1 or phase < 0:
         return None
-    return a, int(hits[0]), int(phase[0])
+    return a, int(hits[0]), phase
 
 
 def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
@@ -1104,19 +1215,6 @@ def _symplectic_order(a: int, b: int, c: int, d: int, n: int) -> int | None:
         )
         k += 1
     return k
-
-
-def _times_weyl(g: UMatrix) -> tuple[UMatrix, UMatrix]:
-    """(g X, g Z) without a field product.
-
-    (g X)[i, j] = g[i, j + 1], a cyclic shift of the columns, and
-    (g Z)[i, j] = g[i, j] omega^j: column j against the j-th of the
-    ``_omega_operators``, batched over the columns.
-    """
-    n, m = g.dim, g.m
-    cols = _exact_matmul(g.num.transpose(1, 0, 2), _omega_operators(n, m))
-    gx = UMatrix(n, m, np.roll(g.num, -1, axis=1), g.den)
-    return gx, UMatrix(n, m, cols.transpose(1, 0, 2), g.den)
 
 
 def _certified_images(gens: list[UMatrix], names) -> np.ndarray:
@@ -1145,10 +1243,11 @@ def _certified_images(gens: list[UMatrix], names) -> np.ndarray:
     if m % (2 * n):
         fail(names[0], f"conductor {m} is not a multiple of {2 * n}")
     weyl = "is not a scalar times X^a Z^b"
+    _, x, z = wh_generators(n, m)
     images = []
     for g, name in zip(gens, names):
         g_dag = g.dagger()
-        gx, gz = _times_weyl(g)
+        gx, gz = g @ x, g @ z  # both on the monomial route
         image_x = _weyl_exponents(gx @ g_dag)
         if image_x is None:
             fail(name, f"conjugate of X {weyl}")

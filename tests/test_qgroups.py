@@ -741,9 +741,9 @@ LEADS = [((), ()), ((2,), ()), ((), (2,)), ((2, 1), (3,)), ((1,), (2, 1))]
 class RouteRecorder:
     """Records which route each _field_matmul takes."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, names=("_operator_matmul", "_embedded_matmul")):
         self.routes = []
-        for name in ("_operator_matmul", "_embedded_matmul"):
+        for name in names:
             real = getattr(qgroups, name)
 
             def record(*args, real=real, name=name):
@@ -797,13 +797,14 @@ class TestEmbeddingRoute:
         assert np.array_equal(out, want)
 
     def test_object_factors_take_the_operator_route(self, monkeypatch):
+        # y = 2 zeta is no root of unity, so it takes no monomial route
         ctx = _context(168)
         x = _int_array([[[1 << 70] + [0] * 47]])
-        y = _int_array([[[0, 1] + [0] * 46]])
+        y = _int_array([[[0, 2] + [0] * 46]])
         recorder = RouteRecorder(monkeypatch)
         out = _field_matmul(x, y, ctx)
         assert recorder.routes == ["_operator_matmul"]
-        assert out.dtype == object and out[0, 0, 1] == 1 << 70
+        assert out.dtype == object and out[0, 0, 1] == 1 << 71
 
     def test_int64_minimum_takes_the_operator_route(self, monkeypatch):
         # |-2**63| does not fit int64, so its l1 must be taken in float64
@@ -841,6 +842,154 @@ class TestEmptyOperands:
         embedded = qgroups._embedded_matmul(qgroups._embed(x, m)[0], qgroups._embed(y, m)[0], ctx)
         for out in (qgroups._operator_matmul(x, y, ctx), embedded, _field_matmul(x, y, ctx)):
             assert out.shape == want.shape and np.array_equal(out, want)
+
+
+ROUTES = ("_monomial_matmul", "_operator_matmul", "_embedded_matmul")
+
+
+def monomial(n: int, m: int, rows, exponents) -> np.ndarray:
+    """(n, len(rows), phi(m)) with z^(exponents[j]) at row rows[j] of column
+    j, and column j zero where exponents[j] is None."""
+    out = np.zeros((n, len(rows), _context(m).degree), dtype=np.int64)
+    for j, (row, e) in enumerate(zip(rows, exponents)):
+        if e is not None:
+            out[row, j] = _context(m).powers[e % m]
+    return out
+
+
+class TestMonomialRoute:
+    """A right factor with no leading axes and at most one root of unity
+    per column takes the monomial route: gathers and root-of-unity
+    operators, against the operator route and entrywise Cyclotomic
+    arithmetic.  Other factors take the old routes."""
+
+    MS = [24, 104, 168, 312]
+
+    def check(self, x, y, m, monkeypatch, oracle=True):
+        ctx = _context(m)
+        with monkeypatch.context() as patch:
+            recorder = RouteRecorder(patch, ROUTES)
+            out = _field_matmul(x, y, ctx)
+        assert recorder.routes == ["_monomial_matmul"]
+        want = qgroups._operator_matmul(x, y, ctx)
+        assert out.shape == want.shape
+        assert np.array_equal(out.astype(object), want.astype(object))
+        if oracle:
+            assert np.array_equal(out.astype(object), oracle_field_matmul(x, y, m))
+        return out
+
+    @pytest.mark.parametrize("m", MS)
+    def test_permutations_signs_zero_columns_and_phases(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        d, n = _context(m).degree, 5
+        x = rng.integers(-9, 10, size=(3, n, d))
+        perm = rng.permutation(n)
+        cases = [
+            monomial(n, m, perm, [0] * n),  # a permutation: a gather
+            monomial(n, m, perm, rng.choice([0, m // 2], n)),  # signed
+            monomial(n, m, perm, [0, None, 0, None, 0]),  # zero columns
+            monomial(n, m, perm, [None] * n),  # the zero matrix
+            monomial(n, m, perm, rng.integers(0, m, n)),  # any roots
+            monomial(n, m, perm, [m - 1, None, 1, m // 2, 5]),
+        ]
+        for y in cases:
+            self.check(x, y, m, monkeypatch)
+        # leading axes on the left only
+        self.check(rng.integers(-9, 10, size=(2, 1, 3, n, d)), cases[-1], m, monkeypatch)
+
+    @pytest.mark.parametrize("m", MS + [120])
+    def test_diagonal_s_and_every_weyl_matrix(self, m, monkeypatch):
+        # every X^a Z^b for each n = 3..7 with 2 n | m (n = 5 at m = 120),
+        # times zeta^s for s = 0, 1, m / 2, m - 1 and one s drawn per m;
+        # test_kron_shape meets every root of unity
+        ctx = _context(m)
+        rng = np.random.default_rng(m)
+        phases = [0, 1, m // 2, m - 1, int(rng.integers(m))]
+        for n in range(3, 8):
+            if m % (2 * n):
+                continue
+            _, xw, zw = wh_generators(n, m)
+            x = rng.integers(-9, 10, size=(2, n, ctx.degree))
+            self.check(x, s_matrix(n, m).num, m, monkeypatch)
+            for a in range(n):
+                for b in range(n):
+                    weyl = xw.matpow(a) @ zw.matpow(b)
+                    for s in phases:
+                        y = weyl.scale(zeta(m, s)).num
+                        self.check(x, y, m, monkeypatch, oracle=(a, s) == (1, 1))
+
+    @pytest.mark.parametrize("m", MS)
+    def test_kron_shape(self, m, monkeypatch):
+        # kron multiplies (n^2, 1, d) by (1, k^2, d): K = 1
+        rng = np.random.default_rng(m)
+        d = _context(m).degree
+        x = rng.integers(-9, 10, size=(7, 1, d))
+        for exponents in ([0, None, None, 0], [1, None, m // 2, m - 3], [None] * 4):
+            self.check(x, monomial(1, m, [0] * 4, exponents), m, monkeypatch)
+        # every root of unity of Q(zeta_m), one per column
+        every = monomial(1, m, [0] * m, range(m))
+        self.check(x[:2], every, m, monkeypatch, oracle=m == 24)
+        _, x2, z2 = wh_generators(2, m)
+        recorder = RouteRecorder(monkeypatch, ROUTES)
+        got = kron(z2, x2)
+        assert recorder.routes == ["_monomial_matmul"]
+        assert got == UMatrix.from_entries(
+            [[z2.entry(i, j) * x2.entry(k, l) for j in range(2) for l in range(2)]
+             for i in range(2) for k in range(2)],
+            m,
+        )
+
+    @pytest.mark.parametrize("m", MS)
+    def test_object_left_operand_past_2_63(self, m, monkeypatch):
+        d = _context(m).degree
+        x = np.zeros((2, 3, d), dtype=object)
+        x[0, 1, :3] = [1 << 70, -(1 << 64) - 1, 3]
+        x[1, 2, d - 1] = -(1 << 65)
+        y = monomial(3, m, [1, 2, 0], [7, m // 2, None])
+        out = self.check(x, y, m, monkeypatch)
+        assert out.dtype == object
+        gather = monomial(3, m, [2, 1, 1], [0, 0, None])
+        assert self.check(x, gather, m, monkeypatch).dtype == object
+        # int64 entries past the a-priori float64 bound: Python integers
+        big = np.zeros((1, 3, d), dtype=np.int64)
+        big[0, :, 0] = [(1 << 62) - 1, -(1 << 61), 1 << 50]
+        assert self.check(big, y, m, monkeypatch).dtype == object
+
+    @pytest.mark.parametrize("m", MS)
+    def test_other_factors_take_the_old_routes(self, m, monkeypatch):
+        ctx = _context(m)
+        d = ctx.degree
+        rng = np.random.default_rng(m)
+        x = rng.integers(-9, 10, size=(2, 3, d))
+        perm = monomial(3, m, [2, 0, 1], [1, 0, 5])
+        two_zeta = perm.copy()
+        two_zeta[0, 1] = 2 * ctx.powers[1]  # 2 zeta
+        one_plus = perm.copy()
+        one_plus[0, 1] = ctx.powers[0] + ctx.powers[1]  # 1 + zeta, no root of unity
+        two_entries = perm.copy()
+        two_entries[1, 1] = ctx.powers[3]  # a second entry in column 1
+        cases = [(x, two_zeta), (x, one_plus), (x, two_entries), (x[None], perm[None])]
+        for left, right in cases:
+            recorder = RouteRecorder(monkeypatch, ROUTES)
+            out = _field_matmul(left, right, ctx)
+            monkeypatch.undo()
+            assert len(recorder.routes) == 1 and recorder.routes != ["_monomial_matmul"]
+            want = oracle_field_matmul(left, right, m)
+            assert np.array_equal(out.astype(object), want)
+
+    def test_root_exponents_read_the_reduction_rows(self):
+        for m in self.MS:
+            ctx = _context(m)
+            table, bound = ctx.roots
+            assert table.dtype == np.float64 and not table.flags.writeable
+            assert np.array_equal(table, ctx.powers) and bound == np.abs(ctx.powers).max()
+            ks = np.arange(m)
+            assert np.array_equal(ctx.root_exponents(ctx.powers[ks]), ks)
+            misses = np.stack([2 * ctx.powers[1], ctx.powers[0] + ctx.powers[1], 0 * ctx.powers[0]])
+            assert ctx.root_exponents(misses).tolist() == [-1, -1, -1]
+            big = ctx.powers[:2].astype(object)
+            big[1, 0] = 1 << 70
+            assert ctx.root_exponents(big).tolist() == [-1, -1]
 
 
 def oracle_weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
@@ -1672,6 +1821,68 @@ class TestFinitenessCertificate:
         monkeypatch.setattr(qgroups, "_FLOAT_EXACT", 2 * 72**2)
         table = clifford_group(2, projective=True)
         assert table.order == 24 and table.prime is None
+
+
+def operator_images(g: UMatrix) -> list[int]:
+    """g's Weyl images (a, b, s, c, d, u), with every product on the operator
+    route and the exponents read by the Cyclotomic oracle."""
+    n, m, ctx = g.dim, g.m, _context(g.m)
+    _, x, z = wh_generators(n, m)
+    dag = g.dagger()
+    images = []
+    for w in (x, z):
+        num = qgroups._operator_matmul(qgroups._operator_matmul(g.num, w.num, ctx), dag.num, ctx)
+        images += oracle_weyl_exponents(UMatrix(n, m, num, g.den * w.den * dag.den))
+    return images
+
+
+class TestCertifiedImages:
+    """The certificate computes g X and g Z on the monomial route: the
+    images it reads, and its messages for generators without it."""
+
+    @pytest.mark.parametrize(
+        "which,n",
+        [("clifford", n) for n in range(2, 10)] + [("wh", n) for n in (3, 4, 6)],
+    )
+    def test_images_match_the_operator_route(self, which, n, monkeypatch):
+        gens, names = named_generators(which, n)
+        recorder = RouteRecorder(monkeypatch, ROUTES)
+        images = qgroups._certified_images(gens, names)
+        monkeypatch.undo()
+        assert "_monomial_matmul" in recorder.routes
+        assert images.dtype == np.int64 and images.shape == (len(gens), 6)
+        assert images.tolist() == [operator_images(g) for g in gens]
+
+    def test_planted_generators_keep_their_messages(self):
+        from finiteqm.decomposition import _tensored_generators
+
+        def q(p, r):
+            return Cyclotomic.from_rational(24, Fraction(p, r))
+
+        c = q(3, 5) + zeta(24, 6) * Fraction(4, 5)  # |c| = 1, no root of unity
+        tensored, tensored_names = _tensored_generators(crt_split(6), 24)
+        # the circulant F diag(1, 1, -1) F^dagger commutes with X but maps
+        # Z off W_3
+        f3 = fourier_matrix(3)
+        flip = UMatrix.diagonal([Cyclotomic.one(24)] * 2 + [-Cyclotomic.one(24)], 24)
+        circulant = f3 @ flip @ f3.dagger()
+        prefix = "no finiteness certificate: generator "
+        weyl = "is not a scalar times X^a Z^b"
+        cases = [
+            ([irrational_rotation()], ("a",), f"'a': conjugate of X {weyl}"),
+            (
+                list(clifford_generators(2).values()) + [UMatrix.identity(2, 24).scale(c)],
+                ("X", "F", "S", "d"),
+                "'d': no power is a root of unity times I",
+            ),
+            (tensored, tensored_names, f"'F2': conjugate of X {weyl}"),
+            ([circulant], ("g",), f"'g': conjugate of Z {weyl}"),
+            ([UMatrix.identity(5, 24)], ("e",), "'e': conductor 24 is not a multiple of 10"),
+        ]
+        for gens, names, message in cases:
+            with pytest.raises(UncertifiedGeneratorsError) as exc:
+                qgroups._certified_images(gens, names)
+            assert str(exc.value) == prefix + message
 
 
 class TestResidueMembership:

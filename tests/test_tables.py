@@ -1,9 +1,9 @@
 """Per-conductor tables and generator matrices against scalar oracles.
 
 The library builds Phi_m as a Moebius product, the reduction rows by
-spreading the rows of rad(m), the trace form from Ramanujan sums with one
-certified LAPACK inverse, and the Weyl-Clifford generators as gathers of
-those rows.  The references here are the direct constructions: Phi_m by
+spreading the rows of rad(m), the trace form from Ramanujan sums with
+m T^-1 spread from the exact inverse of the block of rad(m) and
+certified, and the Weyl-Clifford generators as gathers of those rows.  The references here are the direct constructions: Phi_m by
 recursive exact division of x^m - 1, the rows by repeated multiplication
 by zeta, m T^-1 by Gauss-Jordan elimination, and every generator entry as
 a scalar Cyclotomic.  Each pair must agree exactly.
@@ -24,7 +24,7 @@ from finiteqm.cyclotomic import (
     sqrt_embed,
     zeta,
 )
-from finiteqm.galois import gf_build, gf_trace_int
+from finiteqm.galois import gf_build, gf_trace_int, is_prime
 from finiteqm.qgroups import (
     UMatrix,
     fourier_matrix,
@@ -208,10 +208,32 @@ class TestTraceForm:
         assert np.array_equal(inverse, gauss_jordan_inverse(t, m))
         assert np.array_equal(t @ inverse, m * np.eye(d, dtype=np.int64))
 
+    @pytest.mark.parametrize("m", [24, 72, 168, 312, 600])
+    def test_inverse_is_the_radical_block_spread(self, m, monkeypatch):
+        # m T^-1 = (r T_r^-1) (x) I_s, r = rad(m), s = m / r, built with no
+        # LAPACK call
+        r = math.prod(p for p in range(2, m + 1) if m % p == 0 and is_prime(p))
+        s = m // r
+        block = gauss_jordan_inverse(gathered_traces(r), r)
+        want = np.kron(block, np.eye(s, dtype=np.int64))
+
+        def refuse(t):
+            raise AssertionError("the trace form inverts without LAPACK")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        inverse = qgroups._trace_form.__wrapped__(m)[2]
+        assert np.array_equal(inverse, want)
+        assert np.array_equal(inverse, qgroups._trace_form(m)[2])
+
     @pytest.mark.parametrize("scale", [0.0, 1.5, 2.0**70])
     def test_a_wrong_inverse_fails_the_certificate(self, monkeypatch, scale):
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda t: scale * inv(t))
+        inner = qgroups._scaled_inverse
+
+        def wrong(t, k):
+            with np.errstate(invalid="ignore"):  # 2**70 does not fit int64
+                return (scale * inner(t, k)).astype(np.int64)
+
+        monkeypatch.setattr(qgroups, "_scaled_inverse", wrong)
         with pytest.raises(ArithmeticError, match=r"T\^-1 is not integral for m = 168"):
             qgroups._trace_form.__wrapped__(168)
 
