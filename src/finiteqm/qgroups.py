@@ -33,8 +33,10 @@ costs about 3 us.
 
 Otherwise, from d >= 24 on, a product of integer arrays runs in the
 complex embedding when an a-priori bound holds (``_embedded_matmul``),
-with one evaluator, one bound and one recovery that the Gram kernel and
-the squared norm of ``rays`` share.  ``_embed`` evaluates each entry at
+with one evaluator and one bound that the Gram kernel and the squared
+norm of ``rays`` share, and one recovery that the squared norm shares.
+The Gram kernel recovers no coefficient: it decides rationality from
+d / 2 rounded traces (``_real_traces``).  ``_embed`` evaluates each entry at
 one embedding per conjugate pair in real arithmetic and returns its l1
 norm, the sum of its |coefficients|.  ``_eps_d`` is the bound, derived
 there: with |sigma_k(z_ij)| <= S_ij = sum_t l1(x_it) l1(y_tj),
@@ -71,7 +73,12 @@ multiplied; the multiplier of 0 is 0, so this is exact.  The same budget
 sizes the Gram tiles of ``rays`` and the emission chunks of ``states``.
 Results are content-reduced by one batch canonicalizer, the only place
 where coefficients are narrowed to int64; a coefficient that does not fit
-raises CoefficientOverflowError.  The inverses of a batch, of the leads
+raises CoefficientOverflowError.  Two results skip it because they are
+canonical already: a product by a factor of denominator 1 that permutes
+the columns and multiplies each by a root of unity, and a dagger.  Both
+maps are unimodular over Z, so content and denominator do not change;
+``kron`` is still reduced, as content is not multiplicative in
+Z[zeta_m].  The inverses of a batch, of the leads
 it is divided by or of Gram weights, come from ``_batch_inverse``, once
 per distinct row.
 
@@ -385,11 +392,16 @@ def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
     right operators (``_operator_matmul``).  Both give the same integers.
     The degree threshold is the measured crossover (module docstring).
     """
-    m, d = ctx.m, ctx.degree
     if y.ndim == 3 and y.size:
         columns = _monomial_columns(y, ctx)
         if columns is not None:
             return _monomial_matmul(x, *columns, ctx)
+    return _dense_matmul(x, y, ctx)
+
+
+def _dense_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
+    """x @ y on the embedding or the operator route of ``_field_matmul``."""
+    m, d = ctx.m, ctx.degree
     if d >= _EMBED_DEGREE:
         (ex, lx), (ey, ly) = _embed(x, m), _embed(y, m)
         if _eps_d(d, x.shape[-2]) * np.matmul(lx, ly).max(initial=0.0) < 0.5:
@@ -552,6 +564,34 @@ def _trace_form(m: int):
     for table in (embed, trace, inverse):  # shared by every caller
         table.setflags(write=False)
     return embed, trace, inverse
+
+
+@lru_cache(maxsize=None)
+def _real_traces(m: int):
+    """(trace (h, h), sums (h,)) of Q(zeta_m), h the conjugate pairs of
+    embeddings: the first h rows of ``_trace_form``'s trace, so that
+    y = trace @ X holds y_j = Tr(x z^-j), 0 <= j < h, for a totally real
+    x with real embeddings X, and the Ramanujan sums t_j = Tr(z^-j), in
+    float64.
+
+    x lies in Q exactly when d y_j = y_0 t_j for 0 < j < h (the Gram
+    kernel of ``rays``).  Rounded under the bound of ``_eps_d``, every
+    y_j is an integer below 2**44, and |t_j| <= d, so both products are
+    exact in float64 while d < 2**9.  Past that the bound still keeps them
+    exact: |y_j| <= d S, and eps d S < 1/2 with eps >= 2**-49 d, so d |y_j|
+    and |y_0 t_j| stay below 2**48 + d.  The assertion checks the bound's
+    constants and the sums for that.
+    """
+    d = _context(m).degree
+    trace = _trace_form(m)[1]
+    h = trace.shape[1]
+    q = m // np.gcd(np.arange(h), m)
+    sums = np.array([_mobius(k) * d // euler_phi(k) for k in q.tolist()], float)
+    assert _eps_d(d, 0) >= 2.0**-49 * d * d and np.abs(sums).max() <= d
+    trace = np.ascontiguousarray(trace[:h])
+    for table in (trace, sums):  # shared by every caller
+        table.setflags(write=False)
+    return trace, sums
 
 
 def _scaled_inverse(t: np.ndarray, k: int) -> np.ndarray:
@@ -772,8 +812,28 @@ class UMatrix:
             raise FieldMismatchError("matrix dimension or conductor mismatch")
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
+        """The exact product; a monomial right factor (``_field_matmul``)
+        that permutes the columns and multiplies each by a root of unity
+        keeps the left factor's content and denominator, as z^e is a unit
+        over Z, so when it has denominator 1 its int64 product is
+        canonical and is not reduced again."""
         self._check(other)
-        out = _field_matmul(self.num, other.num, _context(self.m))
+        ctx = _context(self.m)
+        columns = _monomial_columns(other.num, ctx)
+        if columns is None:
+            out = _dense_matmul(self.num, other.num, ctx)
+        else:
+            out = _monomial_matmul(self.num, *columns, ctx)
+            rows, exponents = columns
+            if (
+                other.den == 1
+                and out.dtype == np.int64
+                and exponents.min() >= 0
+                and np.bincount(rows).max() == 1
+            ):
+                return UMatrix._from_canonical(
+                    self.dim, self.m, np.ascontiguousarray(out), self.den
+                )
         return UMatrix(self.dim, self.m, out, self.den * other.den)
 
     def matpow(self, k: int) -> "UMatrix":
@@ -790,8 +850,14 @@ class UMatrix:
         return result
 
     def dagger(self) -> "UMatrix":
-        conj = _conj(self.num, _context(self.m))
-        return UMatrix(self.dim, self.m, np.transpose(conj, (1, 0, 2)), self.den)
+        """The conjugate transpose; conjugation is its own inverse over Z,
+        so an int64 conjugate keeps the content and is not reduced again."""
+        conj = np.transpose(_conj(self.num, _context(self.m)), (1, 0, 2))
+        if conj.dtype == np.int64:
+            return UMatrix._from_canonical(
+                self.dim, self.m, np.ascontiguousarray(conj), self.den
+            )
+        return UMatrix(self.dim, self.m, conj, self.den)
 
     def scale(self, c: Cyclotomic) -> "UMatrix":
         if c.m != self.m:

@@ -16,15 +16,29 @@ amplitudes as ``Cyclotomic`` values.
   (``_eps_d``) holds, and taken by field products elsewhere.  The Gram
   kernel and the candidate stage of ``states`` call it.
 * ``first_irrational`` and ``probabilities`` run one Gram kernel.  A
-  transition probability is |<a|b>|^2 w_a w_b on numerators, with
+  transition probability is x = |<a|b>|^2 w_a w_b on numerators, with
   w = 1 / |num|^2 inverted by ``_batch_inverse``; each tile of pairs forms
-  it in floating point from the embeddings that ``_norm_sq`` read, and
-  its exact coefficients come back through ``_recover`` under the same
-  bound, or else from ``_field_matmul`` products.  The product is totally
-  real, so it has no imaginary parts to recover.  When the column set is
-  the row set (the same object: ``verify_requirements``, ``verify_mub``,
-  the orbit MUB extraction), only the upper triangle of tiles is formed
-  and mirrored.
+  x in floating point from the embeddings that ``_norm_sq`` read.  x is a
+  totally real algebraic integer, and under the same bound its traces
+  y_j = Tr(x z^-j) round to integers.  The tile decides each pair from
+  h = phi(m) / 2 of them and recovers no coefficient: with the Ramanujan
+  sums t_j = Tr(z^-j), x is rational exactly when d y_j = y_0 t_j for
+  0 < j < h, and then x = y_0 / d, because the trace form is
+  nondegenerate on the real subfield (Washington, *Introduction to
+  Cyclotomic Fields*, ch. 2; the argument is in ``_gram_tiles``).  A tile
+  past the bound reads the same verdict from ``_field_matmul`` products.
+  When the column set is the row set (the same object:
+  ``verify_requirements``, ``verify_mub``, the orbit MUB extraction),
+  only the upper triangle of tiles is formed and mirrored.
+
+  Against recovering all phi(m) coefficients through m T^-1 per tile (a
+  d x d integer product, its bound scans, int64 casts, divisions by m),
+  on 2 vCPU Xeon with numpy 2.4.6 and one BLAS thread (default threads in
+  brackets): the literal check of the 8805 d3s2 states took 1.39-1.43 s
+  against 4.34-4.54 s (1.43-1.50 against 4.39-4.60 s), ``cqs --dim 3
+  --steps 2`` 3.6 against 7.5 s (3.3 against 6.7 s), and ``cqs --dim 2
+  --steps 3`` 54.2 against 95.2 s (55.2 against 106.3 s), with the same
+  stdout.
 
 The scalar functions ``inner``, ``transition_probability`` and
 ``prob_rational`` work on ``Ray.amps`` in ``Cyclotomic`` arithmetic and
@@ -39,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, FieldMismatchError, _context, canonical_dumps
+from .cyclotomic import Cyclotomic, FieldMismatchError, _context
 from .qgroups import (
     _GRAM_BUDGET,
     UMatrix,
@@ -51,6 +65,7 @@ from .qgroups import (
     _eps_d,
     _field_matmul,
     _int_array,
+    _real_traces,
     _recover,
     _scalar_canonical_batch,
 )
@@ -194,9 +209,17 @@ class Ray:
         return cls(amps)
 
     def key(self) -> str:
-        """Byte-stable sort key for deterministic set orderings."""
+        """Byte-stable sort key for deterministic set orderings: the text of
+        ``canonical_dumps(self.to_json())``, written without JSON.  Each
+        coefficient v is "p/q" for v / den in lowest terms, 0 as "0/1"."""
         if self._key is None:
-            self._key = canonical_dumps(self.to_json())
+            den, gcd = self.den, math.gcd
+            rows = [
+                ",".join([f'"{v // (g := gcd(v, den))}/{den // g}"' for v in row])
+                for row in self.num.tolist()
+            ]
+            amps = ",".join(['{"c":[' + row + f'],"m":{self.m}}}' for row in rows])
+            self._key = f'{{"amps":[{amps}],"dim":{self.dim}}}'
         return self._key
 
 
@@ -300,12 +323,16 @@ def _gram_side(rays, ctx):
     o = np.argsort(size, kind="stable")
     w = slot[o]
     dens = inv_dens[slot].tolist()
-    return o, nums[o], emb[:, o], inv_nums[w], wemb[: len(emb), w], dens, size[o]
+    # C order for the tiles' products, which a gather on axis 1 need not give
+    emb, wemb = (np.ascontiguousarray(a) for a in (emb[:, o], wemb[: len(emb), w]))
+    return o, nums[o], emb, inv_nums[w], wemb, dens, size[o]
 
 
-def _exact_tile(a, b, wa, wb, ctx) -> np.ndarray:
-    """(R, C, d) coefficients of |<a|b>|^2 wa wb by generic field products:
-    <a|b>, then times its conjugate in chunks of the budget, then wa, wb."""
+def _exact_tile(a, b, wa, wb, ctx):
+    """(irrational, lead), each (R, C), of x = |<a|b>|^2 wa wb by generic
+    field products: <a|b>, then times its conjugate in chunks of the
+    budget, then wa, wb.  x is rational when its coefficients 1.. vanish,
+    and its lead is coefficient 0."""
     r, c, d = len(a), len(b), ctx.degree
     ip = _field_matmul(_conj(a, ctx), b.transpose(1, 0, 2), ctx).reshape(-1, 1, 1, d)
     step = max(1, _GRAM_BUDGET // (d * d))
@@ -313,22 +340,38 @@ def _exact_tile(a, b, wa, wb, ctx) -> np.ndarray:
     # int64 parts join an object part as Python integers
     sq = np.concatenate([_field_matmul(p, _conj(p, ctx), ctx) for p in parts])
     sq = _field_matmul(sq.reshape(r, c, 1, d), wa[:, None, None], ctx)
-    return _field_matmul(sq[:, :, None], wb[:, None, None], ctx).reshape(r, c, d)
+    prod = _field_matmul(sq[:, :, None], wb[:, None, None], ctx).reshape(r, c, d)
+    return (prod[..., 1:] != 0).any(axis=2), prod[..., 0]
 
 
 def _gram_tiles(rows, cols):
-    """Yield (ri, cj, prod, row_dens, col_dens) over tiles of rows x cols.
+    """Yield (ri, cj, irrational, lead, row_dens, col_dens) over tiles of
+    rows x cols.
 
-    prod[:, i, j] holds the coefficients of x = |<a|b>|^2 wnum_a wnum_b
-    (``_gram_side``) for a = rows[ri[i]], b = cols[cj[j]]; the probability
-    is prod[0, i, j] / (row_dens[ri[i]] col_dens[cj[j]]) when coefficients
-    1.. vanish, else irrational.  Rays go in ascending size, so large ones
-    fail the bound below in their own tiles only.  A tile is ``_TILE_ROWS``
-    rows by the columns that fill max(1, _GRAM_BUDGET // d) pairs; when
-    cols is rows, it takes the columns from its first row's position on.
-    x is totally real, its embeddings |sigma_k(<a|b>)|^2 times those of the
-    weights, with conj(a) b = (ar br + ai bi) + i (ar bi - ai br): two real
-    products per embedding, (h, R, 2n) @ (h, 2n, C).
+    For a = rows[ri[i]], b = cols[cj[j]] and x = |<a|b>|^2 wnum_a wnum_b
+    (``_gram_side``), irrational[i, j] says x is not rational; otherwise x
+    is the integer lead[i, j] and the probability is
+    lead[i, j] / (row_dens[ri[i]] col_dens[cj[j]]).  Rays go in ascending
+    size, so large ones fail the bound below in their own tiles only.  A
+    tile is ``_TILE_ROWS`` rows by the columns that fill
+    max(1, _GRAM_BUDGET // d) pairs; when cols is rows, it takes the
+    columns from its first row's position on.  x is totally real, its
+    embeddings |sigma_k(<a|b>)|^2 times those of the weights, with
+    conj(a) b = (ar br + ai bi) + i (ar bi - ai br): two real products per
+    embedding, (h, R, 2n) @ (h, 2n, C).
+
+    The verdict reads h = d / 2 rounded traces y_j = Tr(x z^-j), one
+    (h, h) @ (h, R C) product with the table of ``_real_traces``, and no
+    coefficient: with the Ramanujan sums t_j = Tr(z^-j), x is rational
+    exactly when d y_j = y_0 t_j for 0 < j < h.  If x = q is rational,
+    y_j = q t_j.  Conversely, x - y_0 / d lies in the real subfield K+ and
+    is trace-orthogonal to every z^j + z^-j, 0 <= j < h (for real w,
+    Tr(w z^-j) = Tr(w z^j), a trace being invariant under conjugation);
+    those form a basis of K+, as z^j + z^-j is monic of degree j in
+    z + z^-1, and the trace form is nondegenerate on K+, so it is 0.  x is
+    an algebraic integer, so a rational x is the integer y_0 / d, and a
+    remainder raises ArithmeticError.  Every product is exact in float64
+    (``_real_traces``).
 
     The bound is that of ``_eps_d`` for K = n, with S = size(a) size(b)
     bounding |sigma_k(x)|: to sigma_k(<a|b>), off by 2 e1 + sqrt2 gamma_2n
@@ -348,6 +391,7 @@ def _gram_tiles(rows, cols):
             raise FieldMismatchError("rays of different dimension or conductor")
     ctx = _context(m)
     d = ctx.degree
+    trace, sums = _real_traces(m)
     ro, rn, remb, rw, rwemb, row_dens, rsize = row = _gram_side(rows, ctx)
     col = row if symmetric else _gram_side(cols, ctx)
     co, cn, cemb, cw, cwemb, col_dens, csize = col
@@ -359,12 +403,24 @@ def _gram_tiles(rows, cols):
         for j0 in range(i0 if symmetric else 0, len(cols), c):
             i, j = slice(i0, i0 + r), slice(j0, j0 + c)
             if _eps_d(d, n) * rsize[i].max() * csize[j].max() < 0.5:
-                x = (remb[:, i] @ cre[:, :, j]) ** 2 + (remb[:, i] @ cim[:, :, j]) ** 2
-                x *= rwemb[:, i, None] * cwemb[:, None, j]
-                prod = _recover(x.reshape(len(x), -1), m).reshape(d, *x.shape[1:])
+                # in place: the elementwise passes cost more than the products
+                x, im = remb[:, i] @ cre[:, :, j], remb[:, i] @ cim[:, :, j]
+                x *= x
+                im *= im
+                x += im
+                x *= rwemb[:, i, None]
+                x *= cwemb[:, None, j]
+                y = np.rint(trace @ x.reshape(len(x), -1)).reshape(x.shape)
+                irrational = (d * y[1:] != sums[1:, None, None] * y[0]).any(axis=0)
+                lead = y[0] / d
+                if (np.rint(lead) != lead)[~irrational].any():
+                    raise ArithmeticError(
+                        "the trace of a rational Gram entry is not divisible by phi(m)"
+                    )
+                lead = lead.astype(np.int64)
             else:
-                prod = _exact_tile(rn[i], cn[j], rw[i], cw[j], ctx).transpose(2, 0, 1)
-            yield ro[i], co[j], prod, row_dens, col_dens
+                irrational, lead = _exact_tile(rn[i], cn[j], rw[i], cw[j], ctx)
+            yield ro[i], co[j], irrational, lead, row_dens, col_dens
 
 
 def first_irrational(rows, cols) -> np.ndarray:
@@ -378,8 +434,7 @@ def first_irrational(rows, cols) -> np.ndarray:
     rows = list(rows)
     cols = rows if symmetric else list(cols)
     first = np.full(len(rows), len(cols), dtype=np.int64)
-    for ri, cj, prod, _, _ in _gram_tiles(rows, cols):
-        bad = (prod[1:] != 0).any(axis=0)
+    for ri, cj, bad, _, _, _ in _gram_tiles(rows, cols):
         # every tile entry is a correct verdict, so its mirror is too
         spans = [(ri, cj, bad), (cj, ri, bad.T)] if symmetric else [(ri, cj, bad)]
         for r, c, tile in spans:
@@ -401,9 +456,9 @@ def probabilities(rows, cols) -> list[list[Fraction | None]]:
     out: list[list[Fraction | None]] = [[None] * len(cols) for _ in rows]
     # values recur (0, 1 / N and 1 across an MUB set): build each once
     fraction = functools.lru_cache(maxsize=None)(Fraction)
-    for ri, cj, prod, row_dens, col_dens in _gram_tiles(rows, cols):
-        lead, ri, cj = prod[0].tolist(), ri.tolist(), cj.tolist()
-        ii, jj = np.nonzero(~(prod[1:] != 0).any(axis=0))
+    for ri, cj, irrational, lead, row_dens, col_dens in _gram_tiles(rows, cols):
+        lead, ri, cj = lead.tolist(), ri.tolist(), cj.tolist()
+        ii, jj = np.nonzero(~irrational)
         for i, j in zip(ii.tolist(), jj.tolist()):
             a, b = ri[i], cj[j]
             out[a][b] = p = fraction(lead[i][j], row_dens[a] * col_dens[b])

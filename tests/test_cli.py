@@ -267,6 +267,18 @@ def test_embedding_side_stdout_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == EMBEDDING_SIDE_SHA256[argv]
 
 
+# SHA-256 of the stdout of cqs --dim 3 --steps 2 (8805 states, whose
+# literal pairwise check covers 38.8 million pairs), recorded while the Gram
+# kernel still recovered every coefficient of each pair
+D3S2_SHA256 = "280fddcb9d5d97d8698c41a9623dd56d103be96042212f838f125051c09c5fea"
+
+
+def test_dim3_step2_stdout_pinned(capsys):
+    code, out = run(capsys, "cqs", "--dim", "3", "--steps", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D3S2_SHA256
+
+
 class TestCqs:
     def test_dim2_step1_counts(self, capsys):
         code, out = run(capsys, "cqs", "--dim", "2", "--steps", "1")

@@ -4,7 +4,8 @@ Every batched result here is compared with the scalar ``Cyclotomic``
 path: ``prob_rational`` pair by pair, an entrywise image of each ray
 under a matrix, and the loop forms of the rationality filter and of the
 pairwise and MUB checks.  The Gram kernel's embedding route is also
-compared with its exact route, forced on the same tiles.
+compared with its exact route, forced on the same tiles, and its verdict
+from h rounded traces with the full recovery of every coefficient.
 """
 
 import json
@@ -285,6 +286,26 @@ class TestArrayRay:
             back = Ray.from_json(json.loads(canonical_dumps(r.to_json())))
             assert back == r and hash(back) == hash(r) and back.key() == r.key()
             assert back.num.dtype == r.num.dtype
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([(1, 8), (2, 24), (3, 24), (2, 40)]).flatmap(
+        lambda nm: rays(*nm)))
+    def test_key_is_the_canonical_json(self, ray):
+        assert ray.key() == canonical_dumps(ray.to_json())
+
+    def test_key_with_denominators_signs_and_python_integers(self):
+        big = Cyclotomic(M2, [-(1 << 70) - 1, 3, 0, -6, 0, 0, 0, 1], 14)
+        half = Cyclotomic(M2, [-1, 0, 2, 0, 0, 0, 0, 0], 2)
+        cases = [ray_of(M2, 1, big), ray_of(M2, big, half), ray_of(M2, 0, half, 1)]
+        assert cases[0].num.dtype == object and cases[1].num.dtype == object
+        assert all(r.den > 1 and (r.num < 0).any() for r in cases)
+        for r in cases:
+            assert r.key() == canonical_dumps(r.to_json())
+
+    def test_key_on_every_d3s2_state(self):
+        states = list(generate_states(3, 2).states)
+        assert len(states) == 8805 and any(r.den > 1 for r in states)
+        assert [r.key() for r in states] == [canonical_dumps(r.to_json()) for r in states]
 
     def test_stateset_round_trip_is_byte_identical(self):
         ss = generate_states(2, 1)
@@ -609,7 +630,7 @@ class TestSymmetricGram:
         def counting(rows, cols):
             total = 0
             for tile in real(rows, cols):
-                total += tile[2].shape[1] * tile[2].shape[2]
+                total += tile[2].size
                 yield tile
             sizes[rows is cols] = total
 
@@ -836,3 +857,121 @@ class TestSquaredNorm:
         d = euler_phi(m)
         norms, emb, l1 = rays_mod._norm_sq(np.zeros((0, 2, d), dtype=np.int64), _context(m))
         assert norms.shape == (0, d) and emb.shape == (d // 2, 0, 4) and l1.shape == (0,)
+
+
+def tile_verdicts(rows, cols):
+    """(irrational, lead, formed, row_dens, col_dens) of ``_gram_tiles``,
+    each tile written back at its rows and columns; formed marks the pairs
+    that some tile holds."""
+    shape = (len(rows), len(cols))
+    irrational, formed = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    lead = np.zeros(shape, dtype=object)
+    for ri, cj, bad, top, row_dens, col_dens in rays_mod._gram_tiles(rows, cols):
+        at = np.ix_(ri, cj)
+        irrational[at], lead[at], formed[at] = bad, top, True
+    return irrational, lead, formed, row_dens, col_dens
+
+
+def recovered_verdicts(rows, cols):
+    """(irrational, lead) of every pair by full recovery: every power-basis
+    coefficient of x = |<a|b>|^2 wnum_a wnum_b through ``_recover``, from
+    the embeddings of ``_gram_side``, in input order.  Only valid under the
+    rounding bound, which the caller asserts."""
+    m = rows[0].m
+    ctx, n, d = _context(m), rows[0].dim, euler_phi(m)
+    sides = []
+    for rays in (rows, cols):
+        order, _, emb, _, wemb, _, size = rays_mod._gram_side(rays, ctx)
+        back = np.argsort(order)
+        sides.append((emb[:, back], wemb[:, back], size.max()))
+    (er, wr, sr), (ec, wc, sc) = sides
+    assert gram_eps_d(n, d) * sr * sc < 0.5
+    ect = ec.transpose(0, 2, 1)
+    re = er @ ect
+    im = er[..., :n] @ ect[:, n:] - er[..., n:] @ ect[:, :n]
+    x = (re**2 + im**2) * wr[:, :, None] * wc[:, None, :]
+    coeffs = qgroups._recover(x.reshape(len(x), -1), m).reshape(d, len(rows), len(cols))
+    return (coeffs[1:] != 0).any(axis=0), coeffs[0]
+
+
+def verdict_rays(m):
+    """Rays of dimension 2 over Q(zeta_m), 24 | m: the basis, (1, zeta^k)
+    for k whose cosines are rational and irrational, and ``planted_weights``
+    with non-unit leads and irrational squared norms."""
+    ks = [0, 1, 5, m // 12, m // 8, m // 6, m // 4, m // 3, m // 2, m - 1]
+    z8 = zeta(m, m // 8)
+    return (
+        [ontic_ray(2, 0, m), ontic_ray(2, 1, m)]
+        + [ray_of(m, 1, zeta(m, k)) for k in ks]
+        + [ray_of(m, 1, 1 + zeta(m, m // 3)), ray_of(m, 2, z8), ray_of(m, 1, 3)]
+        + planted_weights(m)
+    )
+
+
+class TestTraceVerdict:
+    """The tile's verdict from h rounded traces, against full recovery of
+    the coefficients and the scalar oracle."""
+
+    MS = [24, 48, 72, 120, 168, 216, 312]
+
+    def check(self, rows, cols, scalar, recovered=True):
+        irrational, lead, formed, row_dens, col_dens = tile_verdicts(rows, cols)
+        want = np.array([[p is None for p in row] for row in scalar])
+        assert np.array_equal(irrational[formed], want[formed])
+        rational = formed & ~irrational
+        for i, j in zip(*np.nonzero(rational)):
+            assert Fraction(lead[i, j], row_dens[i] * col_dens[j]) == scalar[i][j]
+        if recovered:
+            bad, top = recovered_verdicts(rows, cols)
+            assert np.array_equal(irrational[formed], bad[formed])
+            assert lead[rational].tolist() == top[rational].tolist()
+        return irrational, formed
+
+    @pytest.mark.parametrize("m", MS)
+    def test_symmetric_and_asymmetric_calls(self, m):
+        rays = verdict_rays(m)
+        scalar = scalar_probabilities(rays, rays)
+        assert any(p is None for row in scalar for p in row)
+        assert any(p not in (None, 0, 1) for row in scalar for p in row)
+        with exact_route() as tiles:
+            irrational, formed = self.check(rays, rays, scalar)
+            # the upper triangle in ascending size, each pair once
+            assert (formed | formed.T).all() and formed.sum() < formed.size
+            irrational, formed = self.check(rays, list(rays), scalar)
+            assert formed.all() and irrational.any() and not irrational.all()
+            rows = rays[2:9]
+            self.check(rows, rays, scalar_probabilities(rows, rays))
+        assert tiles == []
+
+    @pytest.mark.parametrize("m", MS)
+    def test_exact_tile_route(self, m):
+        rays = verdict_rays(m)
+        scalar = scalar_probabilities(rays, rays)
+        with exact_route(force=True) as tiles:
+            self.check(rays, rays, scalar, recovered=False)
+            irrational, formed = self.check(rays, list(rays), scalar, recovered=False)
+        assert formed.all() and irrational.any() and not irrational.all()
+        # 16-row tiles: the triangle takes 16 x 18 and 2 x 2, the square 2 x 18
+        assert tiles == [(16, 18), (2, 2), (16, 18), (2, 18)]
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_a_trace_off_d_z_raises(self, symmetric, monkeypatch):
+        # halved traces of x = 1 at m = 24 read y = (4, 0, 0, 0): every
+        # d y_j = y_0 t_j holds, so the pair is rational, and 8 does not
+        # divide y_0 = 4
+        rays = [ontic_ray(2, 0, M2)]
+        trace, sums = qgroups._real_traces(M2)
+        assert sums.tolist() == [8, 0, 0, 0]
+        monkeypatch.setattr(rays_mod, "_real_traces", lambda m: (trace / 2, sums))
+        with pytest.raises(ArithmeticError, match="not divisible by phi"):
+            first_irrational(rays, rays if symmetric else list(rays))
+        with pytest.raises(ArithmeticError, match="not divisible by phi"):
+            probabilities(rays, rays if symmetric else list(rays))
+
+    @pytest.mark.parametrize("m", MS)
+    def test_real_trace_table(self, m):
+        trace, sums = qgroups._real_traces(m)
+        d = euler_phi(m)
+        assert trace.shape == (d // 2, d // 2) and not trace.flags.writeable
+        assert np.array_equal(trace, qgroups._trace_form(m)[1][: d // 2])
+        assert sums.tolist() == [ramanujan(-j, m) for j in range(d // 2)]

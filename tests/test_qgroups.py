@@ -992,6 +992,115 @@ class TestMonomialRoute:
             assert ctx.root_exponents(big).tolist() == [-1, -1]
 
 
+class ReductionCounter:
+    """Counts the content reductions (``_canonical_batch``) of UMatrix."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = qgroups._canonical_batch
+
+        def count(*args):
+            self.calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(qgroups, "_canonical_batch", count)
+
+
+def assert_same_bytes(got: UMatrix, want: UMatrix):
+    assert got.num.dtype == want.num.dtype == np.int64
+    assert got.num.shape == want.num.shape and got.num.flags.c_contiguous
+    assert not got.num.flags.writeable
+    assert got.num.tobytes() == want.num.tobytes() and got.den == want.den
+    assert got == want and got.key() == want.key()
+
+
+class TestUnreducedProducts:
+    """A product by a unit monomial factor of denominator 1 (each column of
+    the left factor once, times a root of unity) and a dagger keep the
+    content and the denominator, so they skip the content reduction: byte
+    for byte what the reducing constructor gives."""
+
+    @staticmethod
+    def reduced_product(a: UMatrix, b: UMatrix) -> UMatrix:
+        out = _field_matmul(a.num, b.num, _context(a.m))
+        return UMatrix(a.dim, a.m, out, a.den * b.den)
+
+    @staticmethod
+    def lefts(n: int):
+        gens = clifford_generators(n)
+        x, f, s = gens["X"], gens["F"], gens["S"]
+        return [x, f, s, f @ s, f.dagger(), s @ f @ f, UMatrix.identity(n, x.m)]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_x_z_s_factors_skip_the_reduction(self, n, monkeypatch):
+        _, x, z = wh_generators(n)
+        rights = [x, z, s_matrix(n), x @ z @ x, z.dagger()]
+        for a in self.lefts(n):
+            for b in rights:
+                want = self.reduced_product(a, b)
+                counter = ReductionCounter(monkeypatch)
+                got = a @ b
+                monkeypatch.undo()
+                assert counter.calls == 0
+                assert_same_bytes(got, want)
+        assert any(a.den > 1 for a in self.lefts(n))
+
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_crt_permutations_skip_the_reduction(self, n, monkeypatch):
+        perm = crt_permutation(crt_split(n))
+        for b in (perm, perm.dagger()):
+            for a in self.lefts(n) + [perm, perm.dagger()]:
+                want = self.reduced_product(a, b)
+                counter = ReductionCounter(monkeypatch)
+                got = a @ b
+                monkeypatch.undo()
+                assert counter.calls == 0
+                assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_dagger_skips_the_reduction(self, n, monkeypatch):
+        mats = list(clifford_generators(n).values()) + self.lefts(n)
+        if n <= 3:
+            mats += clifford_group(n).elements
+        for g in mats:
+            conj = qgroups._conj(g.num, _context(g.m)).transpose(1, 0, 2)
+            want = UMatrix(n, g.m, conj, g.den)
+            counter = ReductionCounter(monkeypatch)
+            got = g.dagger()
+            monkeypatch.undo()
+            assert counter.calls == 0
+            assert_same_bytes(got, want)
+
+    def test_other_factors_are_reduced(self, monkeypatch):
+        m = 24
+        one, half = Cyclotomic.one(m), Cyclotomic.from_rational(m, Fraction(1, 2))
+        # column 0 is (2, 2) / 4 and column 1 is (1, 0) / 4: a factor that
+        # reads column 0 twice leaves content 2 against denominator 4
+        q = [Cyclotomic.from_rational(m, Fraction(1, k)) for k in (2, 4)]
+        left = mat(m, [[q[0], q[1]], [q[0], 0]])
+        assert left.den == 4
+        twice = mat(m, [[1, 1], [0, 0]])
+        zero_column = mat(m, [[0, 1], [0, 0]])
+        halved = UMatrix.permutation(2, m, [1, 0]).scale(half)  # denominator 2
+        big = UMatrix(2, m, np.full((2, 2, 8), 1 << 60, dtype=np.int64), 1)
+        for a, b in [(left, twice), (left, zero_column), (left, halved), (big, twice)]:
+            counter = ReductionCounter(monkeypatch)
+            got = a @ b
+            monkeypatch.undo()
+            assert counter.calls == 1
+            entries = [
+                [sum((a.entry(i, k) * b.entry(k, j) for k in range(2)), 0 * one)
+                 for j in range(2)]
+                for i in range(2)
+            ]
+            assert got == UMatrix.from_entries(entries, m)
+        assert (left @ twice).den == 2 and (left @ halved).den == 8
+        # a conjugate past the float64 bound comes back as Python integers
+        counter = ReductionCounter(monkeypatch)
+        assert big.dagger().num.dtype == np.int64
+        assert counter.calls == 1
+
+
 def oracle_weyl_exponents(mat: UMatrix) -> tuple[int, int, int] | None:
     """(a, b, s) when mat = zeta_m^s X^a Z^b, by entrywise Cyclotomic
     comparisons."""
