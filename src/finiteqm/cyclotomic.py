@@ -188,7 +188,8 @@ class _Context:
     holds the coefficients of z^k.  The others are gathers from it: the
     scalar code's tuple ``rows``, the float64 ``roots`` and the row ->
     exponent lookup of ``root_exponents`` (all built on first use), the
-    Galois rows, the conjugation table and the multiplication table.
+    Galois rows, the conjugation table and the multiplication table, a
+    gather of ``roots`` under its bound.
     """
 
     __slots__ = (
@@ -302,17 +303,16 @@ class _Context:
         """(table, bound) of the multiplication z^a * z^b in the power basis.
 
         table[a, b*d + c] is coefficient c of z^(a+b), a read-only float64
-        (d, d*d) array of small integers; bound is its largest |entry|.
+        (d, d*d) array of small integers gathered from ``roots``, row
+        (a + b) mod m, as z^m = 1; bound is ``roots``' bound, at least its
+        largest |entry|.
         """
         if self._mult is None:
             with self._lock:
                 if self._mult is None:
                     d = self.degree
-                    # every row z^0 .. z^(2d-2) appears in the table; when
-                    # 2d - 1 > m, z^k is the row of k mod m, since z^m = 1
-                    red = self.powers[np.arange(2 * d - 1) % self.m]
-                    bound = max(int(np.abs(red).max()), 1)
-                    t = red.astype(np.float64)[np.add.outer(np.arange(d), np.arange(d))]
+                    table, bound = self.roots
+                    t = table[np.add.outer(np.arange(d), np.arange(d)) % self.m]
                     t = t.reshape(d, d * d)
                     t.setflags(write=False)
                     self._mult = (t, bound)

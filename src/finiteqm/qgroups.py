@@ -56,31 +56,30 @@ against 103 us at d = 16 (n = 8), 254 against 126 us at d = 24 (n = 9),
 Every other product, below d = 24 or past the bound, runs the flat left
 array against ``_right_operator`` of the right one
 (``_operator_matmul``), a (K d, c d) integer matrix whose blocks are the
-multiplication matrices of its entries.  A caller that reuses an operator
-builds it once with ``_right_operator``.  That route is bounded in memory:
-when the operator would hold more than ``_GRAM_BUDGET`` entries, the
-columns of the right array go in blocks of max(1, budget // (K d^2)) and
-the products are joined: column j of x @ y depends only on column j of y,
-and each block passes the kernel's 2**53 check on its own, so the
+multiplication matrices of its entries.  Every UMatrix product and every
+product of the closure's element bodies is one ``_field_matmul``; a
+caller that applies one operator to many batches (the lead inverses of
+``_scalar_canonical_batch``, the emission operators of ``states``)
+builds it once with ``_right_operator``.  That route is bounded in
+memory: when the operator would hold more than ``_GRAM_BUDGET`` entries,
+the columns of the right array go in blocks of max(1, budget // (K d^2))
+and the products are joined: column j of x @ y depends only on column j
+of y, and each block passes the kernel's 2**53 check on its own, so the
 integers are the same and the peak is the output plus one block operator.
-The blocks come from ``_multiplier``, which applies the kernel's bound a
-priori: its right operand is the conductor's multiplication table, kept
-once as float64 with its largest entry T, so max|w| * T * phi(m) < 2**53
-is checked without converting or scanning the table.  When at least half
-of the entries are zero (a monomial factor that the first route does not
-take, the operator of a closure generator), only the nonzero ones are
-multiplied; the multiplier of 0 is 0, so this is exact.  The same budget
-sizes the Gram tiles of ``rays`` and the emission chunks of ``states``.
-Results are content-reduced by one batch canonicalizer, the only place
-where coefficients are narrowed to int64; a coefficient that does not fit
-raises CoefficientOverflowError.  Two results skip it because they are
-canonical already: a product by a factor of denominator 1 that permutes
-the columns and multiplies each by a root of unity, and a dagger.  Both
-maps are unimodular over Z, so content and denominator do not change;
-``kron`` is still reduced, as content is not multiplicative in
-Z[zeta_m].  The inverses of a batch, of the leads
-it is divided by or of Gram weights, come from ``_batch_inverse``, once
-per distinct row.
+The blocks come from ``_multiplier``, one product of the entries against
+the conductor's multiplication table, a float64 gather of the reduction
+rows kept with their largest entry T (``_Context.mult``), so
+max|w| * T * phi(m) < 2**53 is checked without converting or scanning the
+table.  The same budget sizes the Gram tiles of ``rays`` and the emission
+chunks of ``states``.
+Results go through one batch canonicalizer (``_canonical_batch``), the
+only place where coefficients are narrowed to int64 and the only one that
+decides whether a result is canonical already: an int64 batch over
+denominator 1 is, as gcd(content, 1) = 1, so it is copied without the gcd
+pass; every other batch is content-reduced, and a coefficient that does
+not fit int64 raises CoefficientOverflowError.  The inverses of a batch,
+of the leads it is divided by or of Gram weights, come from
+``_batch_inverse``, once per distinct row.
 
 Breadth-first closure has one engine, and needs an exact finiteness
 certificate; without one a closure raises UncertifiedGeneratorsError.
@@ -300,39 +299,23 @@ def _multiplier(w: np.ndarray, ctx) -> np.ndarray:
     """Multiplication matrices of coefficient vectors, (..., d) -> (..., d, d).
 
     M[b, c] = sum_a w[a] * mult[a, b, c], so for a coefficient row vector
-    x the product x * w in the field is x @ M.  The conductor keeps the
-    table as float64 with its bound T = max|mult| (``_Context.mult``), so
-    the bound of ``_exact_matmul`` is known before the product:
-    max|w| * T * d < 2**53 makes the one float64 product exact, and its
-    matrices stay float64: their entries are integers below 2**53, which
-    the kernel reads without converting them again.  Otherwise the table is
-    read back as integers, exactly, for the object product.
-
-    When at least half of the vectors are zero (a permutation, a diagonal,
-    a monomial factor), only the nonzero ones are multiplied and their
-    matrices are scattered into zeros.  The multiplier of 0 is 0, and the
-    rows multiplied have the same max|w| as all of them, so the values and
-    the bound check do not change; a denser operand runs the one product.
+    x the product x * w in the field is x @ M: one product of the flat
+    vectors against the conductor's table (``_Context.mult``), kept as
+    float64 with a bound T >= max|mult|, so the bound of ``_exact_matmul``
+    is known before the product: max|w| * T * d < 2**53 makes the float64
+    product exact, and its matrices stay float64: their entries are
+    integers below 2**53, which the kernel reads without converting them
+    again.  Otherwise the table is read back as integers, exactly, for the
+    object product.
     """
     d = ctx.degree
     flat = w.reshape(-1, d)
-    nonzero = np.flatnonzero((flat != 0).any(axis=1))
-    if 2 * len(nonzero) <= len(flat):
-        part = _table_product(flat[nonzero], ctx)
-        out = np.zeros((len(flat), d * d), dtype=part.dtype)
-        out[nonzero] = part
-    else:
-        out = _table_product(flat, ctx)
-    return out.reshape(w.shape[:-1] + (d, d))
-
-
-def _table_product(flat: np.ndarray, ctx) -> np.ndarray:
-    """flat (b, d) @ the multiplication table (d, d*d), exactly: float64
-    under the kernel's bound, Python integers otherwise."""
     table, bound = ctx.mult
-    if max(_max_abs(flat), 1) * bound * ctx.degree < _FLOAT_EXACT:
-        return np.matmul(flat.astype(np.float64, copy=False), table)
-    return np.matmul(flat.astype(object), table.astype(np.int64).astype(object))
+    if max(_max_abs(flat), 1) * bound * d < _FLOAT_EXACT:
+        out = np.matmul(flat.astype(np.float64, copy=False), table)
+    else:
+        out = np.matmul(flat.astype(object), table.astype(np.int64).astype(object))
+    return out.reshape(w.shape[:-1] + (d, d))
 
 
 def _right_operator(y: np.ndarray, ctx) -> np.ndarray:
@@ -396,11 +379,6 @@ def _field_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
         columns = _monomial_columns(y, ctx)
         if columns is not None:
             return _monomial_matmul(x, *columns, ctx)
-    return _dense_matmul(x, y, ctx)
-
-
-def _dense_matmul(x: np.ndarray, y: np.ndarray, ctx) -> np.ndarray:
-    """x @ y on the embedding or the operator route of ``_field_matmul``."""
     m, d = ctx.m, ctx.degree
     if d >= _EMBED_DEGREE:
         (ex, lx), (ey, ly) = _embed(x, m), _embed(y, m)
@@ -449,7 +427,7 @@ def _monomial_matmul(x: np.ndarray, rows, exponents, ctx) -> np.ndarray:
     of x with its leading axes, and the operator of a zero column is zero.
     The operators' largest entry is known (``_Context.roots``), so the
     kernel's bound max|x| * T * d < 2**53 is checked without scanning
-    them, as ``_table_product`` does: float64 under it, Python integers
+    them, as ``_multiplier`` does: float64 under it, Python integers
     through ``_exact_matmul`` past it.  A gather keeps x's dtype; the
     product is int64 or Python integers.
     """
@@ -662,11 +640,16 @@ def _content_reduce(nums: np.ndarray, dens: np.ndarray):
 
 
 def _canonical_batch(nums: np.ndarray, dens: np.ndarray):
-    """Content-reduce a batch, then narrow it to int64.
+    """Content-reduce a batch, then narrow it to int64, as a new array that
+    shares no memory with nums.
 
     This is the single point where a matrix coefficient that is too big
-    is detected.
+    is detected, and the one place that decides whether a product is
+    canonical already: an int64 batch whose denominators are all 1 is, as
+    gcd(content, 1) = 1, so it is copied without the gcd pass.
     """
+    if nums.dtype == np.int64 and dens.dtype == np.int64 and (dens == 1).all():
+        return nums.copy(), dens.copy()
     nums, dens = _content_reduce(nums, dens)
     b = nums.shape[0]
     try:
@@ -812,28 +795,8 @@ class UMatrix:
             raise FieldMismatchError("matrix dimension or conductor mismatch")
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
-        """The exact product; a monomial right factor (``_field_matmul``)
-        that permutes the columns and multiplies each by a root of unity
-        keeps the left factor's content and denominator, as z^e is a unit
-        over Z, so when it has denominator 1 its int64 product is
-        canonical and is not reduced again."""
         self._check(other)
-        ctx = _context(self.m)
-        columns = _monomial_columns(other.num, ctx)
-        if columns is None:
-            out = _dense_matmul(self.num, other.num, ctx)
-        else:
-            out = _monomial_matmul(self.num, *columns, ctx)
-            rows, exponents = columns
-            if (
-                other.den == 1
-                and out.dtype == np.int64
-                and exponents.min() >= 0
-                and np.bincount(rows).max() == 1
-            ):
-                return UMatrix._from_canonical(
-                    self.dim, self.m, np.ascontiguousarray(out), self.den
-                )
+        out = _field_matmul(self.num, other.num, _context(self.m))
         return UMatrix(self.dim, self.m, out, self.den * other.den)
 
     def matpow(self, k: int) -> "UMatrix":
@@ -850,13 +813,7 @@ class UMatrix:
         return result
 
     def dagger(self) -> "UMatrix":
-        """The conjugate transpose; conjugation is its own inverse over Z,
-        so an int64 conjugate keeps the content and is not reduced again."""
-        conj = np.transpose(_conj(self.num, _context(self.m)), (1, 0, 2))
-        if conj.dtype == np.int64:
-            return UMatrix._from_canonical(
-                self.dim, self.m, np.ascontiguousarray(conj), self.den
-            )
+        conj = _conj(self.num, _context(self.m)).transpose(1, 0, 2)
         return UMatrix(self.dim, self.m, conj, self.den)
 
     def scale(self, c: Cyclotomic) -> "UMatrix":
@@ -1648,25 +1605,28 @@ def _subgroup(gens, p: int) -> frozenset[int]:
 def _exact_products(gens: list[UMatrix], projective: bool):
     """compute(rows, gi): canonical exact rows of a chunk's products with gens[gi].
 
-    Projectively each product is divided by its first nonzero entry, whose
-    inverse comes from the conductor's inverse table.
+    A chunk of b elements is one (b n, n) @ (n, n) field product
+    (``_field_matmul``), so each generator takes its own route: a gather
+    for X and S, the dense route of its degree for F.  Projectively each
+    product is divided by its first nonzero entry, whose inverse comes
+    from the conductor's inverse table.
     """
     dim, ctx = gens[0].dim, _context(gens[0].m)
     d = ctx.degree
     if projective:
         gens = [g.scalar_canonical() for g in gens]
-    right_ops = [_right_operator(g.num, ctx) for g in gens]
-    gen_dens = [np.array([[g.den]], dtype=np.int64) for g in gens]
 
     def compute(rows, gi):
-        b = rows.shape[0]
-        flat = rows[:, :-1].reshape(b * dim, dim * d)
-        out = _exact_matmul(flat, right_ops[gi]).reshape(b, dim, dim, d)
+        b, g = rows.shape[0], gens[gi]
+        x = rows[:, :-1].reshape(b * dim, dim, d)
+        out = _field_matmul(x, g.num, ctx).reshape(b, dim, dim, d)
         if projective:
             out, dens = _scalar_canonical_batch(out, ctx)
         else:
-            # a 1 x 1 product: the denominators multiply exactly too
-            dens = _exact_matmul(rows[:, -1:], gen_dens[gi])[:, 0]
+            # denominators are positive, so the largest product bounds the
+            # rest: int64 below 2**63, Python integers past it
+            wide = int(rows[:, -1].max()) * g.den >= 1 << 63
+            dens = rows[:, -1].astype(object if wide else np.int64) * g.den
         return _exact_rows(*_canonical_batch(out, dens))
 
     return compute

@@ -65,6 +65,8 @@ class TestGroup:
         (3, "wh"): "f60477b42687ff5dd3a1c2c31e571f31d0e65900e78646886a25319017c9de58",
         (3, "clifford"): "0afe1f18d8d9bd2d77deb31fd5d4c769373b42a7e2689155ec847fe4c0ff385c",
         (3, "projective"): "0cbf49cefa7d2e8f8a3287b886b9ad06ce812348ce9120b5b401a1aea5caad6d",
+        # phi(m) = 32: the F bodies run on the field product's embedding route
+        (5, "projective"): "aaf0e72e52d6f66a5c15091cff87d38948fa1a7df98a7c2bff7fa4fa97bd2483",
     }
 
     @pytest.mark.parametrize("n,which", sorted(ELEMENTS_SHA256))

@@ -993,17 +993,17 @@ class TestMonomialRoute:
 
 
 class ReductionCounter:
-    """Counts the content reductions (``_canonical_batch``) of UMatrix."""
+    """Counts the content reductions (``_content_reduce``, the gcd pass)."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        real = qgroups._canonical_batch
+        real = qgroups._content_reduce
 
         def count(*args):
             self.calls += 1
             return real(*args)
 
-        monkeypatch.setattr(qgroups, "_canonical_batch", count)
+        monkeypatch.setattr(qgroups, "_content_reduce", count)
 
 
 def assert_same_bytes(got: UMatrix, want: UMatrix):
@@ -1015,10 +1015,10 @@ def assert_same_bytes(got: UMatrix, want: UMatrix):
 
 
 class TestUnreducedProducts:
-    """A product by a unit monomial factor of denominator 1 (each column of
-    the left factor once, times a root of unity) and a dagger keep the
-    content and the denominator, so they skip the content reduction: byte
-    for byte what the reducing constructor gives."""
+    """An int64 product or dagger over denominator 1 is canonical already,
+    as gcd(content, 1) = 1, so the canonicalizer skips its gcd pass; every
+    other one is reduced.  Either way the bytes are those of the reducing
+    constructor on the same coefficients."""
 
     @staticmethod
     def reduced_product(a: UMatrix, b: UMatrix) -> UMatrix:
@@ -1041,20 +1041,24 @@ class TestUnreducedProducts:
                 counter = ReductionCounter(monkeypatch)
                 got = a @ b
                 monkeypatch.undo()
-                assert counter.calls == 0
+                if a.den * b.den == 1:
+                    assert counter.calls == 0
                 assert_same_bytes(got, want)
         assert any(a.den > 1 for a in self.lefts(n))
+        assert any(a.den == 1 for a in self.lefts(n))
 
     @pytest.mark.parametrize("n", [6, 10, 12])
     def test_crt_permutations_skip_the_reduction(self, n, monkeypatch):
         perm = crt_permutation(crt_split(n))
+        assert perm.den == 1
         for b in (perm, perm.dagger()):
             for a in self.lefts(n) + [perm, perm.dagger()]:
                 want = self.reduced_product(a, b)
                 counter = ReductionCounter(monkeypatch)
                 got = a @ b
                 monkeypatch.undo()
-                assert counter.calls == 0
+                if a.den == 1:
+                    assert counter.calls == 0
                 assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -1068,8 +1072,24 @@ class TestUnreducedProducts:
             counter = ReductionCounter(monkeypatch)
             got = g.dagger()
             monkeypatch.undo()
-            assert counter.calls == 0
+            if g.den == 1:
+                assert counter.calls == 0
             assert_same_bytes(got, want)
+        assert any(g.den == 1 for g in mats)
+
+    @pytest.mark.parametrize("den", [1, 6])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_matrix_owns_its_coefficients(self, den, dtype):
+        # the denominator-1 identity must copy, as the reducing path does
+        m = conductor_for(3)
+        arr = np.zeros((3, 3, _context(m).degree), dtype=dtype)
+        arr[np.arange(3), [1, 2, 0], 0] = [1, -2, 3]
+        arr[0, 0, 1] = 5
+        a, want = UMatrix(3, m, arr, den), UMatrix(3, m, arr.copy(), den)
+        assert not np.shares_memory(a.num, arr)
+        arr[...] = 7  # before a's key is first computed
+        assert a.num.dtype == np.int64 and a.num.tobytes() == want.num.tobytes()
+        assert a.key() == want.key() and hash(a) == hash(want)
 
     def test_other_factors_are_reduced(self, monkeypatch):
         m = 24
@@ -1087,7 +1107,8 @@ class TestUnreducedProducts:
             counter = ReductionCounter(monkeypatch)
             got = a @ b
             monkeypatch.undo()
-            assert counter.calls == 1
+            # an int64 product over denominator 1 is canonical already
+            assert counter.calls == (a.den * b.den > 1)
             entries = [
                 [sum((a.entry(i, k) * b.entry(k, j) for k in range(2)), 0 * one)
                  for j in range(2)]
